@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     for (int variant = 0; variant < 2; ++variant) {
       auto model = nn::models::make_mnist_100_100(7);
       core::DropBackConfig config;
-      config.budget = budget;
+      config.schedule = optim::constant_budget(budget);
       config.regenerate_untracked = variant == 0;
       core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                   config);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace dropback;
   util::Flags flags(argc, argv);
   const bench::BenchScale scale = bench::BenchScale::mnist(flags);
-  bench::print_scale_banner("Ablation: freeze-epoch sweep", scale);
+  bench::print_scale_banner("Ablation: freeze epoch sweep", scale);
   auto task = bench::make_mnist_task(scale);
   const std::int64_t steps_per_epoch =
       (scale.train_n + scale.batch_size - 1) / scale.batch_size;
@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
       if (fe > scale.epochs) continue;
       auto model = nn::models::make_mnist_100_100(7);
       core::DropBackConfig config;
-      config.budget = budget;
-      config.freeze_after_steps = fe >= 0 ? fe * steps_per_epoch : -1;
+      config.schedule =
+          optim::constant_budget(budget, fe >= 0 ? fe * steps_per_epoch : -1);
       core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                   config);
       const auto result =

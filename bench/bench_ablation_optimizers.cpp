@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   {  // DropBack + plain SGD: state = the tracked weights only.
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = budget;
+    config.schedule = optim::constant_budget(budget);
     core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                 config);
     const auto r = bench::run_training("DropBack+SGD", *model, opt,

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer opt(model->collect_parameters(), scale.lr, config);
   bench::run_training("DropBack", *model, opt, *task.train_set,
                       *task.val_set, scale);

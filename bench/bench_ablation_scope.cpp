@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                              core::DropBackConfig::BudgetScope::kPerLayer}) {
       auto model = nn::models::make_mnist_100_100(7);
       core::DropBackConfig config;
-      config.budget = budget;
+      config.schedule = optim::constant_budget(budget);
       config.scope = scope;
       core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                   config);

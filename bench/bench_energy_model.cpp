@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
   auto task = bench::make_mnist_task(scale);
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = flags.get_int("budget", 20000);
+  config.schedule = optim::constant_budget(flags.get_int("budget", 20000));
   core::DropBackOptimizer opt(model->collect_parameters(), scale.lr, config);
   energy::TrafficCounter training_traffic;
   opt.set_traffic_counter(&training_traffic);
   bench::run_training("DropBack", *model, opt, *task.train_set,
                       *task.val_set, scale);
   std::printf("training weight traffic (DropBack %s, %lld epochs):\n",
-              util::Table::count(config.budget).c_str(),
+              util::Table::count(config.schedule->base_budget()).c_str(),
               static_cast<long long>(scale.epochs));
   std::printf("%s\n\n", training_traffic.report(constants).c_str());
 

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   {
     auto model = nn::models::make_lenet_300_100(7);
     core::DropBackConfig config;
-    config.budget = flags.get_int("budget", 50000);
+    config.schedule = optim::constant_budget(flags.get_int("budget", 50000));
     core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                 config);
     dropback = bench::run_training("DropBack", *model, opt, *task.train_set,

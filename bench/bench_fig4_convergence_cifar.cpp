@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   {
     auto model = make();
     core::DropBackConfig config;
-    config.budget = std::max<std::int64_t>(1, model->num_params() / 5);
+    config.schedule = optim::constant_budget(
+        std::max<std::int64_t>(1, model->num_params() / 5));
     core::DropBackOptimizer opt(model->collect_parameters(), scale.lr,
                                 config);
     dropback = bench::run_training("Ours", *model, opt, *task.train_set,

@@ -59,7 +59,8 @@ inline MethodRun run_method_with_callback(
     auto model = nn::models::make_mnist_100_100(7);
     auto params = model->collect_parameters();
     core::DropBackConfig config;
-    config.budget = method == "Dropback 2k" ? 2000 : 10000;
+    config.schedule =
+        optim::constant_budget(method == "Dropback 2k" ? 2000 : 10000);
     core::DropBackOptimizer opt(params, scale.lr, config);
     train::Trainer trainer(*model, opt, *task.train_set, *task.val_set,
                            options);

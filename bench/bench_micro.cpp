@@ -91,20 +91,12 @@ void BM_TopKSelection(benchmark::State& state) {
   rng::Xorshift128 rng(1);
   std::vector<float> scores(static_cast<std::size_t>(index.total()));
   for (auto& s : scores) s = rng.uniform();
-  const auto strategy = state.range(2) == 0
-                            ? core::SelectionStrategy::kFullSort
-                            : core::SelectionStrategy::kThresholdHeap;
   for (auto _ : state) {
-    set.select(scores, std::min<std::int64_t>(k, index.total() - 1),
-               strategy);
+    set.select(scores, std::min<std::int64_t>(k, index.total() - 1));
     benchmark::DoNotOptimize(set.tracked_count());
   }
 }
-BENCHMARK(BM_TopKSelection)
-    ->Args({10000, 1000, 0})
-    ->Args({10000, 1000, 1})
-    ->Args({250000, 20000, 0})
-    ->Args({250000, 20000, 1});
+BENCHMARK(BM_TopKSelection)->Args({10000, 1000})->Args({250000, 20000});
 
 void BM_Matmul(benchmark::State& state) {
   const auto n = state.range(0);
@@ -187,7 +179,7 @@ void BM_TopKSelectionThreaded(benchmark::State& state) {
   std::vector<float> scores(static_cast<std::size_t>(index.total()));
   for (auto& s : scores) s = rng.uniform();
   for (auto _ : state) {
-    set.select(scores, 50000, core::SelectionStrategy::kFullSort);
+    set.select(scores, 50000);
     benchmark::DoNotOptimize(set.tracked_count());
   }
   util::set_num_threads(1);
@@ -198,7 +190,7 @@ void BM_DropBackStep(benchmark::State& state) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = state.range(0);
+  config.schedule = optim::constant_budget(state.range(0));
   core::DropBackOptimizer opt(params, 0.1F, config);
   // Synthetic gradients (constant across iterations; selection cost is what
   // we measure).
@@ -272,7 +264,7 @@ void BM_SparseStoreMaterialize(benchmark::State& state) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = state.range(0);
+  config.schedule = optim::constant_budget(state.range(0));
   core::DropBackOptimizer opt(params, 0.1F, config);
   rng::Xorshift128 rng(2);
   for (auto* p : params) {
@@ -370,7 +362,7 @@ void run_speedup_report(int threads) {
     std::vector<float> scores(static_cast<std::size_t>(index.total()));
     for (auto& s : scores) s = rng.uniform();
     auto body = [&] {
-      set.select(scores, 50000, core::SelectionStrategy::kFullSort);
+      set.select(scores, 50000);
       benchmark::DoNotOptimize(set.tracked_count());
     };
     const TimedRun serial = timed_run(1, kSpeedupReps, body);

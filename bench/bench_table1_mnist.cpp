@@ -24,12 +24,11 @@ MethodResult run_dropback(const char* name, bench::MnistTask& task,
                           std::int64_t budget, std::int64_t freeze_epoch,
                           const BenchScale& scale,
                           const optim::LrSchedule& schedule) {
-  core::DropBackConfig config;
-  config.budget = budget;
   const std::int64_t steps_per_epoch =
       (scale.train_n + scale.batch_size - 1) / scale.batch_size;
-  config.freeze_after_steps =
-      freeze_epoch >= 0 ? freeze_epoch * steps_per_epoch : -1;
+  core::DropBackConfig config;
+  config.schedule = optim::constant_budget(
+      budget, freeze_epoch >= 0 ? freeze_epoch * steps_per_epoch : -1);
   core::DropBackOptimizer opt(model->collect_parameters(), scale.lr, config);
   MethodResult result = bench::run_training(
       name, *model, opt, *task.train_set, *task.val_set, scale, &schedule);

@@ -23,7 +23,7 @@ LayerCounts train_and_count(bench::MnistTask& task, std::int64_t budget,
                             const BenchScale& scale) {
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer opt(model->collect_parameters(), scale.lr, config);
   optim::StepDecay schedule(scale.lr, 0.5F,
                             std::max<std::int64_t>(1, scale.epochs / 5), 4);

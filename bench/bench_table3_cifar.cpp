@@ -71,7 +71,7 @@ Row run_dropback(nn::Module& model, double target_compression,
       1, static_cast<std::int64_t>(
              std::llround(total / target_compression)));
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer opt(model.collect_parameters(), scale.lr, config);
   const std::string name =
       "DropBack " + util::Table::count(budget);

@@ -12,8 +12,6 @@
 //   --budget-schedule=SPEC  (docs/SCHEDULES.md grammar, e.g.
 //     "const:budget=20000,freeze_epoch=7", "dsd:budget=20000,dense=2,freeze=3"
 //     or "stochastic:budget=20000,p=0.01"; overrides --budget/--budget-ratio)
-//   --freeze-epoch=N  (deprecated: shorthand for a const schedule with
-//     freeze_epoch=N; prefer --budget-schedule)
 //   --save=model.dbsw
 // Data pipeline:
 //   --train-n=N --val-n=N --prefetch=N (background batches ahead, default 1)
@@ -44,7 +42,6 @@
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "util/atomic_file.hpp"
-#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace dropback::examples {
@@ -70,8 +67,7 @@ struct CliConfig {
   // DropBack knobs.
   std::int64_t budget = 0;    ///< 0: derive from budget_ratio and model size
   double budget_ratio = 0.0;
-  std::int64_t freeze_epoch = -1;      ///< deprecated --freeze-epoch shim
-  std::string budget_schedule_spec;    ///< --budget-schedule; "" = constant
+  std::string budget_schedule_spec;  ///< --budget-schedule; "" = constant
   float lr = 0.1F;
   std::string save_path;      ///< compressed-model export; "" = skip
 
@@ -94,16 +90,7 @@ struct CliConfig {
     c.val_n = flags.get_int("val-n", d.val_n);
     c.budget = flags.get_int("budget", d.budget);
     c.budget_ratio = flags.get_double("budget-ratio", d.budget_ratio);
-    c.freeze_epoch = flags.get_int("freeze-epoch", -1);
     c.budget_schedule_spec = flags.get_string("budget-schedule", "");
-    DROPBACK_CHECK(c.budget_schedule_spec.empty() || c.freeze_epoch < 0,
-                   << "--freeze-epoch conflicts with --budget-schedule; put "
-                      "freeze_epoch=N inside the schedule spec instead");
-    if (c.freeze_epoch >= 0) {
-      util::log_warn() << "--freeze-epoch is deprecated; use "
-                          "--budget-schedule=const:budget=N,freeze_epoch="
-                       << c.freeze_epoch << " (docs/SCHEDULES.md)";
-    }
     c.lr = static_cast<float>(flags.get_double("lr", d.lr));
     c.save_path = flags.get_string("save", "");
     c.train = train::TrainConfig{}
@@ -153,9 +140,8 @@ struct CliConfig {
 
   /// Fills the schedule-bearing fields of a DropBackConfig from the flags:
   /// either the parsed --budget-schedule spec (whose scope= key also sets
-  /// the budget split) or a ConstantSchedule built from --budget /
-  /// --budget-ratio plus the deprecated --freeze-epoch. After the call
-  /// `config.budget` holds the schedule's base budget for reporting.
+  /// the budget split) or a never-freezing ConstantSchedule built from
+  /// --budget / --budget-ratio.
   void configure_dropback(std::int64_t total_params,
                           core::DropBackConfig& config) const {
     if (!budget_schedule_spec.empty()) {
@@ -166,12 +152,8 @@ struct CliConfig {
                          ? core::DropBackConfig::BudgetScope::kPerLayer
                          : core::DropBackConfig::BudgetScope::kGlobal;
     } else {
-      const std::int64_t k = effective_budget(total_params);
-      config.schedule = freeze_epoch >= 0
-                            ? optim::constant_budget_epochs(k, freeze_epoch)
-                            : optim::constant_budget(k);
+      config.schedule = optim::constant_budget(effective_budget(total_params));
     }
-    config.budget = config.schedule->base_budget();
   }
 
   /// Call once after training: reports the profile and metrics snapshot.

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {  // DropBack (regeneration)
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = budget;
+    config.schedule = optim::constant_budget(budget);
     core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
     train::Trainer trainer(*model, opt, *train_set, *val_set, options);
     const auto result = trainer.run();  // run before reading compression
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   {  // DropBack ablation: zero the untracked weights instead
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = budget;
+    config.schedule = optim::constant_budget(budget);
     config.regenerate_untracked = false;
     core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
     train::Trainer trainer(*model, opt, *train_set, *val_set, options);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer optimizer(model->collect_parameters(), 0.1F,
                                     config);
   train::TrainConfig options;

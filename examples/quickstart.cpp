@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   // 3. Optimizer: DropBack — SGD constrained to a budget of live weights;
   //    everything else is regenerated from the init seed on each access.
   core::DropBackConfig config;
-  config.budget = flags.get_int("budget", 10000);
+  config.schedule = optim::constant_budget(flags.get_int("budget", 10000));
   core::DropBackOptimizer optimizer(model->collect_parameters(), /*lr=*/0.1F,
                                     config);
 

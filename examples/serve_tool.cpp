@@ -65,7 +65,7 @@ int cmd_prepare(const util::Flags& flags) {
 
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = flags.get_int("budget", 2000);
+  config.schedule = optim::constant_budget(flags.get_int("budget", 2000));
   core::DropBackOptimizer optimizer(model->collect_parameters(), 0.1F,
                                     config);
   train::TrainConfig options;

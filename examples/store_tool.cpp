@@ -4,17 +4,13 @@
 //   ./store_tool verify model.dbsw         # structural validation
 //   ./store_tool quantize model.dbsw out.dbqs --bits=8
 //   ./store_tool diff a.dbsw b.dbsw        # compare two stores
-//   ./store_tool migrate old.dbsw new.dbsw # legacy flat -> checksummed
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "core/sparse_weight_store.hpp"
 #include "quant/quantized_store.hpp"
 #include "util/atomic_file.hpp"
-#include "util/container.hpp"
 #include "util/flags.hpp"
 #include "util/io_error.hpp"
 #include "util/table.hpp"
@@ -51,18 +47,7 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// "checksummed container" or "legacy flat" from the file's first bytes.
-const char* detect_format(const std::string& path) {
-  const std::string bytes = util::read_file(path);
-  if (bytes.size() >= 4 &&
-      std::memcmp(bytes.data(), util::kContainerMagic, 4) == 0) {
-    return "checksummed container";
-  }
-  return "legacy flat";
-}
-
 int cmd_verify(const std::string& path) {
-  std::printf("format: %s\n", detect_format(path));
   const auto store = core::SparseWeightStore::load_file(path);
   int problems = 0;
   for (std::size_t p = 0; p < store.num_params(); ++p) {
@@ -127,16 +112,6 @@ int cmd_quantize(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
-int cmd_migrate(const std::string& in_path, const std::string& out_path) {
-  const char* from = detect_format(in_path);
-  const auto store = core::SparseWeightStore::load_file(in_path);
-  store.save_file(out_path);
-  std::printf("migrated %s (%s) -> %s (checksummed container, %lld bytes)\n",
-              in_path.c_str(), from, out_path.c_str(),
-              static_cast<long long>(store.bytes()));
-  return 0;
-}
-
 int cmd_diff(const std::string& a_path, const std::string& b_path) {
   const auto a = core::SparseWeightStore::load_file(a_path);
   const auto b = core::SparseWeightStore::load_file(b_path);
@@ -183,8 +158,7 @@ void usage() {
       "  store_tool info <model.dbsw>\n"
       "  store_tool verify <model.dbsw>\n"
       "  store_tool quantize <in.dbsw> <out.dbqs> [--bits=8]\n"
-      "  store_tool diff <a.dbsw> <b.dbsw>\n"
-      "  store_tool migrate <old.dbsw> <new.dbsw>\n");
+      "  store_tool diff <a.dbsw> <b.dbsw>\n");
 }
 
 }  // namespace
@@ -201,9 +175,6 @@ int main(int argc, char** argv) {
     }
     if (args.size() == 3 && args[0] == "diff") {
       return cmd_diff(args[1], args[2]);
-    }
-    if (args.size() == 3 && args[0] == "migrate") {
-      return cmd_migrate(args[1], args[2]);
     }
   } catch (const dropback::util::IoError& e) {
     std::printf("corrupt or unreadable store: %s\n", e.what());

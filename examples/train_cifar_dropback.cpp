@@ -71,10 +71,9 @@ int main(int argc, char** argv) {
               cli.model.c_str(), static_cast<long long>(total),
               config.schedule->spec().c_str(),
               static_cast<double>(total) /
-                  static_cast<double>(config.budget));
+                  static_cast<double>(config.schedule->base_budget()));
   core::DropBackOptimizer optimizer(model->collect_parameters(), cli.lr,
                                     config);
-  cli.train.budget_schedule = config.schedule;
   energy::TrafficCounter traffic;
   optimizer.set_traffic_counter(&traffic);
 

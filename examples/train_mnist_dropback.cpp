@@ -50,10 +50,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(model->num_params()),
               config.schedule->spec().c_str(),
               static_cast<double>(model->num_params()) /
-                  static_cast<double>(config.budget));
+                  static_cast<double>(config.schedule->base_budget()));
   core::DropBackOptimizer optimizer(model->collect_parameters(), cli.lr,
                                     config);
-  cli.train.budget_schedule = config.schedule;
   energy::TrafficCounter traffic;
   optimizer.set_traffic_counter(&traffic);
 

@@ -23,20 +23,11 @@ DropBackOptimizer::DropBackOptimizer(std::vector<nn::Parameter*> params,
       config_(std::move(config)),
       index_(params_),
       tracked_(index_) {
-  if (config_.schedule) {
-    // Schedule-driven: the base budget and freeze point come from the
-    // schedule (BudgetSchedule is the only capacity authority — lint R10).
-    schedule_ = config_.schedule;
-    config_.budget = schedule_->base_budget();
-    config_.freeze_after_steps = -1;
-  } else {
-    DROPBACK_CHECK(config_.budget > 0,
-                   << "DropBackConfig.budget must be positive, got "
-                   << config_.budget);
-    schedule_ = std::make_shared<optim::ConstantSchedule>(
-        config_.budget, config_.freeze_after_steps);
-    config_.schedule = schedule_;
-  }
+  // BudgetSchedule is the only capacity authority (lint R10).
+  DROPBACK_CHECK(config_.schedule != nullptr,
+                 << "DropBackConfig.schedule is required: use "
+                 << "optim::constant_budget(k[, freeze_after_steps]) for the "
+                 << "paper's fixed-k run");
   current_budget_ = std::min(decision_at(0).budget, index_.total());
   refresh_frozen();
 }
@@ -46,7 +37,7 @@ optim::BudgetDecision DropBackOptimizer::decision_at(std::int64_t step) const {
   t.step = step;
   t.steps_per_epoch = config_.steps_per_epoch;
   t.epoch = config_.steps_per_epoch > 0 ? step / config_.steps_per_epoch : 0;
-  return schedule_->at(t);
+  return config_.schedule->at(t);
 }
 
 void DropBackOptimizer::refresh_frozen() {
@@ -54,18 +45,19 @@ void DropBackOptimizer::refresh_frozen() {
 }
 
 void DropBackOptimizer::step() {
-  DROPBACK_CHECK(!schedule_->epoch_phrased() || config_.steps_per_epoch > 0,
-                 << "DropBackOptimizer: schedule '" << schedule_->spec()
-                 << "' is epoch-phrased but steps_per_epoch is unset "
-                 << "(Trainer provides it; set DropBackConfig.steps_per_epoch "
-                 << "or call set_steps_per_epoch for custom loops)");
+  DROPBACK_CHECK(
+      !config_.schedule->epoch_phrased() || config_.steps_per_epoch > 0,
+      << "DropBackOptimizer: schedule '" << config_.schedule->spec()
+      << "' is epoch-phrased but steps_per_epoch is unset "
+      << "(Trainer provides it; set DropBackConfig.steps_per_epoch "
+      << "or call set_steps_per_epoch for custom loops)");
   if (!frozen_) {
     const optim::BudgetDecision d = decision_at(steps_);
     const std::int64_t k = std::min(d.budget, index_.total());
     // Score all weights by post-update accumulated gradient and reselect.
     compute_scores(index_, lr_, scores_);
     if (config_.scope == DropBackConfig::BudgetScope::kGlobal) {
-      tracked_.select(scores_, k, config_.selection);
+      tracked_.select(scores_, k);
     } else {
       // Per-layer quota proportional to the layer's size.
       std::vector<std::int64_t> budgets(index_.num_params());
@@ -92,17 +84,6 @@ void DropBackOptimizer::step() {
 void DropBackOptimizer::freeze() {
   manual_frozen_ = true;
   frozen_ = true;
-}
-
-void DropBackOptimizer::set_schedule(
-    std::shared_ptr<const optim::BudgetSchedule> schedule,
-    std::int64_t steps_per_epoch) {
-  DROPBACK_CHECK(schedule != nullptr, << "set_schedule: null schedule");
-  schedule_ = std::move(schedule);
-  config_.schedule = schedule_;
-  config_.budget = schedule_->base_budget();
-  config_.freeze_after_steps = -1;
-  set_steps_per_epoch(steps_per_epoch);
 }
 
 void DropBackOptimizer::set_steps_per_epoch(std::int64_t steps_per_epoch) {
@@ -209,7 +190,7 @@ T read_pod(std::istream& in) {
 
 void DropBackOptimizer::save_state(std::ostream& out) const {
   out.write(kStateMagic, sizeof(kStateMagic));
-  write_pod<std::int64_t>(out, config_.budget);
+  write_pod<std::int64_t>(out, config_.schedule->base_budget());
   write_pod<std::int64_t>(out, index_.total());
   write_pod<std::int64_t>(out, steps_);
   write_pod<std::uint8_t>(out, frozen_ ? 1 : 0);
@@ -229,10 +210,10 @@ void DropBackOptimizer::save_state(std::ostream& out) const {
       }
     }
   }
-  if (!schedule_->is_constant()) {
+  if (!config_.schedule->is_constant()) {
     // Dynamic schedules stamp their canonical spec so a kill/resume
     // mid-shrink or mid-re-dense can only continue under the same schedule.
-    const std::string spec = schedule_->spec();
+    const std::string spec = config_.schedule->spec();
     out.write(kScheduleMagic, sizeof(kScheduleMagic));
     write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(spec.size()));
     out.write(spec.data(), static_cast<std::streamsize>(spec.size()));
@@ -248,11 +229,12 @@ void DropBackOptimizer::load_state(std::istream& in) {
   }
   const auto budget = read_pod<std::int64_t>(in);
   const auto total = read_pod<std::int64_t>(in);
-  if (budget != config_.budget || total != index_.total()) {
+  const std::int64_t base_budget = config_.schedule->base_budget();
+  if (budget != base_budget || total != index_.total()) {
     throw util::IoError(
         "DropBackOptimizer state: budget/model mismatch (file has budget " +
         std::to_string(budget) + " over " + std::to_string(total) +
-        " weights, optimizer has " + std::to_string(config_.budget) +
+        " weights, optimizer has " + std::to_string(base_budget) +
         " over " + std::to_string(index_.total()) + ")");
   }
   const auto steps = read_pod<std::int64_t>(in);
@@ -282,17 +264,17 @@ void DropBackOptimizer::load_state(std::istream& in) {
     if (!in) {
       throw util::IoError("DropBackOptimizer state: truncated schedule spec");
     }
-    if (spec != schedule_->spec()) {
+    if (spec != config_.schedule->spec()) {
       throw util::IoError(
           "DropBackOptimizer state: schedule mismatch (snapshot was written "
           "under '" +
-          spec + "', optimizer runs '" + schedule_->spec() + "')");
+          spec + "', optimizer runs '" + config_.schedule->spec() + "')");
     }
-  } else if (!schedule_->is_constant()) {
+  } else if (!config_.schedule->is_constant()) {
     throw util::IoError(
         "DropBackOptimizer state: snapshot carries no schedule state but the "
         "optimizer runs '" +
-        schedule_->spec() +
+        config_.schedule->spec() +
         "' — it was written under a constant schedule and cannot resume a "
         "dynamic-schedule run");
   }
@@ -303,7 +285,7 @@ void DropBackOptimizer::load_state(std::istream& in) {
   // re-latch it; epoch-phrased schedules defer the inference until
   // steps_per_epoch is known (Trainer sets it before resuming).
   const bool can_evaluate =
-      !schedule_->epoch_phrased() || config_.steps_per_epoch > 0;
+      !config_.schedule->epoch_phrased() || config_.steps_per_epoch > 0;
   manual_frozen_ = frozen && can_evaluate && !decision_at(steps_).frozen;
   frozen_ = frozen;
   current_budget_ = std::min(decision_at(steps_).budget, index_.total());

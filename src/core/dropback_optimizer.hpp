@@ -9,14 +9,15 @@
 //      and snap back to their regenerated initialization.
 //
 // The live budget k_t, the freeze point, and any stochastic re-admission are
-// decided per step by an optim::BudgetSchedule (docs/SCHEDULES.md). The
-// default — a ConstantSchedule built from `budget` + `freeze_after_steps` —
-// reproduces the paper exactly: fixed k, tracked set frozen after
-// `freeze_after_steps` steps (paper §2.1, "Freeze the set of tracked weights
-// after a few epochs"). Dynamic schedules (DenseSparseDense,
-// StochasticDropBack) shrink *and grow* the set mid-run; growth is
-// regen-consistent because untracked weights always sit at their regenerated
-// init, so a re-admitted weight restarts its accumulated gradient from w0.
+// decided per step by the optim::BudgetSchedule in DropBackConfig::schedule
+// (docs/SCHEDULES.md), the only way a budget reaches the optimizer.
+// optim::constant_budget(k, freeze_after_steps) reproduces the paper exactly:
+// fixed k, tracked set frozen after `freeze_after_steps` steps (paper §2.1,
+// "Freeze the set of tracked weights after a few epochs"). Dynamic schedules
+// (DenseSparseDense, StochasticDropBack) shrink *and grow* the set mid-run;
+// growth is regen-consistent because untracked weights always sit at their
+// regenerated init, so a re-admitted weight restarts its accumulated
+// gradient from w0.
 //
 // The `regenerate_untracked=false` ablation zeroes untracked weights instead
 // of regenerating them — the configuration the paper reports as collapsing
@@ -37,16 +38,9 @@
 namespace dropback::core {
 
 struct DropBackConfig {
-  /// Base number of weights kept live ("DropBack 50k" = budget 50000). With
-  /// a `schedule` set this is overridden by the schedule's base_budget().
-  std::int64_t budget = 0;
-  /// Steps after which the tracked set freezes; -1 = never freeze. Only
-  /// consulted when `schedule` is null (it then seeds the default
-  /// ConstantSchedule).
-  std::int64_t freeze_after_steps = -1;
-  /// The budget schedule driving k_t / freeze / re-admission per step; null
-  /// builds ConstantSchedule(budget, freeze_after_steps) — the paper's
-  /// fixed-k behavior, bit-for-bit.
+  /// The budget schedule driving k_t / freeze / re-admission per step;
+  /// required. optim::constant_budget(k[, freeze_after_steps]) is the
+  /// paper's fixed-k run ("DropBack 50k" = constant_budget(50000)).
   std::shared_ptr<const optim::BudgetSchedule> schedule;
   /// Steps per epoch, required (> 0) by epoch-phrased schedules. Trainer
   /// fills it in automatically via set_steps_per_epoch().
@@ -54,8 +48,6 @@ struct DropBackConfig {
   /// Regenerate untracked weights to their init values (paper) or zero them
   /// (the ablation that mimics naive pruning-at-init).
   bool regenerate_untracked = true;
-  /// Top-k selection implementation; both give identical masks.
-  SelectionStrategy selection = SelectionStrategy::kFullSort;
   /// Where weights compete for the budget. The paper uses one *global*
   /// competition — Table 2 shows the budget migrating toward later layers,
   /// which per-layer proportional quotas cannot do. kPerLayer exists as the
@@ -85,16 +77,12 @@ class DropBackOptimizer : public optim::Optimizer {
   /// save_state/load_state).
   void freeze();
 
-  /// Installs a budget schedule (replacing the config-derived one) and the
-  /// steps-per-epoch it is evaluated against. Trainer calls this when
-  /// TrainConfig.budget_schedule is set, before any resume/step.
-  void set_schedule(std::shared_ptr<const optim::BudgetSchedule> schedule,
-                    std::int64_t steps_per_epoch);
-  /// Sets only steps_per_epoch (epoch-phrased schedules need it; a pure
-  /// step-phrased schedule ignores it).
+  /// Sets steps_per_epoch (epoch-phrased schedules need it; a pure
+  /// step-phrased schedule ignores it). Trainer calls this before any
+  /// resume or step.
   void set_steps_per_epoch(std::int64_t steps_per_epoch);
 
-  const optim::BudgetSchedule& schedule() const { return *schedule_; }
+  const optim::BudgetSchedule& schedule() const { return *config_.schedule; }
 
   /// The live budget k_t of the most recent selection, clamped to the
   /// parameter count (dense phases report the full count). Before the first
@@ -131,13 +119,12 @@ class DropBackOptimizer : public optim::Optimizer {
 
   /// Serializes the optimizer's training state (step count, freeze flag,
   /// bit-packed tracked masks). Combined with an nn::checkpoint of the
-  /// weights this resumes DropBack training exactly. The budget and total
-  /// parameter count are stored and validated on load; corrupt or
-  /// mismatched input raises util::IoError. With a non-constant schedule
-  /// the canonical schedule spec is appended and validated on load, so a
-  /// run killed mid-shrink or mid-re-dense can only resume under the same
-  /// schedule (the byte layout for the default ConstantSchedule is
-  /// unchanged from the pre-schedule format).
+  /// weights this resumes DropBack training exactly. The schedule's
+  /// base_budget() and the total parameter count are stored and validated
+  /// on load; corrupt or mismatched input raises util::IoError. With a
+  /// non-constant schedule the canonical schedule spec is appended and
+  /// validated on load, so a run killed mid-shrink or mid-re-dense can only
+  /// resume under the same schedule (a ConstantSchedule appends nothing).
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
 
@@ -151,7 +138,6 @@ class DropBackOptimizer : public optim::Optimizer {
   DropBackConfig config_;
   ParamIndex index_;
   TrackedSet tracked_;
-  std::shared_ptr<const optim::BudgetSchedule> schedule_;
   std::vector<float> scores_;  // scratch reused across steps
   std::int64_t steps_ = 0;
   std::int64_t current_budget_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <queue>
 
 #include "util/check.hpp"
 
@@ -91,6 +92,39 @@ void reference_dropback_step(const std::vector<nn::Parameter*>& params,
                  : state.initial_weights[p][static_cast<std::size_t>(i)];
     }
   }
+}
+
+std::vector<std::int64_t> reference_topk_heap(const std::vector<float>& scores,
+                                              std::int64_t k) {
+  struct Entry {
+    float score;
+    std::int64_t idx;
+  };
+  // a beats b iff its score is higher, or equal with a lower index.
+  auto beats = [](const Entry& a, const Entry& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.idx < b.idx;
+  };
+  // priority_queue top = "largest" under the comparator: the eviction
+  // candidate, the entry every other retained entry beats.
+  std::priority_queue<Entry, std::vector<Entry>, decltype(beats)> heap(beats);
+  const auto n = static_cast<std::int64_t>(scores.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const Entry e{scores[static_cast<std::size_t>(i)], i};
+    if (static_cast<std::int64_t>(heap.size()) < k) {
+      heap.push(e);
+    } else if (!heap.empty() && beats(e, heap.top())) {
+      heap.pop();
+      heap.push(e);
+    }
+  }
+  std::vector<std::int64_t> out;
+  out.reserve(heap.size());
+  while (!heap.empty()) {
+    out.push_back(heap.top().idx);
+    heap.pop();
+  }
+  return out;
 }
 
 }  // namespace dropback::core

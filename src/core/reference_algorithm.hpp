@@ -9,10 +9,12 @@
 //   S = sort(T u U);  lambda = S_k;  mask = 1(S > lambda)
 //   W(t) = mask * (W(t-1) - alpha * grad f) + !mask * W(0)
 //
-// DropBackOptimizer implements the practical equivalent (bounded set,
-// nth_element/priority queue, no stored W(0)). `reference_dropback_step`
-// below is the slow-but-obvious version; tests/reference_equivalence_test
-// proves the two produce identical weights step for step.
+// DropBackOptimizer implements the practical equivalent (nth_element
+// selection, no stored W(0)). `reference_dropback_step` below is the
+// slow-but-obvious version; tests/reference_equivalence_test proves the two
+// produce identical weights step for step. `reference_topk_heap` is the
+// paper's other formulation, a priority queue of size k, which
+// dropback_core_test checks TrackedSet::select against.
 #pragma once
 
 #include <cstdint>
@@ -40,5 +42,12 @@ ReferenceState make_reference_state(const std::vector<nn::Parameter*>& params);
 void reference_dropback_step(const std::vector<nn::Parameter*>& params,
                              ReferenceState& state, float lr, std::int64_t k,
                              bool freeze_now = false);
+
+/// Global indices of the top-k `scores` via a bounded min-heap: scan once,
+/// keep the k best. Ties at the threshold keep the lowest-indexed weights,
+/// the same order TrackedSet::select uses. Returns min(k, n) indices in no
+/// particular order.
+std::vector<std::int64_t> reference_topk_heap(const std::vector<float>& scores,
+                                              std::int64_t k);
 
 }  // namespace dropback::core

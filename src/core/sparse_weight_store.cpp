@@ -1,7 +1,6 @@
 #include "core/sparse_weight_store.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -13,9 +12,7 @@
 namespace dropback::core {
 
 namespace {
-// Magic of the legacy (pre-checksum) flat format, still accepted on load.
-constexpr char kLegacyMagic[4] = {'D', 'B', 'S', 'W'};
-// Container payload kind of the current checksummed format.
+// Container payload kind of the checksummed store format.
 constexpr char kKind[] = "DBSW";
 
 template <typename T>
@@ -54,12 +51,12 @@ SparseParamRecord read_record(std::istream& in) {
   if (!in) throw util::IoError("SparseWeightStore: truncated record name");
   const auto ndim = read_pod<std::uint8_t>(in);
   rec.shape.resize(ndim);
-  for (auto& d : rec.shape) {
-    d = read_pod<std::int64_t>(in);
-    if (d < 0) {
-      throw util::IoError("SparseWeightStore: record '" + rec.name +
-                          "': negative dimension");
-    }
+  for (auto& d : rec.shape) d = read_pod<std::int64_t>(in);
+  std::int64_t dense = 0;
+  if (!tensor::checked_numel(rec.shape, &dense)) {
+    throw util::IoError("SparseWeightStore: record '" + rec.name +
+                        "': invalid shape " + tensor::shape_str(rec.shape) +
+                        " (negative dimension or element count overflow)");
   }
   const auto kind = read_pod<std::uint8_t>(in);
   const auto scale = read_pod<float>(in);
@@ -69,7 +66,6 @@ SparseParamRecord read_record(std::istream& in) {
           ? rng::InitSpec::scaled_normal(scale, seed)
           : rng::InitSpec::constant(scale);
   const auto n_entries = read_pod<std::uint64_t>(in);
-  const std::int64_t dense = rec.dense_numel();
   if (n_entries > static_cast<std::uint64_t>(dense)) {
     throw util::IoError("SparseWeightStore: record '" + rec.name +
                         "': more entries (" + std::to_string(n_entries) +
@@ -240,24 +236,9 @@ void SparseWeightStore::save(std::ostream& out) const {
 }
 
 SparseWeightStore SparseWeightStore::load(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in) throw util::IoError("SparseWeightStore: truncated magic");
-  SparseWeightStore store;
-  if (std::memcmp(magic, kLegacyMagic, sizeof(magic)) == 0) {
-    // Legacy flat format: count then records, no checksums.
-    const auto count = read_pod<std::uint32_t>(in);
-    store.records_.reserve(count);
-    for (std::uint32_t p = 0; p < count; ++p) {
-      store.records_.push_back(read_record(in));
-    }
-    return store;
-  }
-  if (std::memcmp(magic, util::kContainerMagic, sizeof(magic)) != 0) {
-    throw util::IoError("SparseWeightStore: bad magic");
-  }
   const util::ContainerReader reader =
-      util::ContainerReader::read_body(in, kKind);
+      util::ContainerReader::read_from(in, kKind);
+  SparseWeightStore store;
   store.records_.reserve(reader.num_sections());
   for (std::size_t p = 0; p < reader.num_sections(); ++p) {
     std::istringstream section = reader.section_stream(p);

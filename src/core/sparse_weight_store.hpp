@@ -71,10 +71,9 @@ class SparseWeightStore {
   double compression_ratio() const;
 
   /// Persistence uses the shared checksummed container (util/container.hpp,
-  /// kind "DBSW"): one CRC32-guarded section per record. `load` also accepts
-  /// the legacy flat "DBSW" format; `store_tool migrate` upgrades old files.
-  /// Corrupt, truncated, or over-long input raises util::IoError. File saves
-  /// are atomic (temp + fsync + rename).
+  /// kind "DBSW"): one CRC32-guarded section per record. Corrupt,
+  /// truncated, or over-long input raises util::IoError. File saves are
+  /// atomic (temp + fsync + rename).
   void save(std::ostream& out) const;
   static SparseWeightStore load(std::istream& in);
   void save_file(const std::string& path) const;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "obs/profiler.hpp"
 #include "rng/xorshift.hpp"
@@ -50,24 +49,11 @@ std::int64_t TrackedSet::tracked_count_in(std::size_t p) const {
 
 namespace {
 
-/// THE selection order, shared by every top-k strategy: a weight beats
-/// another iff its score is higher, or the scores are equal and its global
-/// index is lower. Index order is the documented deterministic tie-break —
-/// when many accumulated gradients are exactly equal (common right after
-/// initialization, when whole layers share a constant init), every strategy
-/// must resolve the threshold ties toward the lowest-indexed weights so the
-/// selected set is a pure function of the scores.
-inline bool beats(float score_a, std::int64_t idx_a, float score_b,
-                  std::int64_t idx_b) {
-  if (score_a != score_b) return score_a > score_b;
-  return idx_a < idx_b;
-}
-
-/// Emits the top-k of `scores[indices]` under `beats`, given that `indices`
-/// is sorted ascending: first everything strictly above the k-th-largest
-/// threshold lambda, then threshold-equal entries in index order. Both the
-/// fullsort and the parallel two-pass strategy funnel through this, so they
-/// are tie-identical by construction.
+/// Emits the top-k of `scores[indices]` (higher score wins, lower index
+/// breaks ties), given that `indices` is sorted ascending: first everything
+/// strictly above the k-th-largest threshold lambda, then threshold-equal
+/// entries in index order. The parallel two-pass variant funnels through
+/// this, so it is tie-identical to topk_fullsort by construction.
 std::vector<std::int64_t> select_with_threshold(
     const std::vector<float>& scores, const std::vector<std::int64_t>& indices,
     std::int64_t k) {
@@ -94,45 +80,6 @@ std::vector<std::int64_t> select_with_threshold(
       out.push_back(indices[i]);
       --remaining;
     }
-  }
-  return out;
-}
-
-/// Selected global indices of the top-k scores using a bounded min-heap —
-/// the paper's "priority queue of size k" formulation. Eviction and
-/// replacement both use `beats`, so ties at the threshold retain the
-/// lowest-indexed weights, exactly like the fullsort strategy.
-std::vector<std::int64_t> topk_heap(const std::vector<float>& scores,
-                                    std::int64_t k) {
-  struct Entry {
-    float score;
-    std::int64_t idx;
-  };
-  // priority_queue top = "largest" under cmp; we want the top to be the
-  // eviction candidate: the entry every other retained entry beats.
-  auto cmp = [](const Entry& a, const Entry& b) {
-    return beats(a.score, a.idx, b.score, b.idx);
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
-  const std::int64_t n = static_cast<std::int64_t>(scores.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const Entry e{scores[static_cast<std::size_t>(i)], i};
-    if (static_cast<std::int64_t>(heap.size()) < k) {
-      heap.push(e);
-    } else if (!heap.empty() &&
-               beats(e.score, e.idx, heap.top().score, heap.top().idx)) {
-      // The index clause of `beats` never fires here (equal-score entries
-      // arrive in ascending index order), but routing the decision through
-      // the shared predicate keeps the strategies structurally identical.
-      heap.pop();
-      heap.push(e);
-    }
-  }
-  std::vector<std::int64_t> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(heap.top().idx);
-    heap.pop();
   }
   return out;
 }
@@ -225,8 +172,7 @@ std::vector<std::int64_t> topk_fullsort_auto(const std::vector<float>& scores,
 
 }  // namespace
 
-void TrackedSet::select(const std::vector<float>& scores, std::int64_t k,
-                        SelectionStrategy strategy) {
+void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
   DROPBACK_PROFILE_SCOPE("dropback_select");
   const std::int64_t n = static_cast<std::int64_t>(scores.size());
   DROPBACK_CHECK(n == index_->total(), << "select: scores size " << n
@@ -248,9 +194,7 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k,
     return;
   }
 
-  const std::vector<std::int64_t> selected =
-      strategy == SelectionStrategy::kFullSort ? topk_fullsort_auto(scores, k)
-                                               : topk_heap(scores, k);
+  const std::vector<std::int64_t> selected = topk_fullsort_auto(scores, k);
 
   // Rebuild masks, counting entries that were untracked before.
   std::vector<std::vector<std::uint8_t>> old_masks;

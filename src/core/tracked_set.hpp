@@ -1,21 +1,18 @@
 // Global top-k tracked-weight selection.
 //
-// Algorithm 1 sorts all accumulated gradients and keeps the k largest; the
-// practical variant it describes keeps a bounded set with a threshold
-// lambda = S_k (the k-th largest score). Both are implemented here:
-//   * kFullSort       — reference semantics via std::nth_element, O(n).
-//                       Automatically switches to a parallel two-pass
-//                       candidate-pruning variant on large score vectors;
-//                       the result is bitwise identical for any thread
-//                       count (see docs/PARALLELISM.md).
-//   * kThresholdHeap  — the paper's priority-queue formulation: scan scores
-//                       once, maintaining a min-heap of the k best.
-// Both strategies order weights by (score descending, global index
-// ascending): INDEX ORDER IS THE DETERMINISTIC TIE-BREAK. When several
-// weights share the threshold score, the lowest-indexed ones are selected,
-// so every strategy — serial, heap, or parallel — produces the same mask
-// for the same scores (locked down by dropback_core_test and
-// parallel_equivalence_test).
+// Algorithm 1 sorts all accumulated gradients and keeps the k largest.
+// select() finds lambda = S_k (the k-th largest score) with
+// std::nth_element, O(n), and switches to a parallel two-pass
+// candidate-pruning variant on large score vectors; the result is bitwise
+// identical for any thread count (see docs/PARALLELISM.md). The paper's
+// priority-queue formulation lives in core/reference_algorithm as the
+// oracle dropback_core_test compares against.
+//
+// Weights are ordered by (score descending, global index ascending): INDEX
+// ORDER IS THE DETERMINISTIC TIE-BREAK. When several weights share the
+// threshold score, the lowest-indexed ones are selected, so serial,
+// parallel and the heap oracle produce the same mask for the same scores
+// (locked down by dropback_core_test and parallel_equivalence_test).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +21,6 @@
 #include "core/accumulated_gradients.hpp"
 
 namespace dropback::core {
-
-enum class SelectionStrategy { kFullSort, kThresholdHeap };
 
 /// The boolean tracked/untracked mask over all parameters, plus selection
 /// statistics (churn, per-layer counts) consumed by the paper's figures.
@@ -37,8 +32,7 @@ class TrackedSet {
   /// Re-selects the tracked set as the top-k of `scores`.
   /// Ties at the threshold are broken by lower global index, and exactly
   /// min(k, n) weights are tracked. Records churn vs the previous selection.
-  void select(const std::vector<float>& scores, std::int64_t k,
-              SelectionStrategy strategy = SelectionStrategy::kFullSort);
+  void select(const std::vector<float>& scores, std::int64_t k);
 
   /// Per-parameter variant: selects the top budgets[p] scores *within* each
   /// parameter independently (the ablation against the paper's global

@@ -207,11 +207,7 @@ bool DataLoader::next(Batch& batch) {
 }
 
 namespace {
-// Versioned state container. "DBD2" + version is the current layout; the
-// seed repo wrote an unversioned "DBDL" layout (no epoch counter), which
-// load_state still accepts so DBTS training snapshots from older builds
-// keep resuming.
-constexpr char kLegacyMagic[4] = {'D', 'B', 'D', 'L'};
+// Versioned state layout: "DBD2" magic + version.
 constexpr char kMagicV2[4] = {'D', 'B', 'D', '2'};
 constexpr std::uint32_t kStateVersion = 2;
 
@@ -256,16 +252,13 @@ void DataLoader::load_state(std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in) throw util::IoError("DataLoader state: truncated");
-  bool versioned = false;
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    const auto version = read_pod<std::uint32_t>(in);
-    if (version != kStateVersion) {
-      throw util::IoError("DataLoader state: unsupported version " +
-                          std::to_string(version));
-    }
-    versioned = true;
-  } else if (std::memcmp(magic, kLegacyMagic, sizeof(kLegacyMagic)) != 0) {
+  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     throw util::IoError("DataLoader state: bad magic");
+  }
+  const auto version = read_pod<std::uint32_t>(in);
+  if (version != kStateVersion) {
+    throw util::IoError("DataLoader state: unsupported version " +
+                        std::to_string(version));
   }
   const auto size = read_pod<std::int64_t>(in);
   const auto batch_size = read_pod<std::int64_t>(in);
@@ -287,16 +280,10 @@ void DataLoader::load_state(std::istream& in) {
   rs.w = read_pod<std::uint32_t>(in);
   rs.has_cached_normal = read_pod<std::uint8_t>(in) != 0;
   rs.cached_normal = read_pod<float>(in);
-  // The legacy layout predates the epoch counter (and the per-sample
-  // transform streams it feeds); restoring it as epoch 0 reproduces the
-  // old builds' behavior exactly.
-  std::int64_t epoch = 0;
-  if (versioned) {
-    epoch = read_pod<std::int64_t>(in);
-    if (epoch < 0) {
-      throw util::IoError("DataLoader state: negative epoch " +
-                          std::to_string(epoch));
-    }
+  const auto epoch = read_pod<std::int64_t>(in);
+  if (epoch < 0) {
+    throw util::IoError("DataLoader state: negative epoch " +
+                        std::to_string(epoch));
   }
   const auto cursor = read_pod<std::int64_t>(in);
   if (cursor < 0 || cursor > dataset_.size()) {

@@ -105,11 +105,7 @@ class DataLoader {
 
   /// Serializes the shuffle state (RNG, current epoch order, cursor, epoch
   /// counter) so a resumed run continues from the exact batch the crashed
-  /// run stopped at. The format is versioned ("DBD2", version 2);
-  /// load_state also accepts the legacy unversioned "DBDL" layout written
-  /// by pre-prefetch builds, so old DBTS training snapshots keep resuming
-  /// (the legacy layout carries no epoch counter; it restores as epoch 0,
-  /// which only matters to transform streams — transforms postdate it).
+  /// run stopped at. The format is versioned ("DBD2", version 2).
   /// load_state validates dataset size and batch size against the current
   /// loader and raises util::IoError on corrupt or mismatched input; the
   /// cursor always reflects *consumed* batches, never staged ones, so

@@ -4,13 +4,12 @@
 //
 //   #include "dropback.hpp"
 //
-//   auto config = dropback::train::TrainConfig{}
-//                     .with_epochs(20)
-//                     .with_prefetch(1)
-//                     .with_checkpoint("run.dbts")
-//                     .with_budget_schedule(dropback::optim::constant_budget(20000));
 //   dropback::train::DropBackSession::Options options;
-//   options.train = config;
+//   options.budget_schedule = dropback::optim::constant_budget(20000);
+//   options.train = dropback::train::TrainConfig{}
+//                       .with_epochs(20)
+//                       .with_prefetch(1)
+//                       .with_checkpoint("run.dbts");
 //   dropback::train::DropBackSession session(model, options);
 //   session.fit(train_set, val_set);
 //   session.export_compressed("model.dbsw");

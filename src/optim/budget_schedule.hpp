@@ -6,9 +6,8 @@
 // k_t, whether selection is frozen at that step, and a per-step re-admission
 // probability for untracked weights. Three implementations ship:
 //
-//   * ConstantSchedule    — fixed k + optional freeze point; exactly
-//                           reproduces the pre-schedule fixed-k behavior and
-//                           is what DropBackOptimizer builds by default.
+//   * ConstantSchedule    — fixed k + optional freeze point: the paper's
+//                           run, built by constant_budget().
 //   * DenseSparseDense    — dense warmup -> shrink to k (optionally freeze)
 //                           -> re-dense, after DSD retraining
 //                           (arXiv:1607.04381; src/baselines/dsd.hpp is the

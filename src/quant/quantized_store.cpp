@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/io_error.hpp"
 
 namespace dropback::quant {
 
@@ -21,7 +21,7 @@ template <typename T>
 T read_pod(std::istream& in) {
   T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("QuantizedSparseStore: truncated stream");
+  if (!in) throw util::IoError("QuantizedSparseStore: truncated stream");
   return v;
 }
 }  // namespace
@@ -154,19 +154,20 @@ void QuantizedSparseStore::save(std::ostream& out) const {
       write_pod<std::int8_t>(out, q);
     }
   }
-  if (!out) throw std::runtime_error("QuantizedSparseStore: write failed");
+  if (!out) throw util::IoError("QuantizedSparseStore: write failed");
 }
 
 QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("QuantizedSparseStore: bad magic");
+    throw util::IoError("QuantizedSparseStore: bad magic");
   }
   QuantizedSparseStore store;
   store.bits_ = read_pod<std::uint8_t>(in);
   if (store.bits_ < 2 || store.bits_ > 8) {
-    throw std::runtime_error("QuantizedSparseStore: bad bit width");
+    throw util::IoError("QuantizedSparseStore: bad bit width " +
+                        std::to_string(store.bits_));
   }
   const auto count = read_pod<std::uint32_t>(in);
   store.records_.reserve(count);
@@ -175,9 +176,16 @@ QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
     const auto name_len = read_pod<std::uint16_t>(in);
     rec.name.resize(name_len);
     in.read(rec.name.data(), name_len);
+    if (!in) throw util::IoError("QuantizedSparseStore: truncated record name");
     const auto ndim = read_pod<std::uint8_t>(in);
     rec.shape.resize(ndim);
     for (auto& d : rec.shape) d = read_pod<std::int64_t>(in);
+    std::int64_t dense = 0;
+    if (!tensor::checked_numel(rec.shape, &dense)) {
+      throw util::IoError("QuantizedSparseStore: record '" + rec.name +
+                          "': invalid shape " + tensor::shape_str(rec.shape) +
+                          " (negative dimension or element count overflow)");
+    }
     const auto kind = read_pod<std::uint8_t>(in);
     const auto init_scale = read_pod<float>(in);
     const auto seed = read_pod<std::uint64_t>(in);
@@ -187,16 +195,20 @@ QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
                    : rng::InitSpec::constant(init_scale);
     rec.scale = read_pod<float>(in);
     const auto n_entries = read_pod<std::uint64_t>(in);
-    const std::int64_t dense = rec.dense_numel();
     if (n_entries > static_cast<std::uint64_t>(dense)) {
-      throw std::runtime_error("QuantizedSparseStore: too many entries");
+      throw util::IoError("QuantizedSparseStore: record '" + rec.name +
+                          "': more entries (" + std::to_string(n_entries) +
+                          ") than dense elements (" + std::to_string(dense) +
+                          ")");
     }
     rec.entries.reserve(n_entries);
     for (std::uint64_t e = 0; e < n_entries; ++e) {
       const auto idx = read_pod<std::uint32_t>(in);
       const auto q = read_pod<std::int8_t>(in);
       if (static_cast<std::int64_t>(idx) >= dense) {
-        throw std::runtime_error("QuantizedSparseStore: index out of range");
+        throw util::IoError("QuantizedSparseStore: record '" + rec.name +
+                            "': entry index " + std::to_string(idx) +
+                            " out of range " + std::to_string(dense));
       }
       rec.entries.emplace_back(idx, q);
     }

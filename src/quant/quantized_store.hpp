@@ -60,6 +60,9 @@ class QuantizedSparseStore {
   /// (must be the store this was quantized from).
   double max_abs_error(const core::SparseWeightStore& reference) const;
 
+  /// Flat "DBQS" format (magic, bit width, records; no checksums). Write
+  /// failures and corrupt, truncated or implausible input raise
+  /// util::IoError.
   void save(std::ostream& out) const;
   static QuantizedSparseStore load(std::istream& in);
 

@@ -45,9 +45,11 @@ Tensor load_tensor(std::istream& in) {
   const auto ndim = read_pod<std::uint32_t>(in);
   if (ndim > 8) throw util::IoError("load_tensor: implausible rank");
   Shape shape(ndim);
-  for (auto& d : shape) {
-    d = read_pod<std::int64_t>(in);
-    if (d < 0) throw util::IoError("load_tensor: negative dim");
+  for (auto& d : shape) d = read_pod<std::int64_t>(in);
+  std::int64_t numel = 0;
+  if (!checked_numel(shape, &numel)) {
+    throw util::IoError("load_tensor: invalid shape " + shape_str(shape) +
+                        " (negative dimension or element count overflow)");
   }
   Tensor t(shape);
   in.read(reinterpret_cast<char*>(t.data()),

@@ -9,13 +9,20 @@
 
 namespace dropback::tensor {
 
-std::int64_t numel_of(const Shape& shape) {
-  if (shape.empty()) return 0;
-  std::int64_t n = 1;
+bool checked_numel(const Shape& shape, std::int64_t* numel) {
+  std::int64_t n = shape.empty() ? 0 : 1;
   for (std::int64_t d : shape) {
-    DROPBACK_CHECK(d >= 0, << "negative dimension in " << shape_str(shape));
-    n *= d;
+    if (d < 0 || __builtin_mul_overflow(n, d, &n)) return false;
   }
+  *numel = n;
+  return true;
+}
+
+std::int64_t numel_of(const Shape& shape) {
+  std::int64_t n = 0;
+  DROPBACK_CHECK(checked_numel(shape, &n),
+                 << "negative dimension or element count overflow in "
+                 << shape_str(shape));
   return n;
 }
 

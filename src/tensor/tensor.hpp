@@ -21,7 +21,14 @@ using Shape = std::vector<std::int64_t>;
 
 /// Number of elements implied by a shape (product of dims; empty shape = 1
 /// element scalar is NOT supported — empty shape means the null tensor).
+/// A negative dimension or a product beyond int64 is a caller error
+/// (std::invalid_argument).
 std::int64_t numel_of(const Shape& shape);
+
+/// numel_of for untrusted shapes: stores the element count in `*numel` and
+/// returns true, or returns false on a negative dimension or an element
+/// count that overflows int64. Loaders use it to raise util::IoError.
+bool checked_numel(const Shape& shape, std::int64_t* numel);
 
 /// Human-readable "[2, 3, 4]".
 std::string shape_str(const Shape& shape);

@@ -4,7 +4,6 @@
 
 #include "nn/checkpoint.hpp"
 #include "util/atomic_file.hpp"
-#include "util/check.hpp"
 #include "util/container.hpp"
 #include "util/io_error.hpp"
 
@@ -12,13 +11,10 @@ namespace dropback::train {
 
 DropBackSession::DropBackSession(nn::Module& model, Options options)
     : model_(model), options_(options) {
-  DROPBACK_CHECK(options.train.budget_schedule != nullptr,
-                 << "DropBackSession: train.budget_schedule required (use "
-                    "optim::constant_budget(k) for the paper's fixed-k run)");
   options.train.validate();
   params_ = model.collect_parameters();
   core::DropBackConfig config;
-  config.schedule = options.train.budget_schedule;
+  config.schedule = options.budget_schedule;
   config.regenerate_untracked = options.regenerate_untracked;
   optimizer_ = std::make_unique<core::DropBackOptimizer>(params_, options.lr,
                                                          config);

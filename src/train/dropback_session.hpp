@@ -5,7 +5,7 @@
 // without touching the lower layers:
 //
 //   train::DropBackSession::Options options;
-//   options.train.budget_schedule = optim::constant_budget(20000);
+//   options.budget_schedule = optim::constant_budget(20000);
 //   train::DropBackSession session(model, options);
 //   session.fit(train_set, val_set);
 //   session.export_compressed("model.dbsw");
@@ -23,6 +23,7 @@
 #include "data/dataset.hpp"
 #include "energy/energy_model.hpp"
 #include "nn/module.hpp"
+#include "optim/budget_schedule.hpp"
 #include "optim/lr_schedule.hpp"
 #include "train/trainer.hpp"
 
@@ -31,6 +32,10 @@ namespace dropback::train {
 class DropBackSession {
  public:
   struct Options {
+    /// The weight budget (required): `optim::constant_budget(k)` for the
+    /// paper's fixed-k run, `optim::constant_budget_epochs(k, e)` to freeze
+    /// after epoch e, or any dynamic BudgetSchedule (docs/SCHEDULES.md).
+    std::shared_ptr<const optim::BudgetSchedule> budget_schedule;
     float lr = 0.1F;
     /// lr decay factor applied every `lr_decay_epochs`; 1.0 disables.
     float lr_decay = 0.5F;
@@ -41,12 +46,8 @@ class DropBackSession {
     /// patience, data pipeline (shuffle/prefetch/transform), thread count,
     /// crash-safe checkpointing, anomaly policy, telemetry. Everything
     /// DropBack-agnostic lives here; the fields above are the DropBack
-    /// specifics layered on top. The weight budget comes from
-    /// `train.budget_schedule` (required) — `optim::constant_budget(k)` for
-    /// the paper's fixed-k run, `optim::constant_budget_epochs(k, e)` for
-    /// the old budget+freeze_epoch pair, or any dynamic BudgetSchedule.
-    /// `train.schedule` is replaced by the session's own StepDecay when
-    /// lr_decay_epochs > 0.
+    /// specifics layered on top. `train.schedule` is replaced by the
+    /// session's own StepDecay when lr_decay_epochs > 0.
     TrainConfig train = TrainConfig{}.with_epochs(20);
   };
 

@@ -33,10 +33,7 @@
 #include <stdexcept>
 #include <string>
 
-#include <memory>
-
 #include "data/dataloader.hpp"
-#include "optim/budget_schedule.hpp"
 #include "optim/lr_schedule.hpp"
 
 namespace dropback::train {
@@ -67,14 +64,6 @@ struct TrainConfig {
   std::int64_t batch_size = 32;
   /// Learning-rate schedule; nullptr keeps the optimizer's current lr.
   const optim::LrSchedule* schedule = nullptr;
-  /// Weight-budget schedule driving the live budget k_t, the freeze point,
-  /// and stochastic re-admission per step (docs/SCHEDULES.md). Requires the
-  /// optimizer to be a core::DropBackOptimizer; Trainer installs it (along
-  /// with the derived steps-per-epoch) before any resume or step. Null keeps
-  /// whatever schedule the optimizer was constructed with — for a plain
-  /// DropBackConfig that is ConstantSchedule(budget, freeze_after_steps),
-  /// the paper's fixed-k behavior.
-  std::shared_ptr<const optim::BudgetSchedule> budget_schedule;
   /// Stop after this many epochs without validation improvement
   /// (the paper uses 5 on MNIST); -1 disables early stopping.
   std::int64_t patience = -1;
@@ -131,11 +120,6 @@ struct TrainConfig {
   TrainConfig& with_batch_size(std::int64_t v) { batch_size = v; return *this; }
   TrainConfig& with_schedule(const optim::LrSchedule* s) {
     schedule = s;
-    return *this;
-  }
-  TrainConfig& with_budget_schedule(
-      std::shared_ptr<const optim::BudgetSchedule> s) {
-    budget_schedule = std::move(s);
     return *this;
   }
   TrainConfig& with_patience(std::int64_t v) { patience = v; return *this; }

@@ -167,18 +167,11 @@ TrainResult Trainer::run() {
                           500.0, 1000.0});
   }
   auto* dropback = dynamic_cast<core::DropBackOptimizer*>(&optimizer_);
-  // Budget-schedule wiring must precede the resume load below: DBTS restore
-  // validates the snapshot's schedule spec against the installed schedule,
-  // and epoch-phrased schedules need steps_per_epoch to infer freeze state.
-  const std::int64_t steps_per_epoch =
-      (train_set_.size() + options_.batch_size - 1) / options_.batch_size;
-  if (options_.budget_schedule) {
-    DROPBACK_CHECK(dropback != nullptr,
-                   << "TrainConfig.budget_schedule requires a "
-                      "core::DropBackOptimizer");
-    dropback->set_schedule(options_.budget_schedule, steps_per_epoch);
-  } else if (dropback != nullptr) {
-    dropback->set_steps_per_epoch(steps_per_epoch);
+  // Must precede the resume load below: epoch-phrased budget schedules need
+  // steps_per_epoch to infer the restored freeze state.
+  if (dropback != nullptr) {
+    dropback->set_steps_per_epoch(
+        (train_set_.size() + options_.batch_size - 1) / options_.batch_size);
   }
   std::int64_t checkpoints_written = 0;
   double total_step_ms = 0.0;

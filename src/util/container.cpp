@@ -27,15 +27,6 @@ T read_pod(std::istream& in, const char* what) {
   return v;
 }
 
-// Known magics of the pre-checksum formats, for a clearer error message.
-bool is_legacy_magic(const char magic[4]) {
-  static constexpr const char* kLegacy[] = {"DBCP", "DBSW", "DBOS", "DBT1"};
-  for (const char* m : kLegacy) {
-    if (std::memcmp(magic, m, 4) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 ContainerWriter::ContainerWriter(const std::string& kind) : kind_(kind) {
@@ -76,27 +67,14 @@ void ContainerWriter::write_to(std::ostream& out) const {
 
 ContainerReader ContainerReader::read_from(std::istream& in,
                                            const std::string& kind) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in) throw IoError("container: truncated reading magic");
-  if (std::memcmp(magic, kContainerMagic, sizeof(magic)) != 0) {
-    if (is_legacy_magic(magic)) {
-      throw IoError(
-          "container: legacy unchecksummed format (magic '" +
-          std::string(magic, 4) +
-          "'); re-save with the current version (store_tool migrate)");
-    }
-    throw IoError("container: bad magic");
-  }
-  return read_body(in, kind);
-}
-
-ContainerReader ContainerReader::read_body(std::istream& in,
-                                           const std::string& kind) {
   DROPBACK_CHECK(kind.size() == 4, << "container kind '" << kind
                                    << "' must be 4 characters");
   char header[16];
-  std::memcpy(header, kContainerMagic, 4);
+  in.read(header, 4);
+  if (!in) throw IoError("container: truncated reading magic");
+  if (std::memcmp(header, kContainerMagic, 4) != 0) {
+    throw IoError("container: bad magic");
+  }
   in.read(header + 4, sizeof(header) - 4);
   if (!in) throw IoError("container: truncated reading header");
   const auto stored_crc = read_pod<std::uint32_t>(in, "header checksum");

@@ -70,12 +70,8 @@ class ContainerWriter {
 /// Parses and validates a container, holding all section payloads in memory.
 class ContainerReader {
  public:
-  /// Reads a container whose magic has not been consumed yet.
+  /// Reads and validates one container of payload `kind` from `in`.
   static ContainerReader read_from(std::istream& in, const std::string& kind);
-
-  /// Reads a container whose 4-byte magic was already consumed (used by
-  /// loaders that sniff legacy formats first).
-  static ContainerReader read_body(std::istream& in, const std::string& kind);
 
   std::size_t num_sections() const { return sections_.size(); }
   const std::string& section_name(std::size_t i) const;

@@ -1,9 +1,6 @@
 // BudgetSchedule suite: the schedule API itself (semantics of the three
 // implementations and the spec mini-language), plus the optimizer-level
 // contracts the redesign promises:
-//   * the default ConstantSchedule path is bitwise identical — final weights
-//     AND checkpoint bytes — to the pre-schedule fixed-k configuration, at
-//     1 and 2 threads;
 //   * DenseSparseDense grows and shrinks the tracked set with regen-
 //     consistent growth (untracked weights sit at their regenerated init)
 //     and exact churn/readmit counters;
@@ -23,13 +20,9 @@
 
 #include "autograd/ops.hpp"
 #include "core/dropback_optimizer.hpp"
-#include "data/synthetic_mnist.hpp"
 #include "nn/linear.hpp"
-#include "nn/models/lenet.hpp"
 #include "nn/sequential.hpp"
 #include "rng/xorshift.hpp"
-#include "train/trainer.hpp"
-#include "util/atomic_file.hpp"
 #include "util/io_error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -244,46 +237,6 @@ std::vector<float> flat_weights(const std::vector<nn::Parameter*>& params) {
   return all;
 }
 
-TEST(ScheduleOptimizerTest, ConstantSchedulePathMatchesFixedConfigBitwise) {
-  // The redesign's central compatibility promise: DropBackConfig{budget,
-  // freeze_after_steps} and an explicit ConstantSchedule produce identical
-  // weights AND identical DBOS bytes, at 1 and 2 threads.
-  for (int threads : {1, 2}) {
-    util::set_num_threads(threads);
-    auto fixed_net = tiny_net();
-    core::DropBackConfig fixed_config;
-    fixed_config.budget = 12;
-    fixed_config.freeze_after_steps = 5;
-    core::DropBackOptimizer fixed(fixed_net->collect_parameters(), 0.1F,
-                                  fixed_config);
-    drive(*fixed_net, fixed, 8);
-
-    auto sched_net = tiny_net();
-    core::DropBackConfig sched_config;
-    sched_config.schedule = optim::constant_budget(12, 5);
-    core::DropBackOptimizer scheduled(sched_net->collect_parameters(), 0.1F,
-                                      sched_config);
-    drive(*sched_net, scheduled, 8);
-
-    const auto wa = flat_weights(fixed_net->collect_parameters());
-    const auto wb = flat_weights(sched_net->collect_parameters());
-    ASSERT_EQ(wa.size(), wb.size());
-    for (std::size_t i = 0; i < wa.size(); ++i) {
-      ASSERT_EQ(wa[i], wb[i]) << "weight " << i << " at " << threads
-                              << " thread(s)";
-    }
-    std::ostringstream state_a;
-    std::ostringstream state_b;
-    fixed.save_state(state_a);
-    scheduled.save_state(state_b);
-    EXPECT_EQ(state_a.str(), state_b.str())
-        << "DBOS bytes diverge at " << threads << " thread(s)";
-    EXPECT_TRUE(fixed.frozen());
-    EXPECT_TRUE(scheduled.frozen());
-  }
-  util::set_num_threads(1);
-}
-
 TEST(ScheduleOptimizerTest, DsdGrowsAndShrinksRegenConsistently) {
   // 51-weight net, 2 steps/epoch: dense epoch 0, sparse epochs 1-2 (k=10),
   // re-dense from epoch 3.
@@ -293,7 +246,7 @@ TEST(ScheduleOptimizerTest, DsdGrowsAndShrinksRegenConsistently) {
       std::make_shared<optim::DenseSparseDense>(10, 1, 2, -1, kDenseBudget);
   config.steps_per_epoch = 2;
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
-  EXPECT_EQ(opt.config().budget, 10);  // base budget = sparse k
+  EXPECT_EQ(opt.schedule().base_budget(), 10);  // base budget = sparse k
 
   drive(*net, opt, 2);  // dense epoch: everything tracked
   EXPECT_TRUE(opt.tracked().all_tracked());
@@ -433,7 +386,7 @@ TEST(ScheduleStateTest, DynamicSnapshotRefusesDifferentSchedule) {
 TEST(ScheduleStateTest, ConstantSnapshotRefusedByDynamicSchedule) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   drive(*net, opt, 2);
   std::ostringstream out;
@@ -451,7 +404,7 @@ TEST(ScheduleStateTest, ConstantSnapshotRefusedByDynamicSchedule) {
 TEST(ScheduleStateTest, ManualFreezeSurvivesRoundTrip) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 10;  // constant, never freezes on its own
+  config.schedule = optim::constant_budget(10);  // never freezes on its own
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   drive(*net, opt, 2);
   opt.freeze();
@@ -461,7 +414,7 @@ TEST(ScheduleStateTest, ManualFreezeSurvivesRoundTrip) {
 
   auto net2 = tiny_net();
   core::DropBackConfig config2;
-  config2.budget = 10;
+  config2.schedule = optim::constant_budget(10);
   core::DropBackOptimizer loaded(net2->collect_parameters(), 0.1F, config2);
   std::istringstream in(out.str());
   loaded.load_state(in);
@@ -470,67 +423,6 @@ TEST(ScheduleStateTest, ManualFreezeSurvivesRoundTrip) {
   // schedule artifact that the next refresh would clear.
   drive(*net2, loaded, 2, 500);
   EXPECT_TRUE(loaded.frozen());
-}
-
-// ---------------------------------------------------------------------------
-// Trainer integration: checkpoint-file bytes of the two constant paths
-// ---------------------------------------------------------------------------
-
-TEST(ScheduleTrainerTest, ConstantScheduleCheckpointFileBytesMatchFixedPath) {
-  data::SyntheticMnistOptions data_opt;
-  data_opt.num_samples = 64;
-  data_opt.seed = 1;
-  auto train_set = data::make_synthetic_mnist(data_opt);
-  data_opt.num_samples = 32;
-  data_opt.seed = 2;
-  auto val_set = data::make_synthetic_mnist(data_opt);
-
-  for (int threads : {1, 2}) {
-    const std::string fixed_ckpt = ::testing::TempDir() + "/sched_fixed_" +
-                                   std::to_string(threads) + ".dbts";
-    const std::string sched_ckpt = ::testing::TempDir() + "/sched_const_" +
-                                   std::to_string(threads) + ".dbts";
-    std::vector<float> fixed_weights;
-    {
-      auto model = nn::models::make_mnist_100_100(7);
-      core::DropBackConfig config;
-      config.budget = 2000;
-      config.freeze_after_steps = 6;
-      core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
-      train::TrainConfig options;
-      options.epochs = 2;
-      options.batch_size = 16;
-      options.threads = threads;
-      options.checkpoint_path = fixed_ckpt;
-      train::Trainer trainer(*model, opt, *train_set, *val_set, options);
-      trainer.run();
-      fixed_weights = flat_weights(model->collect_parameters());
-    }
-    std::vector<float> sched_weights;
-    {
-      auto model = nn::models::make_mnist_100_100(7);
-      core::DropBackConfig config;
-      config.budget = 999;  // overridden by the schedule below
-      core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
-      train::TrainConfig options;
-      options.epochs = 2;
-      options.batch_size = 16;
-      options.threads = threads;
-      options.checkpoint_path = sched_ckpt;
-      options.budget_schedule = optim::constant_budget(2000, 6);
-      train::Trainer trainer(*model, opt, *train_set, *val_set, options);
-      trainer.run();
-      sched_weights = flat_weights(model->collect_parameters());
-    }
-    ASSERT_EQ(fixed_weights.size(), sched_weights.size());
-    for (std::size_t i = 0; i < fixed_weights.size(); ++i) {
-      ASSERT_EQ(fixed_weights[i], sched_weights[i])
-          << "weight " << i << " at " << threads << " thread(s)";
-    }
-    EXPECT_EQ(util::read_file(fixed_ckpt), util::read_file(sched_ckpt))
-        << "checkpoint bytes diverge at " << threads << " thread(s)";
-  }
-  util::set_num_threads(1);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(LeNet5Model, TrainsUnderDropBack) {
   auto model = nn::models::make_lenet5(3);
   auto params = model->collect_parameters();
   dropback::core::DropBackConfig config;
-  config.budget = model->num_params() / 5;
+  config.schedule = optim::constant_budget(model->num_params() / 5);
   dropback::core::DropBackOptimizer opt(params, 0.05F, config);
   rng::Xorshift128 rng(4);
   double first_loss = 0.0, last_loss = 0.0;
@@ -165,7 +165,7 @@ TEST(LeNet5Model, TrainsUnderDropBack) {
     opt.step();
   }
   EXPECT_LT(last_loss, first_loss);
-  EXPECT_EQ(opt.live_weights(), config.budget);
+  EXPECT_EQ(opt.live_weights(), model->num_params() / 5);
 }
 
 }  // namespace

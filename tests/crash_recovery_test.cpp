@@ -104,8 +104,7 @@ RunOutput reference_run(const TinyTask& task, const std::string& ckpt,
                         std::int64_t threads) {
   auto model = nn::models::make_mnist_100_100(7);
   core::DropBackConfig config;
-  config.budget = 4000;
-  config.freeze_after_steps = 8;
+  config.schedule = optim::constant_budget(4000, 8);
   core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
   Trainer trainer(*model, opt, *task.train_set, *task.val_set,
                   base_options(ckpt, threads));
@@ -123,8 +122,7 @@ RunOutput killed_and_resumed_run(const TinyTask& task, const std::string& ckpt,
   {
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = 4000;
-    config.freeze_after_steps = 8;
+    config.schedule = optim::constant_budget(4000, 8);
     core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
     Trainer trainer(*model, opt, *task.train_set, *task.val_set,
                     base_options(ckpt, threads));
@@ -137,8 +135,7 @@ RunOutput killed_and_resumed_run(const TinyTask& task, const std::string& ckpt,
   // all of it, or the comparison below fails.
   auto model = nn::models::make_mnist_100_100(12345);
   core::DropBackConfig config;
-  config.budget = 4000;
-  config.freeze_after_steps = 8;
+  config.schedule = optim::constant_budget(4000, 8);
   core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
   TrainConfig options = base_options(ckpt, threads);
   options.resume = true;
@@ -325,8 +322,7 @@ TEST(CrashRecovery, CrashDuringCheckpointLeavesPreviousSnapshotAndResumes) {
   {
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = 4000;
-    config.freeze_after_steps = 8;
+    config.schedule = optim::constant_budget(4000, 8);
     core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
     Trainer trainer(*model, opt, *task.train_set, *task.val_set,
                     base_options(ckpt, 1));
@@ -341,8 +337,7 @@ TEST(CrashRecovery, CrashDuringCheckpointLeavesPreviousSnapshotAndResumes) {
     // What is on disk is the intact step-4 snapshot, not step-6 debris.
     auto probe_model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig probe_config;
-    probe_config.budget = 4000;
-    probe_config.freeze_after_steps = 8;
+    probe_config.schedule = optim::constant_budget(4000, 8);
     core::DropBackOptimizer probe_opt(probe_model->collect_parameters(), 0.1F,
                                       probe_config);
     data::DataLoader probe_loader(*task.train_set, 16, true, 0xDA7A);
@@ -352,8 +347,7 @@ TEST(CrashRecovery, CrashDuringCheckpointLeavesPreviousSnapshotAndResumes) {
   }
   auto model = nn::models::make_mnist_100_100(321);
   core::DropBackConfig config;
-  config.budget = 4000;
-  config.freeze_after_steps = 8;
+  config.schedule = optim::constant_budget(4000, 8);
   core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
   TrainConfig options = base_options(ckpt, 1);
   options.resume = true;
@@ -391,10 +385,10 @@ TEST(CrashRecovery, SnapshotRejectsLoaderMismatch) {
                util::IoError);
 }
 
-TEST(CrashRecovery, SnapshotWithLegacyV1LoaderSectionStillResumes) {
-  // Pre-prefetch builds wrote the loader section in the unversioned "DBDL"
-  // layout (no epoch counter). A snapshot carrying that layout must still
-  // load into the new loader: same position, epoch restored as 0.
+TEST(CrashRecovery, SnapshotWithUnversionedLoaderSectionIsRejected) {
+  // The unversioned "DBDL" loader layout (no epoch counter) was never
+  // shipped. A snapshot whose checksums are valid but whose loader section
+  // carries that layout must fail to load with a typed error.
   SnapshotFixture fix;
   const std::string path = ::testing::TempDir() + "/legacy_loader.dbts";
   std::remove(path.c_str());
@@ -402,14 +396,14 @@ TEST(CrashRecovery, SnapshotWithLegacyV1LoaderSectionStillResumes) {
 
   // Rewrite the snapshot, replacing only the loader section with
   // hand-written v1 bytes: magic, size, batch, shuffle, RNG state, cursor,
-  // order — exactly the seed repo's format.
+  // order.
   const std::string original = util::read_file(path);
   std::istringstream in(original, std::ios::binary);
   const auto reader = util::ContainerReader::read_from(in, "DBTS");
   util::ContainerWriter writer("DBTS");
   std::vector<std::int64_t> order(32);
   for (std::int64_t i = 0; i < 32; ++i) order[static_cast<std::size_t>(i)] =
-      31 - i;  // reversed, so resume order is observable
+      31 - i;
   for (std::size_t i = 0; i < reader.num_sections(); ++i) {
     std::ostream& out = writer.add_section(reader.section_name(i));
     if (reader.section_name(i) != "loader") {
@@ -437,37 +431,14 @@ TEST(CrashRecovery, SnapshotWithLegacyV1LoaderSectionStillResumes) {
   util::atomic_write_file(path,
                           [&](std::ostream& out) { writer.write_to(out); });
 
-  // Load into a loader built with prefetch enabled — the migration target.
-  data::DataLoaderOptions loader_options;
-  loader_options.batch_size = 8;
-  loader_options.shuffle = true;
-  loader_options.seed = 42;
-  loader_options.prefetch_batches = 1;
-  data::DataLoader loader(*fix.dataset, loader_options);
-  const TrainerSnapshot snap = load_training_snapshot(
-      path, fix.model->collect_parameters(), *fix.opt, loader);
-  EXPECT_EQ(snap.global_step, 11);
-  EXPECT_EQ(snap.epoch, 2);
-  EXPECT_EQ(loader.epoch(), 0);  // v1 predates the epoch counter
-
-  // The run resumes at order[16] = 15, 14, ... — the old order and cursor.
-  data::Batch batch;
-  ASSERT_TRUE(loader.next(batch));
-  ASSERT_EQ(batch.size(), 8);
-  for (std::int64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(batch.labels[static_cast<std::size_t>(i)],
-              fix.dataset->label(15 - i));
-  }
-  std::int64_t remaining = batch.size();
-  while (loader.next(batch)) remaining += batch.size();
-  EXPECT_EQ(remaining, 16);
+  EXPECT_THROW(fix.load(path), util::IoError);
 }
 
 TEST(CrashRecovery, SessionTrainingStateSurvivesEnospc) {
   const auto task = make_task(32, 16);
   auto model = nn::models::make_mnist_100_100(5);
   DropBackSession::Options options;
-  options.train.budget_schedule = optim::constant_budget(2000);
+  options.budget_schedule = optim::constant_budget(2000);
   options.train.epochs = 1;
   options.train.batch_size = 16;
   DropBackSession session(*model, options);

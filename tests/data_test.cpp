@@ -400,7 +400,7 @@ TEST(DataLoaderTest, SampleStreamSeedsAreDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// State serialization: v2 round trips, legacy v1 migrates, corruption throws.
+// State serialization: v2 round trips; unversioned v1 and corruption throw.
 // ---------------------------------------------------------------------------
 
 TEST(DataLoaderStateTest, V2RoundTripResumesMidEpochWithPrefetch) {
@@ -474,7 +474,7 @@ TEST(DataLoaderStateTest, SnapshotIdenticalWithPrefetchOnAndOff) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
-/// Hand-writes the seed repo's unversioned "DBDL" layout: magic, size,
+/// Hand-writes the never-shipped unversioned "DBDL" layout: magic, size,
 /// batch, shuffle flag, RNG state, cursor, order (no version, no epoch).
 std::string legacy_v1_state_bytes(std::int64_t size, std::int64_t batch,
                                   bool shuffle, std::int64_t cursor,
@@ -500,7 +500,7 @@ std::string legacy_v1_state_bytes(std::int64_t size, std::int64_t batch,
   return out.str();
 }
 
-TEST(DataLoaderStateTest, LegacyV1StateLoadsAndResumesAsEpochZero) {
+TEST(DataLoaderStateTest, UnversionedV1StateIsRejected) {
   SyntheticMnistOptions opt;
   opt.num_samples = 20;
   auto ds = make_synthetic_mnist(opt);
@@ -508,33 +508,10 @@ TEST(DataLoaderStateTest, LegacyV1StateLoadsAndResumesAsEpochZero) {
   std::vector<std::int64_t> order(20);
   for (std::int64_t i = 0; i < 20; ++i) order[static_cast<std::size_t>(i)] =
       19 - i;
-  const std::string bytes = legacy_v1_state_bytes(20, 5, true, 5, order);
-
-  DataLoaderOptions options;
-  options.batch_size = 5;
-  options.shuffle = true;
-  options.prefetch_batches = 1;  // new loader, old snapshot
-  DataLoader loader(*ds, options);
-  std::istringstream in(bytes, std::ios::binary);
-  loader.load_state(in);
-  EXPECT_EQ(loader.epoch(), 0);  // legacy layout predates the epoch counter
-
-  Batch batch;
-  ASSERT_TRUE(loader.next(batch));
-  ASSERT_EQ(batch.size(), 5);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    // Resumes at order[5] = 14, 13, 12, ...
-    EXPECT_EQ(batch.labels[static_cast<std::size_t>(i)],
-              ds->label(14 - i));
-  }
-  std::int64_t remaining = batch.size();
-  while (loader.next(batch)) remaining += batch.size();
-  EXPECT_EQ(remaining, 15);
-
-  // Re-saving upgrades the snapshot to the versioned layout.
-  std::ostringstream out(std::ios::binary);
-  loader.save_state(out);
-  EXPECT_EQ(out.str().substr(0, 4), "DBD2");
+  DataLoader loader(*ds, 5, true);
+  std::istringstream in(legacy_v1_state_bytes(20, 5, true, 5, order),
+                        std::ios::binary);
+  EXPECT_THROW(loader.load_state(in), util::IoError);
 }
 
 TEST(DataLoaderStateTest, CorruptStateIsRejected) {

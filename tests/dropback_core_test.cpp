@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "autograd/ops.hpp"
 #include "core/accumulated_gradients.hpp"
+#include "core/reference_algorithm.hpp"
 #include "core/tracked_set.hpp"
 #include "nn/linear.hpp"
 #include "nn/models/lenet.hpp"
@@ -25,6 +29,15 @@ std::unique_ptr<nn::Sequential> tiny_net(std::uint64_t seed = 1) {
   net->emplace<nn::Linear>(4, 6, seed);
   net->emplace<nn::Linear>(6, 3, seed + 1);
   return net;
+}
+
+/// The reference priority-queue top-k as a mask over all weights.
+std::vector<bool> heap_mask(const std::vector<float>& scores, std::int64_t k) {
+  std::vector<bool> mask(scores.size(), false);
+  for (std::int64_t g : reference_topk_heap(scores, k)) {
+    mask[static_cast<std::size_t>(g)] = true;
+  }
+  return mask;
 }
 
 /// Runs one synthetic backward pass so every parameter has a gradient.
@@ -162,12 +175,11 @@ TEST(TrackedSetTest, TiesBrokenByLowestIndex) {
 }
 
 TEST(TrackedSetTest, TieBreakIdenticalAcrossStrategies) {
-  // Regression: both selection strategies must resolve equal-score ties to
-  // the SAME index set — index order is the documented deterministic
-  // tie-break. Tie-heavy scores (drawn from a four-value alphabet, so many
-  // A_i are exactly equal at the threshold) previously relied on two
-  // independently-written tie conditions staying in sync; they now share
-  // one comparator, and this locks the agreement down.
+  // Regression: select() and the priority-queue oracle must resolve
+  // equal-score ties to the SAME index set — index order is the documented
+  // deterministic tie-break. Tie-heavy scores (drawn from a four-value
+  // alphabet, so many A_i are exactly equal at the threshold) lock the
+  // agreement down.
   auto net = tiny_net();
   ParamIndex index(net->collect_parameters());
   rng::Xorshift128 rng(77);
@@ -178,14 +190,18 @@ TEST(TrackedSetTest, TieBreakIdenticalAcrossStrategies) {
     }
     const auto k = static_cast<std::int64_t>(1 + rng.next_u32() % 50);
     TrackedSet by_sort(index);
-    by_sort.select(scores, k, SelectionStrategy::kFullSort);
-    TrackedSet by_heap(index);
-    by_heap.select(scores, k, SelectionStrategy::kThresholdHeap);
+    by_sort.select(scores, k);
+    const std::vector<bool> by_heap = heap_mask(scores, k);
+    float heap_lambda = std::numeric_limits<float>::infinity();
     for (std::int64_t g = 0; g < index.total(); ++g) {
-      ASSERT_EQ(by_sort.is_tracked(g), by_heap.is_tracked(g))
+      ASSERT_EQ(by_sort.is_tracked(g), by_heap[static_cast<std::size_t>(g)])
           << "trial " << trial << " k=" << k << " index " << g;
+      if (by_heap[static_cast<std::size_t>(g)]) {
+        heap_lambda =
+            std::min(heap_lambda, scores[static_cast<std::size_t>(g)]);
+      }
     }
-    ASSERT_EQ(by_sort.last_lambda(), by_heap.last_lambda())
+    ASSERT_EQ(by_sort.last_lambda(), heap_lambda)
         << "trial " << trial << " k=" << k;
   }
 }
@@ -194,12 +210,16 @@ TEST(TrackedSetTest, AllTiedSelectsLowestIndicesUnderBothStrategies) {
   auto net = tiny_net();
   ParamIndex index(net->collect_parameters());
   std::vector<float> scores(51, 2.5F);  // every score equal
-  for (auto strategy :
-       {SelectionStrategy::kFullSort, SelectionStrategy::kThresholdHeap}) {
-    TrackedSet set(index);
-    set.select(scores, 7, strategy);
-    for (std::int64_t i = 0; i < 7; ++i) EXPECT_TRUE(set.is_tracked(i));
-    for (std::int64_t i = 7; i < 51; ++i) EXPECT_FALSE(set.is_tracked(i));
+  TrackedSet set(index);
+  set.select(scores, 7);
+  const std::vector<bool> by_heap = heap_mask(scores, 7);
+  for (std::int64_t i = 0; i < 7; ++i) {
+    EXPECT_TRUE(set.is_tracked(i));
+    EXPECT_TRUE(by_heap[static_cast<std::size_t>(i)]);
+  }
+  for (std::int64_t i = 7; i < 51; ++i) {
+    EXPECT_FALSE(set.is_tracked(i));
+    EXPECT_FALSE(by_heap[static_cast<std::size_t>(i)]);
   }
 }
 
@@ -248,7 +268,7 @@ TEST(TrackedSetTest, PerParamCountsSumToK) {
   EXPECT_EQ(total, 20);
 }
 
-/// Property test: full-sort and threshold-heap selection produce identical
+/// Property test: select() and the threshold-heap oracle produce identical
 /// masks on random score vectors, including duplicated values.
 class SelectionEquivalence
     : public ::testing::TestWithParam<std::pair<std::uint64_t, std::int64_t>> {
@@ -258,17 +278,18 @@ TEST_P(SelectionEquivalence, StrategiesAgree) {
   const auto [seed, k] = GetParam();
   auto net = tiny_net();
   ParamIndex index(net->collect_parameters());
-  TrackedSet full(index), heap(index);
+  TrackedSet full(index);
   rng::Xorshift128 rng(seed);
   std::vector<float> scores(51);
   for (auto& s : scores) {
     // Quantized scores force plenty of ties.
     s = static_cast<float>(rng.uniform_int(8)) * 0.125F;
   }
-  full.select(scores, k, SelectionStrategy::kFullSort);
-  heap.select(scores, k, SelectionStrategy::kThresholdHeap);
+  full.select(scores, k);
+  const std::vector<bool> heap = heap_mask(scores, k);
   for (std::int64_t g = 0; g < 51; ++g) {
-    EXPECT_EQ(full.is_tracked(g), heap.is_tracked(g)) << "index " << g;
+    EXPECT_EQ(full.is_tracked(g), heap[static_cast<std::size_t>(g)])
+        << "index " << g;
   }
 }
 
@@ -280,19 +301,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- DropBackOptimizer ------------------------------------------------------
 
-TEST(DropBackOptimizerTest, RejectsZeroBudget) {
+TEST(DropBackOptimizerTest, RejectsMissingScheduleNamingConstantBudget) {
   auto net = tiny_net();
-  DropBackConfig config;
-  config.budget = 0;
-  EXPECT_THROW(
-      DropBackOptimizer(net->collect_parameters(), 0.1F, config),
-      std::invalid_argument);
+  try {
+    DropBackOptimizer(net->collect_parameters(), 0.1F, DropBackConfig{});
+    FAIL() << "a null schedule must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("optim::constant_budget"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DropBackOptimizerTest, RespectsBudgetAfterFirstStep) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 12;
+  config.schedule = optim::constant_budget(12);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   make_gradients(*net);
   opt.step();
@@ -304,7 +328,7 @@ TEST(DropBackOptimizerTest, UntrackedWeightsEqualRegeneratedInit) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 8;
+  config.schedule = optim::constant_budget(8);
   DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 5; ++iter) {
     net->zero_grad();
@@ -333,7 +357,7 @@ TEST(DropBackOptimizerTest, TrackedWeightsFollowSgd) {
   auto pa = net_a->collect_parameters();
   auto pb = net_b->collect_parameters();
   DropBackConfig config;
-  config.budget = 1000000;  // covers everything
+  config.schedule = optim::constant_budget(1000000);  // covers everything
   DropBackOptimizer dropback(pa, 0.2F, config);
   optim::SGD sgd(pb, 0.2F);
   for (int iter = 0; iter < 3; ++iter) {
@@ -355,8 +379,7 @@ TEST(DropBackOptimizerTest, FreezeStopsSetChanges) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 10;
-  config.freeze_after_steps = 3;
+  config.schedule = optim::constant_budget(10, 3);
   DropBackOptimizer opt(params, 0.3F, config);
   std::set<std::int64_t> frozen_set;
   for (int iter = 0; iter < 10; ++iter) {
@@ -382,7 +405,7 @@ TEST(DropBackOptimizerTest, FreezeStopsSetChanges) {
 TEST(DropBackOptimizerTest, ManualFreezeWorks) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   EXPECT_FALSE(opt.frozen());
   opt.freeze();
@@ -393,7 +416,7 @@ TEST(DropBackOptimizerTest, ZeroingAblationZeroesUntracked) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 8;
+  config.schedule = optim::constant_budget(8);
   config.regenerate_untracked = false;  // the paper's failing ablation
   DropBackOptimizer opt(params, 0.1F, config);
   make_gradients(*net);
@@ -413,7 +436,7 @@ TEST(DropBackOptimizerTest, ZeroingAblationZeroesUntracked) {
 TEST(DropBackOptimizerTest, TrafficCounterTalliesAccesses) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   energy::TrafficCounter traffic;
   opt.set_traffic_counter(&traffic);
@@ -428,7 +451,7 @@ TEST(DropBackOptimizerTest, TrafficCounterTalliesAccesses) {
 TEST(DropBackOptimizerTest, StepsCount) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   EXPECT_EQ(opt.steps(), 0);
   make_gradients(*net);
@@ -443,7 +466,7 @@ TEST(DropBackOptimizerTest, ChurnShrinksAsTrainingStabilizes) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 15;
+  config.schedule = optim::constant_budget(15);
   DropBackOptimizer opt(params, 0.05F, config);
   std::vector<std::int64_t> churns;
   for (int iter = 0; iter < 8; ++iter) {
@@ -464,7 +487,7 @@ TEST_P(BudgetSweep, LiveWeightsMatchBudget) {
   const std::int64_t budget = GetParam();
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   make_gradients(*net);
   opt.step();

@@ -44,8 +44,7 @@ TEST(DropBackInvariants, WholeTrajectoryIsDeterministic) {
     auto net = tiny_net(5);
     auto params = net->collect_parameters();
     core::DropBackConfig config;
-    config.budget = 12;
-    config.freeze_after_steps = 4;
+    config.schedule = optim::constant_budget(12, 4);
     auto opt = std::make_unique<core::DropBackOptimizer>(params, 0.2F,
                                                          config);
     for (int iter = 0; iter < 8; ++iter) {
@@ -64,7 +63,7 @@ TEST(DropBackInvariants, TrackedWeightsEqualCandidateUpdates) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   core::DropBackOptimizer opt(params, 0.3F, config);
   // Snapshot pre-step weights and gradients.
   make_gradients(*net, 5);
@@ -97,7 +96,7 @@ TEST(DropBackInvariants, SelectionPicksMaximalScoreSet) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 15;
+  config.schedule = optim::constant_budget(15);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 3; ++iter) {
     net->zero_grad();
@@ -126,7 +125,7 @@ TEST(DropBackInvariants, StoreMatchesLiveMasksExactly) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 3; ++iter) {
     net->zero_grad();
@@ -156,8 +155,7 @@ TEST(DropBackInvariants, FrozenTrainingSkipsUntrackedScoring) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 8;
-  config.freeze_after_steps = 1;
+  config.schedule = optim::constant_budget(8, 1);
   core::DropBackOptimizer opt(params, 0.1F, config);
   net->zero_grad();
   make_gradients(*net, 7);
@@ -192,7 +190,7 @@ TEST(DropBackInvariants, TrainingWithRealDataIsDeterministic) {
     auto val_set = data::make_synthetic_mnist(data_opt);
     auto model = nn::models::make_mnist_100_100(7);
     core::DropBackConfig config;
-    config.budget = 4000;
+    config.schedule = optim::constant_budget(4000);
     auto opt = std::make_unique<core::DropBackOptimizer>(
         model->collect_parameters(), 0.1F, config);
     train::TrainConfig options;
@@ -213,7 +211,7 @@ TEST(DropBackInvariants, BudgetOneStillRuns) {
   // Degenerate extreme: a single tracked weight.
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 1;
+  config.schedule = optim::constant_budget(1);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   net->zero_grad();
   make_gradients(*net, 3);
@@ -228,7 +226,7 @@ TEST(DropBackInvariants, GradFreeStepLeavesTrackedUnchanged) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   core::DropBackOptimizer opt(params, 0.1F, config);
   net->zero_grad();
   make_gradients(*net, 3);

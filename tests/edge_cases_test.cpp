@@ -136,7 +136,7 @@ TEST(EdgeCases, DropBackBudgetEqualsTotalMinusOne) {
   auto net = std::make_unique<nn::Sequential>();
   net->emplace<nn::Linear>(4, 6, 1);  // 30 params
   core::DropBackConfig config;
-  config.budget = 29;
+  config.schedule = optim::constant_budget(29);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   ag::Variable x(rand_tensor({2, 4}, 9));
   ag::backward(ag::sum(net->forward(x)));

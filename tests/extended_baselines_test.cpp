@@ -177,7 +177,7 @@ TEST(BudgetScope, PerLayerQuotasAreProportional) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 9000;
+  config.schedule = optim::constant_budget(9000);
   config.scope = core::DropBackConfig::BudgetScope::kPerLayer;
   core::DropBackOptimizer opt(params, 0.1F, config);
   // One step with synthetic gradients.
@@ -200,7 +200,7 @@ TEST(BudgetScope, GlobalAndPerLayerDifferInAllocation) {
     auto model = nn::models::make_mnist_100_100(7);
     auto params = model->collect_parameters();
     core::DropBackConfig config;
-    config.budget = 2000;
+    config.schedule = optim::constant_budget(2000);
     config.scope = scope;
     core::DropBackOptimizer opt(params, 0.1F, config);
     for (int iter = 0; iter < 3; ++iter) {

@@ -29,7 +29,7 @@ core::SparseWeightStore small_trained_store(std::int64_t budget) {
   auto model = nn::models::Mlp(12, {8}, 4, /*seed=*/5);
   auto params = model.collect_parameters();
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 6; ++iter) {
     model.zero_grad();
@@ -89,7 +89,7 @@ TEST(RegenMlp, EndToEndMatchesMaterializedModel) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 5000;
+  config.schedule = optim::constant_budget(5000);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 4; ++iter) {
     model->zero_grad();

@@ -39,8 +39,7 @@ double train_dropback(Task& task, std::int64_t budget,
   model_keeper.push_back(nn::models::make_mnist_100_100(7));
   auto& model = *model_keeper.back();
   core::DropBackConfig config;
-  config.budget = budget;
-  config.freeze_after_steps = freeze_steps;
+  config.schedule = optim::constant_budget(budget, freeze_steps);
   config.regenerate_untracked = regenerate;
   opt_keeper.push_back(std::make_unique<core::DropBackOptimizer>(
       model.collect_parameters(), 0.1F, config));

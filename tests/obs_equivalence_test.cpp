@@ -63,7 +63,7 @@ RunArtifacts run_training(int threads, bool instrument,
   auto model = nn::models::make_mnist_100_100(3);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 2000;
+  config.schedule = optim::constant_budget(2000);
   core::DropBackOptimizer opt(params, 0.1F, config);
 
   train::TrainConfig options;

@@ -217,7 +217,7 @@ std::vector<float> dropback_trajectory(int steps) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 20000;
+  config.schedule = optim::constant_budget(20000);
   core::DropBackOptimizer opt(params, 0.1F, config);
   rng::Xorshift128 rng(42);
   for (int s = 0; s < steps; ++s) {
@@ -280,13 +280,13 @@ TEST_F(ParallelEquivalenceTest, TrackedSetSelectLargeAndTieHeavy) {
     for (std::int64_t k : {std::int64_t{1}, std::int64_t{5000},
                            std::int64_t{123457}}) {
       core::TrackedSet ref_set(index);
-      ref_set.select(*scores, k, core::SelectionStrategy::kFullSort);
+      ref_set.select(*scores, k);
       const auto ref_mask = flatten_masks(ref_set, index);
       const float ref_lambda = ref_set.last_lambda();
       for (int threads : kThreadCounts) {
         util::set_num_threads(threads);
         core::TrackedSet set(index);
-        set.select(*scores, k, core::SelectionStrategy::kFullSort);
+        set.select(*scores, k);
         EXPECT_EQ(flatten_masks(set, index), ref_mask)
             << "select k=" << k << " @" << threads;
         EXPECT_EQ(set.last_lambda(), ref_lambda)

@@ -52,7 +52,7 @@ TEST(PrunableLayers, BnAndPreluParamsCompeteInTheGlobalBudget) {
   EXPECT_GE(constant_params, 5);  // 2 biases + gamma + beta + slope
 
   core::DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 4; ++iter) {
     net->zero_grad();
@@ -66,7 +66,7 @@ TEST(PrunableLayers, UntrackedBnGammaRegeneratesToOne) {
   auto net = bn_prelu_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 4; ++iter) {
     net->zero_grad();
@@ -96,7 +96,7 @@ TEST(PrunableLayers, NetworkWithBnPreluTrainsUnderTightBudget) {
   auto params = net->collect_parameters();
   const std::int64_t total = net->num_params();
   core::DropBackConfig config;
-  config.budget = total / 4;
+  config.schedule = optim::constant_budget(total / 4);
   core::DropBackOptimizer opt(params, 0.05F, config);
   // Class = mean level of the inputs; average early vs late loss windows
   // (single-batch losses are too noisy for a point comparison).
@@ -130,7 +130,7 @@ TEST(PrunableLayers, SparseStoreRoundTripsConstantInitLayers) {
   auto net = bn_prelu_net();
   auto params = net->collect_parameters();
   core::DropBackConfig config;
-  config.budget = 12;
+  config.schedule = optim::constant_budget(12);
   core::DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 3; ++iter) {
     net->zero_grad();

@@ -9,6 +9,7 @@
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "rng/xorshift.hpp"
+#include "util/io_error.hpp"
 
 namespace dropback::quant {
 namespace {
@@ -22,7 +23,7 @@ core::SparseWeightStore trained_store(std::int64_t budget = 20) {
   net.emplace<nn::Linear>(8, 4, 2);
   auto params = net.collect_parameters();
   core::DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   core::DropBackOptimizer opt(params, 0.1F, config);
   rng::Xorshift128 rng(3);
   for (int iter = 0; iter < 5; ++iter) {
@@ -113,7 +114,54 @@ TEST(QuantizedStore, SaveLoadRoundTrip) {
 TEST(QuantizedStore, LoadRejectsGarbage) {
   std::stringstream ss;
   ss << "garbage data here";
-  EXPECT_THROW(QuantizedSparseStore::load(ss), std::runtime_error);
+  EXPECT_THROW(QuantizedSparseStore::load(ss), util::IoError);
+}
+
+TEST(QuantizedStore, LoadRejectsTruncationAtEveryByte) {
+  // Every prefix of a valid file ends inside some field (magic, bit width,
+  // record count, name length, name, shape, init spec, scale, entry count,
+  // entries); each must fail with the typed loader error.
+  auto q = QuantizedSparseStore::quantize(trained_store(), 8);
+  std::stringstream ss;
+  q.save(ss);
+  const std::string full = ss.str();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    std::istringstream cut(full.substr(0, len), std::ios::binary);
+    EXPECT_THROW(QuantizedSparseStore::load(cut), util::IoError)
+        << "length " << len;
+  }
+}
+
+/// One hand-written DBQS record with the given shape and no entries.
+std::string single_record_bytes(const T::Shape& shape) {
+  std::ostringstream out(std::ios::binary);
+  const auto put = [&out](const auto& v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  out.write("DBQS", 4);
+  put(std::uint8_t{8});   // bits
+  put(std::uint32_t{1});  // record count
+  put(std::uint16_t{1});
+  out.write("w", 1);
+  put(static_cast<std::uint8_t>(shape.size()));
+  for (std::int64_t d : shape) put(d);
+  put(std::uint8_t{0});   // init kind
+  put(0.5F);              // init scale
+  put(std::uint64_t{7});  // init seed
+  put(1.0F);              // quant scale
+  put(std::uint64_t{0});  // entry count
+  return out.str();
+}
+
+TEST(QuantizedStore, LoadRejectsInvalidShapesWithTypedError) {
+  std::istringstream ok(single_record_bytes({3, 4}), std::ios::binary);
+  EXPECT_EQ(QuantizedSparseStore::load(ok).dense_weights(), 12);
+  const std::int64_t big = std::int64_t{1} << 32;
+  for (const T::Shape& shape : {T::Shape{2, -1}, T::Shape{big, big}}) {
+    std::istringstream in(single_record_bytes(shape), std::ios::binary);
+    EXPECT_THROW(QuantizedSparseStore::load(in), util::IoError)
+        << T::shape_str(shape);
+  }
 }
 
 TEST(QuantizedStore, RejectsBadBitWidths) {

@@ -55,7 +55,7 @@ TEST_P(ReferenceEquivalence, TrajectoriesAreBitIdentical) {
   auto params_ref = net_ref->collect_parameters();
 
   DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   DropBackOptimizer optimizer(params_opt, lr, config);
   ReferenceState state = make_reference_state(params_ref);
 
@@ -85,8 +85,7 @@ TEST(ReferenceEquivalenceFreeze, FrozenTrajectoriesMatch) {
   auto params_ref = net_ref->collect_parameters();
 
   DropBackConfig config;
-  config.budget = budget;
-  config.freeze_after_steps = 3;
+  config.schedule = optim::constant_budget(budget, 3);
   DropBackOptimizer optimizer(params_opt, lr, config);
   ReferenceState state = make_reference_state(params_ref);
 
@@ -111,7 +110,7 @@ TEST(ReferenceEquivalenceScale, MnistModelOneStepMatches) {
   auto params_opt = model_opt->collect_parameters();
   auto params_ref = model_ref->collect_parameters();
   DropBackConfig config;
-  config.budget = 2000;
+  config.schedule = optim::constant_budget(2000);
   DropBackOptimizer optimizer(params_opt, 0.1F, config);
   ReferenceState state = make_reference_state(params_ref);
   // Identical synthetic gradients.

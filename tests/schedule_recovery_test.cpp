@@ -77,16 +77,14 @@ void expect_history_bitwise_equal(const TrainResult& a, const TrainResult& b) {
 
 // 96 samples / batch 16 = 6 steps per epoch over 3 epochs; snapshot every
 // 2 steps so every kill point has a recent snapshot to resume from.
-TrainConfig base_options(
-    const std::string& checkpoint_path, std::int64_t threads,
-    std::shared_ptr<const optim::BudgetSchedule> schedule) {
+TrainConfig base_options(const std::string& checkpoint_path,
+                         std::int64_t threads) {
   TrainConfig options;
   options.epochs = 3;
   options.batch_size = 16;
   options.checkpoint_path = checkpoint_path;
   options.checkpoint_every = 2;
   options.threads = threads;
-  options.budget_schedule = std::move(schedule);
   return options;
 }
 
@@ -95,12 +93,11 @@ struct RunOutput {
   TrainResult result;
 };
 
-core::DropBackOptimizer make_optimizer(nn::Module& model) {
-  // The budget comes from the schedule the Trainer installs; this value is
-  // a placeholder the redesign overrides (and the test would catch it not
-  // being overridden: 1 tracked weight cannot reproduce the reference run).
+core::DropBackOptimizer make_optimizer(
+    nn::Module& model,
+    const std::shared_ptr<const optim::BudgetSchedule>& schedule) {
   core::DropBackConfig config;
-  config.budget = 1;
+  config.schedule = schedule;
   return core::DropBackOptimizer(model.collect_parameters(), 0.1F, config);
 }
 
@@ -108,9 +105,9 @@ RunOutput reference_run(
     const TinyTask& task, const std::string& ckpt, std::int64_t threads,
     const std::shared_ptr<const optim::BudgetSchedule>& schedule) {
   auto model = nn::models::make_mnist_100_100(7);
-  auto opt = make_optimizer(*model);
+  auto opt = make_optimizer(*model, schedule);
   Trainer trainer(*model, opt, *task.train_set, *task.val_set,
-                  base_options(ckpt, threads, schedule));
+                  base_options(ckpt, threads));
   RunOutput out;
   out.result = trainer.run();
   out.weights = flat_weights(model->collect_parameters());
@@ -123,9 +120,9 @@ RunOutput killed_and_resumed_run(
     const std::shared_ptr<const optim::BudgetSchedule>& schedule) {
   {
     auto model = nn::models::make_mnist_100_100(7);
-    auto opt = make_optimizer(*model);
+    auto opt = make_optimizer(*model, schedule);
     Trainer trainer(*model, opt, *task.train_set, *task.val_set,
-                    base_options(ckpt, threads, schedule));
+                    base_options(ckpt, threads));
     trainer.after_step = [kill_at_step](std::int64_t step) {
       if (step == kill_at_step) throw KillSignal{};
     };
@@ -134,8 +131,8 @@ RunOutput killed_and_resumed_run(
   // Fresh everything with a different init seed: the snapshot must overwrite
   // all of it, or the comparison below fails.
   auto model = nn::models::make_mnist_100_100(12345);
-  auto opt = make_optimizer(*model);
-  TrainConfig options = base_options(ckpt, threads, schedule);
+  auto opt = make_optimizer(*model, schedule);
+  TrainConfig options = base_options(ckpt, threads);
   options.resume = true;
   Trainer trainer(*model, opt, *task.train_set, *task.val_set, options);
   RunOutput out;

@@ -27,7 +27,7 @@ Task make_task(std::int64_t n_train = 400, std::int64_t n_val = 150) {
 
 DropBackSession::Options default_options() {
   DropBackSession::Options options;
-  options.train.budget_schedule = optim::constant_budget(8000);
+  options.budget_schedule = optim::constant_budget(8000);
   options.train.epochs = 8;
   options.train.batch_size = 32;
   return options;
@@ -62,7 +62,7 @@ TEST(Session, FreezeEpochTriggersFreeze) {
   auto task = make_task(64, 32);
   auto model = nn::models::make_mnist_100_100(3);
   auto options = default_options();
-  options.train.budget_schedule = optim::constant_budget_epochs(8000, 2);
+  options.budget_schedule = optim::constant_budget_epochs(8000, 2);
   DropBackSession session(*model, options);
   EXPECT_FALSE(session.frozen());
   session.fit(*task.train_set, *task.val_set);

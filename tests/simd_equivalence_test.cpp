@@ -378,7 +378,7 @@ TEST_P(SimdConformanceTest, WiredScoreSelectApply) {
     auto model = nn::models::make_mnist_100_100(7);
     auto params = model->collect_parameters();
     core::DropBackConfig config;
-    config.budget = 20000;
+    config.schedule = optim::constant_budget(20000);
     core::DropBackOptimizer opt(params, 0.1F, config);
     rng::Xorshift128 rng(42);
     for (int s = 0; s < 3; ++s) {
@@ -425,12 +425,12 @@ TEST_P(SimdConformanceTest, WiredTieHeavySelect) {
     float want_lambda = 0.0F;
     as_reference([&] {
       core::TrackedSet set(index);
-      set.select(scores, kbudget, core::SelectionStrategy::kFullSort);
+      set.select(scores, kbudget);
       want = masks_of(set);
       want_lambda = set.last_lambda();
     });
     core::TrackedSet set(index);
-    set.select(scores, kbudget, core::SelectionStrategy::kFullSort);
+    set.select(scores, kbudget);
     EXPECT_EQ(masks_of(set), want) << "select k=" << kbudget;
     EXPECT_EQ(set.last_lambda(), want_lambda) << "lambda k=" << kbudget;
   }

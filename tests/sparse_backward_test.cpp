@@ -137,8 +137,7 @@ TEST(OptimizerState, SaveLoadRestoresMasksStepsAndFreeze) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 9;
-  config.freeze_after_steps = 2;
+  config.schedule = optim::constant_budget(9, 2);
   DropBackOptimizer opt(params, 0.1F, config);
   for (int iter = 0; iter < 3; ++iter) {
     net->zero_grad();
@@ -171,8 +170,7 @@ TEST(OptimizerState, ResumedTrainingMatchesUninterrupted) {
     }
   };
   DropBackConfig config;
-  config.budget = 12;
-  config.freeze_after_steps = 4;
+  config.schedule = optim::constant_budget(12, 4);
 
   auto net_a = tiny_net(5);
   DropBackOptimizer opt_a(net_a->collect_parameters(), 0.2F, config);
@@ -201,13 +199,13 @@ TEST(OptimizerState, ResumedTrainingMatchesUninterrupted) {
 TEST(OptimizerState, RejectsMismatchedConfig) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   std::stringstream ss;
   opt.save_state(ss);
   auto net2 = tiny_net();
   DropBackConfig other;
-  other.budget = 10;  // different budget
+  other.schedule = optim::constant_budget(10);  // different budget
   DropBackOptimizer opt2(net2->collect_parameters(), 0.1F, other);
   EXPECT_THROW(opt2.load_state(ss), std::runtime_error);
 }
@@ -215,7 +213,7 @@ TEST(OptimizerState, RejectsMismatchedConfig) {
 TEST(OptimizerState, RejectsGarbageAndTruncation) {
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   {
     std::stringstream ss;
@@ -237,7 +235,7 @@ TEST(OptimizerState, StoreSurvivesByteCorruptionWithoutCrashing) {
   auto net = tiny_net();
   auto params = net->collect_parameters();
   DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   DropBackOptimizer opt(params, 0.1F, config);
   net->zero_grad();
   make_gradients(*net, 3);

@@ -38,7 +38,7 @@ void make_gradients(nn::Module& net, std::uint64_t seed = 9) {
 std::unique_ptr<DropBackOptimizer> trained_optimizer(nn::Sequential& net,
                                                      std::int64_t budget = 12) {
   DropBackConfig config;
-  config.budget = budget;
+  config.schedule = optim::constant_budget(budget);
   auto opt = std::make_unique<DropBackOptimizer>(net.collect_parameters(),
                                                  0.1F, config);
   for (int iter = 0; iter < 4; ++iter) {
@@ -128,7 +128,7 @@ TEST(SparseWeightStore, CompressedSmallerThanDenseAtLowBudget) {
   auto net = std::make_unique<nn::Sequential>();
   net->emplace<nn::Linear>(40, 40, 1);
   DropBackConfig config;
-  config.budget = 80;
+  config.schedule = optim::constant_budget(80);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   rng::Xorshift128 rng(5);
   T::Tensor x({2, 40});
@@ -198,7 +198,7 @@ TEST(SparseWeightStore, UntrainedOptimizerStoresEverything) {
   // dense snapshot.
   auto net = tiny_net();
   DropBackConfig config;
-  config.budget = 10;
+  config.schedule = optim::constant_budget(10);
   DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   auto store = SparseWeightStore::from_optimizer(opt);
   EXPECT_EQ(store.live_weights(), 51);
@@ -260,12 +260,13 @@ TEST(SparseWeightStore, FlippingABodyByteRaisesIoError) {
   }
 }
 
-TEST(SparseWeightStore, LoadStillAcceptsLegacyFlatFormat) {
+TEST(SparseWeightStore, LegacyFlatFormatIsRejected) {
   auto net = tiny_net();
   auto opt = trained_optimizer(*net, 15);
   auto store = SparseWeightStore::from_optimizer(*opt);
-  // Re-create the pre-checksum layout by hand: magic, count, then the same
-  // record encoding the container sections carry.
+  // The pre-checksum layout, by hand: magic, count, then the same record
+  // encoding the container sections carry. It was never shipped, so load
+  // refuses it.
   std::stringstream container;
   store.save(container);
   const util::ContainerReader reader =
@@ -277,7 +278,30 @@ TEST(SparseWeightStore, LoadStillAcceptsLegacyFlatFormat) {
   for (std::size_t p = 0; p < reader.num_sections(); ++p) {
     legacy << reader.section_bytes(p);
   }
-  EXPECT_TRUE(SparseWeightStore::load(legacy) == store);
+  EXPECT_THROW(SparseWeightStore::load(legacy), util::IoError);
+}
+
+TEST(SparseWeightStore, ShapeWhoseElementCountOverflowsIsRejected) {
+  // Regression: a container with valid CRCs holding one record of shape
+  // {2^32, 2^32} and no entries used to load, its element count wrapped by
+  // signed overflow (dense_numel() read 0).
+  util::ContainerWriter writer("DBSW");
+  std::ostream& out = writer.add_section("w");
+  const auto put = [&out](const auto& v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint16_t{1});
+  out.write("w", 1);
+  put(std::uint8_t{2});                // ndim
+  put(std::int64_t{1} << 32);
+  put(std::int64_t{1} << 32);
+  put(std::uint8_t{0});                // init kind
+  put(0.5F);                           // init scale
+  put(std::uint64_t{7});               // init seed
+  put(std::uint64_t{0});               // entry count
+  std::stringstream crafted;
+  writer.write_to(crafted);
+  EXPECT_THROW(SparseWeightStore::load(crafted), util::IoError);
 }
 
 TEST(SparseWeightStore, SaveFileIsAtomicOnDiskFailure) {

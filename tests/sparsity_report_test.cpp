@@ -33,7 +33,7 @@ void step_once(nn::Sequential& net, core::DropBackOptimizer& opt) {
 TEST(SparsityReport, FromOptimizerSumsToBudget) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 13;
+  config.schedule = optim::constant_budget(13);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   step_once(*net, opt);
   const auto report = sparsity_report(opt);
@@ -51,7 +51,7 @@ TEST(SparsityReport, FromOptimizerSumsToBudget) {
 TEST(SparsityReport, OptimizerAndStoreAgree) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   step_once(*net, opt);
   const auto from_opt = sparsity_report(opt);
@@ -67,7 +67,7 @@ TEST(SparsityReport, OptimizerAndStoreAgree) {
 TEST(SparsityReport, UntrainedOptimizerIsAllTracked) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   const auto report = sparsity_report(opt);
   EXPECT_EQ(report.total_tracked, 51);
@@ -77,7 +77,7 @@ TEST(SparsityReport, UntrainedOptimizerIsAllTracked) {
 TEST(SparsityReport, RenderIncludesTotalsRow) {
   auto net = tiny_net();
   core::DropBackConfig config;
-  config.budget = 9;
+  config.schedule = optim::constant_budget(9);
   core::DropBackOptimizer opt(net->collect_parameters(), 0.1F, config);
   step_once(*net, opt);
   const std::string rendered = sparsity_report(opt).render();

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
+#include "util/io_error.hpp"
 
 namespace dropback::tensor {
 namespace {
@@ -30,6 +31,19 @@ TEST(Tensor, NumelOfHandlesEmptyAndZeroDims) {
   EXPECT_EQ(numel_of({0}), 0);
   EXPECT_EQ(numel_of({3, 0, 2}), 0);
   EXPECT_EQ(numel_of({2, 3, 4}), 24);
+}
+
+TEST(Tensor, NumelOfRejectsElementCountOverflow) {
+  const std::int64_t big = std::int64_t{1} << 32;
+  EXPECT_THROW(numel_of({big, big}), std::invalid_argument);
+  std::int64_t n = -1;
+  EXPECT_FALSE(checked_numel({big, big}, &n));
+  EXPECT_FALSE(checked_numel({2, -1}, &n));
+  EXPECT_EQ(n, -1);  // untouched on failure
+  ASSERT_TRUE(checked_numel({big, 0, big}, &n));
+  EXPECT_EQ(n, 0);
+  ASSERT_TRUE(checked_numel({big, 1 << 30}, &n));
+  EXPECT_EQ(n, std::int64_t{1} << 62);
 }
 
 TEST(Tensor, NumelOfRejectsNegativeDims) {
@@ -176,6 +190,17 @@ TEST(Serialize, RejectsTruncatedPayload) {
   std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_tensor(cut), std::runtime_error);
+}
+
+TEST(Serialize, RejectsShapeWhoseElementCountOverflows) {
+  std::stringstream ss;
+  ss.write("DBT1", 4);
+  const std::uint32_t ndim = 2;
+  ss.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
+  const std::int64_t dim = std::int64_t{1} << 32;
+  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  EXPECT_THROW(load_tensor(ss), util::IoError);
 }
 
 TEST(Serialize, FileRoundTrip) {

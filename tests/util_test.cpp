@@ -223,14 +223,15 @@ TEST(Container, RejectsWrongKindAndTruncation) {
   }
 }
 
-TEST(Container, LegacyMagicGetsMigrationHint) {
+TEST(Container, PreChecksumMagicIsRejected) {
+  // A flat pre-container layout (never shipped) is rejected as bad magic.
   std::istringstream in(std::string("DBSW") + std::string(16, '\0'),
                         std::ios::binary);
   try {
     ContainerReader::read_from(in, "DBSW");
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
   }
 }
 

@@ -168,8 +168,10 @@ void BM_Conv2dThreaded(benchmark::State& state) {
 BENCHMARK(BM_Conv2dThreaded)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_TopKSelectionThreaded(benchmark::State& state) {
-  // Args: {pool threads}; large tie-free score vector, fullsort strategy
-  // (the one with the parallel two-pass variant).
+  // Args: {pool threads}; large tie-free score vector. select() is serial,
+  // so the thread count should not move the time. The scores never change
+  // between iterations, so after the first one every select() takes the
+  // warm band path: lambda_prev is exact and the band is its ties alone.
   util::set_num_threads(static_cast<int>(state.range(0)));
   nn::Sequential net;
   net.emplace<nn::Linear>(1000, 1000, 1);

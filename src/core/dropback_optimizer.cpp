@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/profiler.hpp"
@@ -51,9 +52,13 @@ void DropBackOptimizer::step() {
       << "' is epoch-phrased but steps_per_epoch is unset "
       << "(Trainer provides it; set DropBackConfig.steps_per_epoch "
       << "or call set_steps_per_epoch for custom loops)");
-  if (!frozen_) {
+  const bool selecting = !frozen_;
+  if (selecting) {
     const optim::BudgetDecision d = decision_at(steps_);
     const std::int64_t k = std::min(d.budget, index_.total());
+    // Leaving the all-tracked state evicts every unselected weight, and
+    // those hold trained values: this step's apply sweeps everything.
+    if (tracked_.all_tracked()) full_sweep_ = true;
     // Score all weights by post-update accumulated gradient and reselect.
     compute_scores(index_, lr_, scores_);
     if (config_.scope == DropBackConfig::BudgetScope::kGlobal) {
@@ -74,7 +79,7 @@ void DropBackOptimizer::step() {
     }
     current_budget_ = k;
   }
-  apply_update_and_mask();
+  apply_update_and_mask(selecting);
   ++steps_;
   // The frozen state for the *next* step is a pure function of the step
   // counter (plus the sticky manual latch), so resume re-derives it exactly.
@@ -94,8 +99,17 @@ void DropBackOptimizer::set_steps_per_epoch(std::int64_t steps_per_epoch) {
   refresh_frozen();
 }
 
-void DropBackOptimizer::apply_update_and_mask() {
+void DropBackOptimizer::apply_update_and_mask(bool selected) {
   DROPBACK_PROFILE_SCOPE("dropback_apply");
+  const bool sweep = full_sweep_;
+  full_sweep_ = false;
+  // Without a sweep every untracked weight already holds its replacement
+  // value, except this step's evictions: those are the only ones to write.
+  const std::vector<std::int64_t> none;
+  const std::vector<std::int64_t>& evicted =
+      selected && !sweep ? tracked_.evicted() : none;
+  std::size_t next_evicted = 0;
+  const simd::Kernels& kernels = simd::kernels();
   for (std::size_t p = 0; p < index_.num_params(); ++p) {
     nn::Parameter& param = index_.param(p);
     float* w = param.var.value().data();
@@ -105,32 +119,41 @@ void DropBackOptimizer::apply_update_and_mask() {
     const std::int64_t n = param.numel();
     const bool regen = config_.regenerate_untracked && param.prunable;
     // Each weight is updated or regenerated independently, so the loop
-    // shards cleanly onto the fused SIMD update/regenerate kernel; traffic
-    // tallies are integer sums, reduced per shard.
-    std::atomic<std::uint64_t> tracked_atomic{0};
-    std::atomic<std::uint64_t> regen_atomic{0};
+    // shards cleanly onto the SIMD kernels; the tracked tally is an integer
+    // sum, reduced per shard.
+    std::atomic<std::int64_t> tracked_atomic{0};
     const float lr = lr_;
     const simd::RegenSpec spec{
         init.kind() == rng::InitSpec::Kind::kConstant ? 0 : 1, init.scale(),
         init.seed()};
-    const simd::Kernels& kernels = simd::kernels();
     util::parallel_for(4096, n, [&, g, w, mask, regen, lr,
                                  spec](std::int64_t b, std::int64_t e) {
-      const std::int64_t tracked_shard = kernels.apply_masked(
-          w + b, g != nullptr ? g + b : nullptr, mask + b, lr, spec, regen,
-          static_cast<std::uint64_t>(b), e - b);
-      tracked_atomic.fetch_add(static_cast<std::uint64_t>(tracked_shard),
-                               std::memory_order_relaxed);
-      regen_atomic.fetch_add(static_cast<std::uint64_t>(e - b - tracked_shard),
-                             std::memory_order_relaxed);
+      const float* gb = g != nullptr ? g + b : nullptr;
+      const std::int64_t tracked_shard =
+          sweep ? kernels.apply_masked(w + b, gb, mask + b, lr, spec, regen,
+                                       static_cast<std::uint64_t>(b), e - b)
+                : kernels.update_tracked(w + b, gb, mask + b, lr, e - b);
+      tracked_atomic.fetch_add(tracked_shard, std::memory_order_relaxed);
     });
-    const std::uint64_t tracked_here = tracked_atomic.load();
-    const std::uint64_t regen_here = regen_atomic.load();
+    const std::int64_t offset = index_.offset(p);
+    for (; next_evicted < evicted.size() &&
+           evicted[next_evicted] < offset + n;
+         ++next_evicted) {
+      const std::int64_t i = evicted[next_evicted] - offset;
+      // Evicted by select() but re-admitted by readmit() in the same step:
+      // it stays tracked and keeps its trained value.
+      if (mask[i] != 0) continue;
+      w[i] = regen ? init.value_at(static_cast<std::uint64_t>(i)) : 0.0F;
+    }
     if (traffic_) {
-      // Tracked weights live in real storage: read + write per update.
+      // The paper's hardware model: tracked weights live in real storage
+      // (read + write per update) and every untracked weight is
+      // regenerated each step, however few of them this loop writes.
+      const auto tracked_here =
+          static_cast<std::uint64_t>(tracked_atomic.load());
       traffic_->dram_reads += tracked_here;
       traffic_->dram_writes += tracked_here;
-      traffic_->regens += regen_here;
+      traffic_->regens += static_cast<std::uint64_t>(n) - tracked_here;
     }
   }
 }
@@ -240,15 +263,15 @@ void DropBackOptimizer::load_state(std::istream& in) {
   const auto steps = read_pod<std::int64_t>(in);
   const bool frozen = read_pod<std::uint8_t>(in) != 0;
   const bool all_tracked = read_pod<std::uint8_t>(in) != 0;
-  std::vector<std::vector<std::uint8_t>> masks(index_.num_params());
+  // One flat mask; each parameter's bits start on a fresh byte.
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(index_.total()), 0);
   for (std::size_t p = 0; p < index_.num_params(); ++p) {
     const std::int64_t n = index_.param(p).numel();
-    masks[p].assign(static_cast<std::size_t>(n), 0);
+    std::uint8_t* mask_p = mask.data() + index_.offset(p);
     std::uint8_t byte = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       if (i % 8 == 0) byte = read_pod<std::uint8_t>(in);
-      masks[p][static_cast<std::size_t>(i)] =
-          (byte >> (i % 8)) & 1U ? 1 : 0;
+      mask_p[i] = (byte >> (i % 8)) & 1U ? 1 : 0;
     }
   }
   if (in.peek() != std::istream::traits_type::eof()) {
@@ -278,7 +301,10 @@ void DropBackOptimizer::load_state(std::istream& in) {
         "' — it was written under a constant schedule and cannot resume a "
         "dynamic-schedule run");
   }
-  tracked_.restore(masks, all_tracked);
+  tracked_.restore(std::move(mask), all_tracked);
+  // The weights come from a separate model checkpoint, so nothing vouches
+  // that the untracked ones sit at their replacement value: sweep once.
+  full_sweep_ = true;
   steps_ = steps;
   // The frozen byte is the pre-kill truth. When the schedule alone would not
   // freeze at this step, the flag must have come from a manual freeze(), so

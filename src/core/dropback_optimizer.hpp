@@ -6,7 +6,11 @@
 //      regenerated from the parameter's InitSpec (never stored).
 //   3. Select the global top-k as the tracked set (unless frozen).
 //   4. Commit:  w = tracked ? w' : w0   — untracked weights are "forgotten"
-//      and snap back to their regenerated initialization.
+//      and snap back to their regenerated initialization. Untracked
+//      weights already sit at w0, so the commit writes only the tracked
+//      weights and this step's evictions; it sweeps every weight on the
+//      first selection from the all-tracked state and on the first step
+//      after load_state (docs/ALGORITHM.md).
 //
 // The live budget k_t, the freeze point, and any stochastic re-admission are
 // decided per step by the optim::BudgetSchedule in DropBackConfig::schedule
@@ -129,7 +133,9 @@ class DropBackOptimizer : public optim::Optimizer {
   void load_state(std::istream& in) override;
 
  private:
-  void apply_update_and_mask();
+  /// Step 4; `selected` says whether this step ran a selection (and so
+  /// whether TrackedSet::evicted() belongs to it).
+  void apply_update_and_mask(bool selected);
   /// Schedule decision at `step` (epoch derived from steps_per_epoch).
   optim::BudgetDecision decision_at(std::int64_t step) const;
   /// Recomputes the cached frozen flag for the *next* step.
@@ -143,6 +149,9 @@ class DropBackOptimizer : public optim::Optimizer {
   std::int64_t current_budget_ = 0;
   bool frozen_ = false;         // frozen for the upcoming step
   bool manual_frozen_ = false;  // sticky freeze() latch
+  // The next apply writes every weight: set at construction, on load_state
+  // and when a selection leaves the all-tracked state.
+  bool full_sweep_ = true;
   energy::TrafficCounter* traffic_ = nullptr;
 };
 

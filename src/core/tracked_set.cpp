@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <numeric>
+#include <cmath>
+#include <functional>
+#include <utility>
 
 #include "obs/profiler.hpp"
 #include "rng/xorshift.hpp"
@@ -13,164 +14,162 @@
 
 namespace dropback::core {
 
-TrackedSet::TrackedSet(const ParamIndex& index) : index_(&index) {
-  masks_.resize(index.num_params());
-  for (std::size_t p = 0; p < index.num_params(); ++p) {
-    masks_[p].assign(static_cast<std::size_t>(index.param(p).numel()), 1);
-  }
-}
-
-bool TrackedSet::is_tracked(std::int64_t global_index) const {
-  if (all_tracked_) return true;
-  const std::size_t p = index_->param_of(global_index);
-  return masks_[p][static_cast<std::size_t>(global_index -
-                                            index_->offset(p))] != 0;
-}
-
-std::uint8_t* TrackedSet::mask_of(std::size_t p) { return masks_[p].data(); }
-
-const std::uint8_t* TrackedSet::mask_of(std::size_t p) const {
-  return masks_[p].data();
-}
-
-std::int64_t TrackedSet::tracked_count() const {
-  std::int64_t n = 0;
-  for (const auto& mask : masks_) {
-    for (std::uint8_t m : mask) n += m;
-  }
-  return n;
-}
-
-std::int64_t TrackedSet::tracked_count_in(std::size_t p) const {
-  std::int64_t n = 0;
-  for (std::uint8_t m : masks_[p]) n += m;
-  return n;
-}
-
 namespace {
 
-/// Emits the top-k of `scores[indices]` (higher score wins, lower index
-/// breaks ties), given that `indices` is sorted ascending: first everything
-/// strictly above the k-th-largest threshold lambda, then threshold-equal
-/// entries in index order. The parallel two-pass variant funnels through
-/// this, so it is tie-identical to topk_fullsort by construction.
-std::vector<std::int64_t> select_with_threshold(
-    const std::vector<float>& scores, const std::vector<std::int64_t>& indices,
-    std::int64_t k) {
-  std::vector<float> scratch;
-  scratch.reserve(indices.size());
-  for (std::int64_t g : indices) {
-    scratch.push_back(scores[static_cast<std::size_t>(g)]);
-  }
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   scratch.end(), std::greater<float>());
-  const float lambda = scratch[static_cast<std::size_t>(k - 1)];
-  std::vector<std::int64_t> out;
-  out.reserve(static_cast<std::size_t>(k));
-  // First everything strictly above the threshold...
-  for (std::int64_t g : indices) {
-    if (scores[static_cast<std::size_t>(g)] > lambda) out.push_back(g);
-  }
-  // ...then fill the remaining slots with threshold-equal weights in index
-  // order, so the mask is deterministic under ties.
-  std::int64_t remaining = k - static_cast<std::int64_t>(out.size());
-  for (std::size_t i = 0; i < indices.size() && remaining > 0; ++i) {
-    if (scores[static_cast<std::size_t>(indices[i])] == lambda) {
-      out.push_back(indices[i]);
-      --remaining;
-    }
-  }
-  return out;
-}
+/// Band positions select() tries before it runs nth_element over all
+/// scores. Each miss costs one SIMD count pass, and the band's width has
+/// doubled 2^11 times by the last try.
+constexpr int kBandAttempts = 12;
 
-/// Top-k selection by nth_element (Algorithm 1's sort, done in O(n)).
-/// The two threshold passes of select_with_threshold run on the SIMD
-/// compact prepass kernel: strictly-above hits first, then threshold-equal
-/// hits in ascending index order until the budget is exact — the same
-/// entries, in the same tie-break order, as the scalar scan.
-std::vector<std::int64_t> topk_fullsort(const std::vector<float>& scores,
-                                        std::int64_t k) {
-  const std::int64_t n = static_cast<std::int64_t>(scores.size());
-  std::vector<float> scratch(scores);
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   scratch.end(), std::greater<float>());
-  const float lambda = scratch[static_cast<std::size_t>(k - 1)];
-  const simd::Kernels& kernels = simd::kernels();
-  std::vector<std::int64_t> out(static_cast<std::size_t>(k));
-  const std::int64_t above = kernels.compact_cmp(
-      scores.data(), n, lambda, simd::Cmp::kGt, 0, k, out.data());
-  const std::int64_t ties = kernels.compact_cmp(
-      scores.data(), n, lambda, simd::Cmp::kEq, 0, k - above,
-      out.data() + above);
-  out.resize(static_cast<std::size_t>(above + ties));
-  return out;
-}
+/// Smallest band width after a miss, relative to |lambda_prev|, so a zero
+/// drift still widens.
+constexpr float kMinRelativeWidth = 1.0F / 256.0F;
 
-/// Parallel two-pass variant of topk_fullsort. Pass 1 shards the scores and
-/// prunes each shard to its local top-k candidates with nth_element (any
-/// global top-k weight is necessarily in its own shard's top-k, and a
-/// shard's k-th largest can never exceed the global k-th largest, so the
-/// candidate union is a superset of the winners including all threshold
-/// ties). Pass 2 runs the exact serial selection over the pruned candidate
-/// list — bit-identical output to topk_fullsort for every shard count.
-std::vector<std::int64_t> topk_fullsort_parallel(
-    const std::vector<float>& scores, std::int64_t k, int shards) {
-  const std::int64_t n = static_cast<std::int64_t>(scores.size());
-  std::vector<std::vector<std::int64_t>> shard_cands(
-      static_cast<std::size_t>(shards));
-  const simd::Kernels& kernels = simd::kernels();
-  util::global_pool().run(shards, [&](int s) {
-    const std::int64_t begin = n * s / shards;
-    const std::int64_t end = n * (s + 1) / shards;
-    auto& cand = shard_cands[static_cast<std::size_t>(s)];
-    const std::int64_t len = end - begin;
-    if (len <= k) {
-      cand.resize(static_cast<std::size_t>(len));
-      std::iota(cand.begin(), cand.end(), begin);
-      return;
-    }
-    std::vector<float> scratch(scores.begin() + begin, scores.begin() + end);
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     scratch.end(), std::greater<float>());
-    const float local_lambda = scratch[static_cast<std::size_t>(k - 1)];
-    // Count, size exactly, then compact global indices on the SIMD top-k
-    // prepass kernels — ascending index order, like the scalar scan.
-    const std::int64_t hits = kernels.count_cmp(scores.data() + begin, len,
-                                                local_lambda, simd::Cmp::kGe);
-    cand.resize(static_cast<std::size_t>(hits));
-    kernels.compact_cmp(scores.data() + begin, len, local_lambda,
-                        simd::Cmp::kGe, begin, hits, cand.data());
-  });
-  // Shards cover [0, n) in order, so the concatenation is index-sorted.
-  std::vector<std::int64_t> candidates;
-  for (const auto& cand : shard_cands) {
-    candidates.insert(candidates.end(), cand.begin(), cand.end());
-  }
-  return select_with_threshold(scores, candidates, k);
-}
+/// Elements per fused-mask-pass call (see write_mask).
+constexpr std::int64_t kRemaskChunk = 4096;
 
-/// Scores below this size select serially; the candidate pass needs enough
-/// work per shard to amortize the dispatch.
-constexpr std::int64_t kMinParallelSelect = 1 << 15;
-
-std::vector<std::int64_t> topk_fullsort_auto(const std::vector<float>& scores,
-                                             std::int64_t k) {
-  const std::int64_t n = static_cast<std::int64_t>(scores.size());
-  const int threads = util::num_threads();
-  if (threads <= 1 || n < kMinParallelSelect) return topk_fullsort(scores, k);
-  // Shards need to be meaningfully larger than k for the local nth_element
-  // prune to discard anything.
-  const std::int64_t max_useful = n / std::max<std::int64_t>(1, 2 * k);
-  const int shards = static_cast<int>(std::clamp<std::int64_t>(
-      max_useful, 1, static_cast<std::int64_t>(threads)));
-  if (shards <= 1) return topk_fullsort(scores, k);
-  return topk_fullsort_parallel(scores, k, shards);
+/// The k-th largest of s[0, n), 0 < k <= n, by nth_element over a copy.
+float kth_largest(const float* s, std::int64_t n, std::int64_t k) {
+  std::vector<float> copy(s, s + n);
+  std::nth_element(copy.begin(), copy.begin() + (k - 1), copy.end(),
+                   std::greater<float>());
+  return copy[static_cast<std::size_t>(k - 1)];
 }
 
 }  // namespace
+
+TrackedSet::TrackedSet(const ParamIndex& index)
+    : index_(&index), mask_(static_cast<std::size_t>(index.total()), 1) {}
+
+bool TrackedSet::is_tracked(std::int64_t global_index) const {
+  DROPBACK_CHECK(global_index >= 0 && global_index < index_->total(),
+                 << "is_tracked(" << global_index << ") of "
+                 << index_->total());
+  return all_tracked_ || mask_[static_cast<std::size_t>(global_index)] != 0;
+}
+
+std::int64_t TrackedSet::tracked_count() const {
+  return static_cast<std::int64_t>(
+      std::count_if(mask_.begin(), mask_.end(),
+                    [](std::uint8_t m) { return m != 0; }));
+}
+
+std::int64_t TrackedSet::tracked_count_in(std::size_t p) const {
+  const std::uint8_t* mask = mask_of(p);
+  return static_cast<std::int64_t>(
+      std::count_if(mask, mask + index_->param(p).numel(),
+                    [](std::uint8_t m) { return m != 0; }));
+}
+
+float TrackedSet::find_lambda(const float* scores, std::int64_t n,
+                              std::int64_t k, std::int64_t* above) {
+  const simd::Kernels& kernels = simd::kernels();
+  const float prev = last_lambda_;
+  if (!all_tracked_ && std::isfinite(prev)) {
+    // lambda lies in the band [lo, hi] iff fewer than k scores exceed hi
+    // and at least k reach lo; it is then the (k - above_hi)-th largest in
+    // the band.
+    float w = std::isfinite(lambda_drift_) ? lambda_drift_ : 0.0F;
+    float lo = prev - w;
+    float hi = prev + w;
+    std::int64_t above_hi = kernels.count_cmp(scores, n, hi, simd::Cmp::kGt);
+    std::int64_t from_lo = kernels.count_cmp(scores, n, lo, simd::Cmp::kGe);
+    for (int attempt = 0; attempt < kBandAttempts; ++attempt) {
+      if (above_hi < k && from_lo >= k) {
+        std::vector<float> band(static_cast<std::size_t>(from_lo - above_hi));
+        const std::int64_t size = kernels.band_gather(
+            scores, n, lo, hi, from_lo - above_hi, band.data());
+        const std::int64_t rank = k - above_hi - 1;
+        std::nth_element(band.begin(), band.begin() + rank,
+                         band.begin() + size, std::greater<float>());
+        const float lambda = band[static_cast<std::size_t>(rank)];
+        *above = above_hi + kernels.count_cmp(band.data(), size, lambda,
+                                              simd::Cmp::kGt);
+        return lambda;
+      }
+      // A miss says which side lambda is on. The next band starts just
+      // past this one on that side, twice as wide, so one of its counts is
+      // already known: #(s >= next float above hi) = #(s > hi), and
+      // #(s > next float below lo) = #(s >= lo).
+      w = std::max({2.0F * w, std::abs(prev) * kMinRelativeWidth,
+                    std::numeric_limits<float>::min()});
+      if (above_hi >= k) {
+        lo = std::nextafter(hi, std::numeric_limits<float>::infinity());
+        hi = lo + w;
+        from_lo = above_hi;
+        above_hi = kernels.count_cmp(scores, n, hi, simd::Cmp::kGt);
+      } else {
+        hi = std::nextafter(lo, -std::numeric_limits<float>::infinity());
+        lo = hi - w;
+        above_hi = from_lo;
+        from_lo = kernels.count_cmp(scores, n, lo, simd::Cmp::kGe);
+      }
+    }
+  }
+  const float lambda = kth_largest(scores, n, k);
+  *above = kernels.count_cmp(scores, n, lambda, simd::Cmp::kGt);
+  return lambda;
+}
+
+simd::MaskDelta TrackedSet::write_mask(const float* scores, std::int64_t begin,
+                                       std::int64_t n, std::int64_t k,
+                                       float lambda, std::int64_t above,
+                                       bool had_selection) {
+  const simd::Kernels& kernels = simd::kernels();
+  // The threshold ties that fill the last k - above slots, in index order,
+  // and their bits from before the fused pass overwrites them.
+  std::vector<std::int64_t> ties(static_cast<std::size_t>(k - above));
+  ties.resize(static_cast<std::size_t>(
+      kernels.compact_cmp(scores + begin, n, lambda, simd::Cmp::kEq, begin,
+                          k - above, ties.data())));
+  std::vector<std::uint8_t> tie_was(ties.size());
+  for (std::size_t j = 0; j < ties.size(); ++j) {
+    tie_was[j] = mask_[static_cast<std::size_t>(ties[j])];
+  }
+
+  // The fused pass, a chunk at a time: a chunk evicts at most its own
+  // length, so the list only ever holds the evictions plus one chunk.
+  const std::size_t first_listed = evicted_.size();
+  std::size_t listed = first_listed;
+  simd::MaskDelta delta{0, 0};
+  for (std::int64_t c = begin; c < begin + n; c += kRemaskChunk) {
+    const std::int64_t len = std::min(kRemaskChunk, begin + n - c);
+    const std::int64_t cap = had_selection ? len : 0;
+    const std::size_t room = listed + static_cast<std::size_t>(cap);
+    if (evicted_.size() < room) evicted_.resize(room);
+    const simd::MaskDelta d =
+        kernels.remask(scores + c, len, lambda, mask_.data() + c, c, cap,
+                       evicted_.data() + listed);
+    listed += static_cast<std::size_t>(std::min(d.left, cap));
+    delta.entered += d.entered;
+    delta.left += d.left;
+  }
+  evicted_.resize(listed);
+  for (std::int64_t g : ties) mask_[static_cast<std::size_t>(g)] = 1;
+  const auto selected = above + static_cast<std::int64_t>(ties.size());
+  if (!had_selection) {
+    // Everything was implicitly tracked: every selected weight counts as
+    // entering and every other weight as evicted (none listed).
+    return {selected, n - selected};
+  }
+
+  // A tie that was tracked before left in the fused pass and is back now:
+  // no eviction after all, so it leaves the list.
+  for (std::size_t j = 0; j < ties.size(); ++j) {
+    if (tie_was[j] != 0) {
+      --delta.left;
+    } else {
+      ++delta.entered;
+    }
+  }
+  const auto is_tie = [&](std::int64_t g) {
+    return std::binary_search(ties.begin(), ties.end(), g);
+  };
+  evicted_.erase(std::remove_if(evicted_.begin() + first_listed,
+                                evicted_.end(), is_tie),
+                 evicted_.end());
+  return delta;
+}
 
 void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
   DROPBACK_PROFILE_SCOPE("dropback_select");
@@ -178,55 +177,30 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
   DROPBACK_CHECK(n == index_->total(), << "select: scores size " << n
                                        << " != total " << index_->total());
   DROPBACK_CHECK(k > 0, << "select: k must be positive");
+  evicted_.clear();
+  last_readmitted_ = 0;
   if (k >= n) {
     // Budget covers everything; trivially all tracked. Churn counters stay
     // exact: everything untracked before is (re-)admitted now.
-    std::int64_t grown = 0;
-    for (auto& mask : masks_) {
-      for (std::uint8_t m : mask) grown += m == 0 ? 1 : 0;
-      std::fill(mask.begin(), mask.end(), 1);
-    }
+    const std::int64_t grown = n - tracked_count();
+    std::fill(mask_.begin(), mask_.end(), 1);
     last_churn_ = all_tracked_ ? 0 : grown;
     last_evictions_ = 0;
-    last_readmitted_ = 0;
     last_lambda_ = -std::numeric_limits<float>::infinity();
+    lambda_drift_ = kNoLambda;
     all_tracked_ = true;
     return;
   }
 
-  const std::vector<std::int64_t> selected = topk_fullsort_auto(scores, k);
-
-  // Rebuild masks, counting entries that were untracked before.
-  std::vector<std::vector<std::uint8_t>> old_masks;
   const bool had_selection = !all_tracked_;
-  if (had_selection) old_masks = masks_;
-  for (auto& mask : masks_) std::fill(mask.begin(), mask.end(), 0);
-
-  float lambda = std::numeric_limits<float>::infinity();
-  std::int64_t churn = 0;
-  for (std::int64_t g : selected) {
-    const std::size_t p = index_->param_of(g);
-    const std::size_t local = static_cast<std::size_t>(g - index_->offset(p));
-    masks_[p][local] = 1;
-    lambda = std::min(lambda, scores[static_cast<std::size_t>(g)]);
-    if (!had_selection || old_masks[p][local] == 0) ++churn;
-  }
-  // Evictions: previously tracked weights that fell out of the set. With no
-  // prior selection everything was implicitly tracked, so all non-selected
-  // weights count as evicted.
-  std::int64_t evictions = 0;
-  if (had_selection) {
-    for (std::size_t p = 0; p < masks_.size(); ++p) {
-      for (std::size_t i = 0; i < masks_[p].size(); ++i) {
-        if (old_masks[p][i] != 0 && masks_[p][i] == 0) ++evictions;
-      }
-    }
-  } else {
-    evictions = index_->total() - static_cast<std::int64_t>(selected.size());
-  }
-  last_churn_ = churn;
-  last_evictions_ = evictions;
-  last_readmitted_ = 0;
+  const float prev = last_lambda_;
+  std::int64_t above = 0;
+  const float lambda = find_lambda(scores.data(), n, k, &above);
+  const simd::MaskDelta delta =
+      write_mask(scores.data(), 0, n, k, lambda, above, had_selection);
+  last_churn_ = delta.entered;
+  last_evictions_ = delta.left;
+  lambda_drift_ = std::isfinite(prev) ? std::abs(lambda - prev) : kNoLambda;
   last_lambda_ = lambda;
   all_tracked_ = false;
 }
@@ -243,45 +217,38 @@ std::int64_t TrackedSet::readmit(std::uint64_t seed, std::int64_t step,
   // order can change it (the same construction as InitSpec regeneration).
   const std::uint64_t stream =
       rng::splitmix64(seed ^ (0x5DB0000ULL + static_cast<std::uint64_t>(step)));
-  std::int64_t total = 0;
-  for (std::size_t p = 0; p < masks_.size(); ++p) {
-    std::uint8_t* mask = masks_[p].data();
-    const std::int64_t base = index_->offset(p);
-    const std::int64_t n = index_->param(p).numel();
-    std::atomic<std::int64_t> readmitted{0};
-    util::parallel_for(4096, n, [&, mask, base](std::int64_t b,
-                                                std::int64_t e) {
-      std::int64_t local = 0;
-      for (std::int64_t i = b; i < e; ++i) {
-        if (mask[static_cast<std::size_t>(i)] != 0) continue;
-        const auto g = static_cast<std::uint64_t>(base + i);
-        if (rng::indexed_uniform(stream, g) < prob) {
-          mask[static_cast<std::size_t>(i)] = 1;
-          ++local;
-        }
+  std::uint8_t* mask = mask_.data();
+  std::atomic<std::int64_t> readmitted{0};
+  util::parallel_for(4096, index_->total(), [&, mask](std::int64_t b,
+                                                      std::int64_t e) {
+    std::int64_t local = 0;
+    for (std::int64_t g = b; g < e; ++g) {
+      if (mask[static_cast<std::size_t>(g)] != 0) continue;
+      if (rng::indexed_uniform(stream, static_cast<std::uint64_t>(g)) <
+          prob) {
+        mask[static_cast<std::size_t>(g)] = 1;
+        ++local;
       }
-      readmitted.fetch_add(local, std::memory_order_relaxed);
-    });
-    total += readmitted.load();
-  }
-  last_readmitted_ = total;
-  return total;
+    }
+    readmitted.fetch_add(local, std::memory_order_relaxed);
+  });
+  last_readmitted_ = readmitted.load();
+  return last_readmitted_;
 }
 
-void TrackedSet::restore(const std::vector<std::vector<std::uint8_t>>& masks,
-                         bool all_tracked) {
-  DROPBACK_CHECK(masks.size() == masks_.size(),
-                 << "restore: " << masks.size() << " masks for "
-                 << masks_.size() << " params");
-  for (std::size_t p = 0; p < masks.size(); ++p) {
-    DROPBACK_CHECK(masks[p].size() == masks_[p].size(),
-                   << "restore: mask size mismatch at param " << p);
-    masks_[p] = masks[p];
-  }
+void TrackedSet::restore(std::vector<std::uint8_t> mask, bool all_tracked) {
+  DROPBACK_CHECK(static_cast<std::int64_t>(mask.size()) == index_->total(),
+                 << "restore: mask of " << mask.size() << " entries for "
+                 << index_->total() << " weights");
+  for (std::uint8_t& m : mask) m = m != 0 ? 1 : 0;
+  mask_ = std::move(mask);
   all_tracked_ = all_tracked;
   last_churn_ = 0;
   last_evictions_ = 0;
   last_readmitted_ = 0;
+  last_lambda_ = kNoLambda;
+  lambda_drift_ = kNoLambda;
+  evicted_.clear();
 }
 
 void TrackedSet::select_per_param(const std::vector<float>& scores,
@@ -291,50 +258,39 @@ void TrackedSet::select_per_param(const std::vector<float>& scores,
   DROPBACK_CHECK(budgets.size() == index_->num_params(),
                  << "select_per_param: " << budgets.size() << " budgets for "
                  << index_->num_params() << " params");
-  std::vector<std::vector<std::uint8_t>> old_masks;
+  const simd::Kernels& kernels = simd::kernels();
   const bool had_selection = !all_tracked_;
-  if (had_selection) old_masks = masks_;
+  evicted_.clear();
 
   std::int64_t churn = 0;
+  std::int64_t evictions = 0;
   float lambda = std::numeric_limits<float>::infinity();
   bool everything_tracked = true;
   for (std::size_t p = 0; p < index_->num_params(); ++p) {
     const std::int64_t n = index_->param(p).numel();
     const std::int64_t k = budgets[p];
     DROPBACK_CHECK(k > 0, << "select_per_param: budget for param " << p);
-    auto& mask = masks_[p];
+    const std::int64_t begin = index_->offset(p);
     if (k >= n) {
-      std::fill(mask.begin(), mask.end(), 1);
+      std::fill(mask_of(p), mask_of(p) + n, 1);
       continue;
     }
     everything_tracked = false;
-    const std::vector<float> slice(
-        scores.begin() + index_->offset(p),
-        scores.begin() + index_->offset(p) + n);
-    const auto selected = topk_fullsort(slice, k);
-    std::fill(mask.begin(), mask.end(), 0);
-    for (std::int64_t local : selected) {
-      mask[static_cast<std::size_t>(local)] = 1;
-      lambda = std::min(lambda, slice[static_cast<std::size_t>(local)]);
-      if (!had_selection || old_masks[p][static_cast<std::size_t>(local)] == 0) {
-        ++churn;
-      }
-    }
-  }
-  std::int64_t evictions = 0;
-  if (had_selection) {
-    for (std::size_t p = 0; p < masks_.size(); ++p) {
-      for (std::size_t i = 0; i < masks_[p].size(); ++i) {
-        if (old_masks[p][i] != 0 && masks_[p][i] == 0) ++evictions;
-      }
-    }
-  } else if (!everything_tracked) {
-    evictions = index_->total() - tracked_count();
+    const float* slice = scores.data() + begin;
+    const float lambda_p = kth_largest(slice, n, k);
+    const std::int64_t above =
+        kernels.count_cmp(slice, n, lambda_p, simd::Cmp::kGt);
+    const simd::MaskDelta delta = write_mask(scores.data(), begin, n, k,
+                                             lambda_p, above, had_selection);
+    lambda = std::min(lambda, lambda_p);
+    churn += delta.entered;
+    evictions += delta.left;
   }
   last_churn_ = churn;
   last_evictions_ = evictions;
   last_readmitted_ = 0;
   last_lambda_ = lambda;
+  lambda_drift_ = kNoLambda;
   all_tracked_ = everything_tracked;
 }
 

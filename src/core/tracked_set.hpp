@@ -1,12 +1,34 @@
 // Global top-k tracked-weight selection.
 //
 // Algorithm 1 sorts all accumulated gradients and keeps the k largest.
-// select() finds lambda = S_k (the k-th largest score) with
-// std::nth_element, O(n), and switches to a parallel two-pass
-// candidate-pruning variant on large score vectors; the result is bitwise
-// identical for any thread count (see docs/PARALLELISM.md). The paper's
-// priority-queue formulation lives in core/reference_algorithm as the
-// oracle dropback_core_test compares against.
+// select() finds lambda = S_k (the k-th largest score) and then writes the
+// mask in one fused SIMD pass, so a step costs O(n) streaming passes plus
+// work proportional to the band and the churn:
+//
+//   * Band select. Churn falls to a few dozen weights a step after the
+//     first iterations (paper Fig. 2), so last step's lambda is a close
+//     pivot. select() counts the scores above lambda_prev + w and at least
+//     lambda_prev - w; when rank k falls inside that band it gathers the
+//     band and runs nth_element on the band only. A miss says which side
+//     lambda is on: the band moves just past the old one on that side, w
+//     doubles, and it retries; after 12 misses it runs nth_element over all
+//     scores. w starts at the last |lambda_t - lambda_{t-1}|; it is derived,
+//     not configured. The full nth_element also runs when there is no
+//     finite lambda_prev: the first selection, the first one after an
+//     all-tracked state (k >= n), the first one after restore(), and the
+//     one after a lambda of +inf. Every path finds the same lambda.
+//   * Fused mask pass. mask = score > lambda, counting the weights that
+//     entered and left and listing the evicted ones (evicted(), which the
+//     optimizer's apply regenerates). The threshold ties then fill the
+//     remaining slots in index order; their old bits are read first.
+//
+// Select is serial: the output is the same for every thread count
+// (docs/PARALLELISM.md). The paper's priority-queue formulation lives in
+// core/reference_algorithm as the oracle dropback_core_test and
+// band_select_test compare against.
+//
+// The mask is one flat byte vector over the ParamIndex (nonzero =
+// tracked); mask_of(p) is a view at the parameter's offset.
 //
 // Weights are ordered by (score descending, global index ascending): INDEX
 // ORDER IS THE DETERMINISTIC TIE-BREAK. When several weights share the
@@ -16,9 +38,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/accumulated_gradients.hpp"
+#include "simd/kernels.hpp"
 
 namespace dropback::core {
 
@@ -52,8 +76,13 @@ class TrackedSet {
 
   bool all_tracked() const { return all_tracked_; }
   bool is_tracked(std::int64_t global_index) const;
-  std::uint8_t* mask_of(std::size_t p);
-  const std::uint8_t* mask_of(std::size_t p) const;
+  /// Parameter p's slice of the flat mask.
+  std::uint8_t* mask_of(std::size_t p) {
+    return mask_.data() + index_->offset(p);
+  }
+  const std::uint8_t* mask_of(std::size_t p) const {
+    return mask_.data() + index_->offset(p);
+  }
 
   std::int64_t tracked_count() const;
   /// Tracked weights inside parameter ordinal p (Table 2's per-layer counts).
@@ -68,8 +97,16 @@ class TrackedSet {
   /// budget changed or the previous state was all-tracked).
   std::int64_t last_evictions() const { return last_evictions_; }
 
-  /// The threshold lambda of the last selection (k-th largest score).
+  /// The threshold lambda of the last selection (k-th largest score);
+  /// -inf after an all-tracked selection (k >= n). NaN means "no selection
+  /// yet": a fresh set, and a restored one until its next select().
   float last_lambda() const { return last_lambda_; }
+
+  /// Global indices, ascending, of the weights the last select() or
+  /// select_per_param() moved from tracked to untracked. Empty when that
+  /// selection started from the all-tracked state: then every unselected
+  /// weight left, and callers sweep instead of walking a list.
+  const std::vector<std::int64_t>& evicted() const { return evicted_; }
 
   /// Number of weights stochastically re-admitted by the last readmit()
   /// call (reset to 0 by select(), which re-enforces the budget).
@@ -77,19 +114,36 @@ class TrackedSet {
 
   const ParamIndex& index() const { return *index_; }
 
-  /// Overwrites the masks wholesale (checkpoint restore). Mask sizes must
-  /// match the parameter sizes exactly.
-  void restore(const std::vector<std::vector<std::uint8_t>>& masks,
-               bool all_tracked);
+  /// Overwrites the flat mask wholesale (checkpoint restore); its size must
+  /// be index().total(). Resets the selection statistics, and last_lambda()
+  /// to NaN, so the next select() runs the full nth_element.
+  void restore(std::vector<std::uint8_t> mask, bool all_tracked);
 
  private:
+  /// lambda = the k-th largest of scores[0, n) (k < n), from the band
+  /// around last_lambda_ when it is finite; *above = #(scores > lambda).
+  float find_lambda(const float* scores, std::int64_t n, std::int64_t k,
+                    std::int64_t* above);
+  /// Tracks the top k of scores[begin, begin + n) given their threshold
+  /// lambda and the count above it: the fused mask pass, then the first
+  /// k - above threshold ties in index order. With a previous selection it
+  /// appends the evictions to evicted(). Returns the range's churn and
+  /// eviction counts.
+  simd::MaskDelta write_mask(const float* scores, std::int64_t begin,
+                             std::int64_t n, std::int64_t k, float lambda,
+                             std::int64_t above, bool had_selection);
+
+  static constexpr float kNoLambda = std::numeric_limits<float>::quiet_NaN();
+
   const ParamIndex* index_;
-  std::vector<std::vector<std::uint8_t>> masks_;  // per param
+  std::vector<std::uint8_t> mask_;  // flat, over index_->total() weights
   bool all_tracked_ = true;
   std::int64_t last_churn_ = 0;
   std::int64_t last_evictions_ = 0;
   std::int64_t last_readmitted_ = 0;
-  float last_lambda_ = 0.0F;
+  float last_lambda_ = kNoLambda;
+  float lambda_drift_ = kNoLambda;  // |last lambda - the one before|
+  std::vector<std::int64_t> evicted_;  // ascending global indices
 };
 
 }  // namespace dropback::core

@@ -8,10 +8,11 @@
 //   regen  — batched counter-based xorshift regeneration (2/4/8 64-bit
 //            lanes per register, 4/8/16 values per step) behind
 //            rng::InitSpec and the sparse-store/inference regen paths;
-//   score  — fused regen + |w - lr*g - w0| scoring and the masked
-//            update/regenerate sweep of the DropBack step;
-//   top-k  — threshold count / order-preserving compact prepass used by
-//            the top-k selection.
+//   score  — fused regen + |w - lr*g - w0| scoring, the masked
+//            update/regenerate sweep of the DropBack step and the
+//            tracked-only update;
+//   top-k  — threshold count / order-preserving compact, the band gather
+//            and the fused mask pass of the top-k selection.
 //
 // Determinism contract (docs/SIMD.md): every entry of every target's table
 // is BITWISE IDENTICAL to the scalar reference in `detail` below, for all
@@ -37,6 +38,12 @@ struct RegenSpec {
 /// Comparison flavor for the top-k prepass kernels. Semantics are the C++
 /// operators (ordered; NaN compares false, +inf compares normally).
 enum class Cmp : int { kGt, kGe, kEq };
+
+/// What one fused mask pass (Kernels::remask) changed.
+struct MaskDelta {
+  std::int64_t entered;  ///< entries that turned tracked
+  std::int64_t left;     ///< entries that turned untracked
+};
 
 /// Outputs per packed group of the NT-GEMM microkernel. Fixed across
 /// targets so the pack layout is target-independent.
@@ -87,6 +94,12 @@ struct Kernels {
                                const std::uint8_t* mask, float lr,
                                RegenSpec spec, bool regen, std::uint64_t first,
                                std::int64_t n);
+  /// The tracked-only update: w -= lr*g where mask is nonzero; untracked
+  /// weights are not touched. Returns the number of tracked weights in the
+  /// range. g may be null (then no weight changes).
+  std::int64_t (*update_tracked)(float* w, const float* g,
+                                 const std::uint8_t* mask, float lr,
+                                 std::int64_t n);
 
   // --- top-k prepass family ----------------------------------------------
   /// Number of i in [0, n) with cmp(s[i], threshold).
@@ -98,6 +111,18 @@ struct Kernels {
   std::int64_t (*compact_cmp)(const float* s, std::int64_t n, float threshold,
                               Cmp cmp, std::int64_t base, std::int64_t max_out,
                               std::int64_t* out);
+  /// Band gather: appends s[i] for every i (ascending) with
+  /// lo <= s[i] <= hi, stopping after max_out hits. Returns the number
+  /// written.
+  std::int64_t (*band_gather)(const float* s, std::int64_t n, float lo,
+                              float hi, std::int64_t max_out, float* out);
+  /// The fused mask pass: entry i becomes tracked iff s[i] > threshold.
+  /// Only bytes whose tracked-ness (nonzero) changes are written, as 1 or
+  /// 0. Appends base+i (ascending) of the entries that turned untracked to
+  /// left_out, up to left_cap of them; the returned counts are complete.
+  MaskDelta (*remask)(const float* s, std::int64_t n, float threshold,
+                      std::uint8_t* mask, std::int64_t base,
+                      std::int64_t left_cap, std::int64_t* left_out);
 };
 
 namespace detail {
@@ -122,11 +147,19 @@ void score(const float* w, const float* g, float lr, RegenSpec spec,
 std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,
                           float lr, RegenSpec spec, bool regen,
                           std::uint64_t first, std::int64_t n);
+std::int64_t update_tracked(float* w, const float* g,
+                            const std::uint8_t* mask, float lr,
+                            std::int64_t n);
 std::int64_t count_cmp(const float* s, std::int64_t n, float threshold,
                        Cmp cmp);
 std::int64_t compact_cmp(const float* s, std::int64_t n, float threshold,
                          Cmp cmp, std::int64_t base, std::int64_t max_out,
                          std::int64_t* out);
+std::int64_t band_gather(const float* s, std::int64_t n, float lo, float hi,
+                         std::int64_t max_out, float* out);
+MaskDelta remask(const float* s, std::int64_t n, float threshold,
+                 std::uint8_t* mask, std::int64_t base, std::int64_t left_cap,
+                 std::int64_t* left_out);
 }  // namespace detail
 
 /// Per-target tables. Only the targets compiled for this architecture are

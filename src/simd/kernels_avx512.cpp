@@ -24,8 +24,11 @@ const Kernels kAvx512Kernels = {
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,
+    &impl::update_tracked<B>,
     &impl::count_cmp<B>,
     &impl::compact_cmp<B>,
+    &impl::band_gather<B>,
+    &impl::remask<B>,
 };
 
 }  // namespace dropback::simd

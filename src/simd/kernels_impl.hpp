@@ -203,6 +203,30 @@ std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,
 }
 
 template <class B>
+std::int64_t update_tracked(float* w, const float* g, const std::uint8_t* mask,
+                            float lr, std::int64_t n) {
+  const typename B::VF lrv = B::fset1(lr);
+  std::int64_t tracked = 0;
+  std::int64_t i = 0;
+  for (; i + B::kF32 <= n; i += B::kF32) {
+    const typename B::VM tracked_m = B::mask_nonzero_bytes(mask + i);
+    const int hits = B::count(tracked_m);
+    if (hits == 0) continue;
+    tracked += hits;
+    if (g == nullptr) continue;
+    const typename B::VF wv = B::fload(w + i);
+    B::fstore(w + i, B::select(tracked_m,
+                               B::fsub(wv, B::fmul(lrv, B::fload(g + i))),
+                               wv));
+  }
+  if (i < n) {
+    tracked += detail::update_tracked(w + i, g != nullptr ? g + i : nullptr,
+                                      mask + i, lr, n - i);
+  }
+  return tracked;
+}
+
+template <class B>
 std::int64_t count_cmp(const float* s, std::int64_t n, float threshold,
                        Cmp cmp) {
   const typename B::VF tv = B::fset1(threshold);
@@ -236,6 +260,66 @@ std::int64_t compact_cmp(const float* s, std::int64_t n, float threshold,
                                    max_out - written, out + written);
   }
   return written;
+}
+
+template <class B>
+std::int64_t band_gather(const float* s, std::int64_t n, float lo, float hi,
+                         std::int64_t max_out, float* out) {
+  const typename B::VF lov = B::fset1(lo);
+  const typename B::VF hiv = B::fset1(hi);
+  std::int64_t written = 0;
+  std::int64_t i = 0;
+  for (; i + B::kF32 <= n; i += B::kF32) {
+    const typename B::VF v = B::fload(s + i);
+    // hi >= v is v <= hi, NaN included (both false).
+    unsigned hits =
+        B::bits(B::cmp(v, lov, Cmp::kGe)) & B::bits(B::cmp(hiv, v, Cmp::kGe));
+    while (hits != 0U) {
+      if (written == max_out) return written;
+      out[written++] = s[i + __builtin_ctz(hits)];
+      hits &= hits - 1U;
+    }
+  }
+  if (i < n && written < max_out) {
+    written += detail::band_gather(s + i, n - i, lo, hi, max_out - written,
+                                   out + written);
+  }
+  return written;
+}
+
+template <class B>
+MaskDelta remask(const float* s, std::int64_t n, float threshold,
+                 std::uint8_t* mask, std::int64_t base, std::int64_t left_cap,
+                 std::int64_t* left_out) {
+  const typename B::VF tv = B::fset1(threshold);
+  MaskDelta delta{0, 0};
+  std::int64_t i = 0;
+  for (; i + B::kF32 <= n; i += B::kF32) {
+    const unsigned now = B::bits(B::cmp(B::fload(s + i), tv, Cmp::kGt));
+    const unsigned was = B::bits(B::mask_nonzero_bytes(mask + i));
+    unsigned changed = now ^ was;
+    if (changed == 0U) continue;  // the common case: churn is sparse
+    delta.entered += __builtin_popcount(changed & now);
+    for (unsigned off = changed & was; off != 0U; off &= off - 1U) {
+      if (delta.left < left_cap) {
+        left_out[delta.left] = base + i + __builtin_ctz(off);
+      }
+      ++delta.left;
+    }
+    for (; changed != 0U; changed &= changed - 1U) {
+      const int lane = __builtin_ctz(changed);
+      mask[i + lane] = static_cast<std::uint8_t>((now >> lane) & 1U);
+    }
+  }
+  if (i < n) {
+    const std::int64_t listed = delta.left < left_cap ? delta.left : left_cap;
+    const MaskDelta tail =
+        detail::remask(s + i, n - i, threshold, mask + i, base + i,
+                       left_cap - listed, left_out + listed);
+    delta.entered += tail.entered;
+    delta.left += tail.left;
+  }
+  return delta;
 }
 
 template <class B>

@@ -25,8 +25,11 @@ const Kernels kNeonKernels = {
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,
+    &impl::update_tracked<B>,
     &impl::count_cmp<B>,
     &impl::compact_cmp<B>,
+    &impl::band_gather<B>,
+    &impl::remask<B>,
 };
 
 }  // namespace dropback::simd

@@ -112,6 +112,18 @@ std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,
   return tracked;
 }
 
+std::int64_t update_tracked(float* w, const float* g,
+                            const std::uint8_t* mask, float lr,
+                            std::int64_t n) {
+  std::int64_t tracked = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (mask[i] == 0U) continue;
+    if (g != nullptr) w[i] -= lr * g[i];
+    ++tracked;
+  }
+  return tracked;
+}
+
 static inline bool cmp_ok(float v, float threshold, Cmp cmp) {
   switch (cmp) {
     case Cmp::kGt:
@@ -143,6 +155,33 @@ std::int64_t compact_cmp(const float* s, std::int64_t n, float threshold,
   return written;
 }
 
+std::int64_t band_gather(const float* s, std::int64_t n, float lo, float hi,
+                         std::int64_t max_out, float* out) {
+  std::int64_t written = 0;
+  for (std::int64_t i = 0; i < n && written < max_out; ++i) {
+    if (s[i] >= lo && s[i] <= hi) out[written++] = s[i];
+  }
+  return written;
+}
+
+MaskDelta remask(const float* s, std::int64_t n, float threshold,
+                 std::uint8_t* mask, std::int64_t base, std::int64_t left_cap,
+                 std::int64_t* left_out) {
+  MaskDelta delta{0, 0};
+  for (std::int64_t i = 0; i < n; ++i) {
+    const bool now = s[i] > threshold;
+    if (now == (mask[i] != 0U)) continue;
+    mask[i] = now ? 1U : 0U;
+    if (now) {
+      ++delta.entered;
+    } else {
+      if (delta.left < left_cap) left_out[delta.left] = base + i;
+      ++delta.left;
+    }
+  }
+  return delta;
+}
+
 }  // namespace detail
 
 const Kernels kScalarKernels = {
@@ -157,8 +196,11 @@ const Kernels kScalarKernels = {
     &detail::regen_fill,
     &detail::score,
     &detail::apply_masked,
+    &detail::update_tracked,
     &detail::count_cmp,
     &detail::compact_cmp,
+    &detail::band_gather,
+    &detail::remask,
 };
 
 }  // namespace dropback::simd

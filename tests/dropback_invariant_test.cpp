@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "autograd/ops.hpp"
 #include "core/dropback_optimizer.hpp"
@@ -11,7 +14,9 @@
 #include "data/synthetic_mnist.hpp"
 #include "nn/models/lenet.hpp"
 #include "nn/sequential.hpp"
+#include "nn/checkpoint.hpp"
 #include "nn/linear.hpp"
+#include "optim/budget_schedule.hpp"
 #include "rng/xorshift.hpp"
 #include "train/trainer.hpp"
 
@@ -244,6 +249,207 @@ TEST(DropBackInvariants, GradFreeStepLeavesTrackedUnchanged) {
                 before[p][static_cast<std::size_t>(i)]);
     }
   }
+}
+
+
+// --- the apply precondition ------------------------------------------------
+//
+// DropBackOptimizer's apply writes only the tracked weights and this step's
+// evictions, because every other untracked weight already holds its
+// replacement value. The tests below pin that precondition after every
+// step, bitwise, across schedules, freezes and resumes.
+
+/// Every untracked weight is bitwise its replacement value:
+/// init.value_at(i), or 0 under regenerate_untracked=false and for
+/// non-prunable parameters.
+::testing::AssertionResult untracked_at_replacement(
+    const core::DropBackOptimizer& opt) {
+  const auto& index = opt.param_index();
+  for (std::size_t p = 0; p < index.num_params(); ++p) {
+    const nn::Parameter& param = index.param(p);
+    const bool regen = opt.config().regenerate_untracked && param.prunable;
+    const std::uint8_t* mask = opt.tracked().mask_of(p);
+    for (std::int64_t i = 0; i < param.numel(); ++i) {
+      if (mask[i] != 0) continue;
+      const float want =
+          regen ? param.init.value_at(static_cast<std::uint64_t>(i)) : 0.0F;
+      const float got = param.var.value()[i];
+      if (std::memcmp(&got, &want, sizeof(float)) != 0) {
+        return ::testing::AssertionFailure()
+               << "param " << p << " index " << i << " holds " << got
+               << ", replacement " << want;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct PreconditionCase {
+  std::string name;
+  std::shared_ptr<const optim::BudgetSchedule> schedule;
+  bool regenerate_untracked;
+  bool non_prunable_bias;  // first bias non-prunable (score +inf)
+};
+
+std::vector<PreconditionCase> precondition_cases() {
+  // Two steps per epoch: the DSD cases go dense (epoch 0), sparse (epochs
+  // 1-2) and then dense again or wider.
+  return {
+      {"constant", optim::constant_budget(12), true, false},
+      {"constant_zeroed", optim::constant_budget(12), false, false},
+      {"constant_frozen", optim::constant_budget(12, 3), true, false},
+      {"constant_nonprunable_evicted", optim::constant_budget(3), true, true},
+      {"dsd", std::make_shared<optim::DenseSparseDense>(12, 1, 2), true,
+       false},
+      {"dsd_frozen_then_wider",
+       std::make_shared<optim::DenseSparseDense>(12, 1, 2, 1, 20), true,
+       false},
+      {"stochastic",
+       std::make_shared<optim::StochasticDropBack>(12, 0.3F, 9), true, false},
+      {"stochastic_zeroed_frozen",
+       std::make_shared<optim::StochasticDropBack>(12, 0.3F, 9, 6), false,
+       false},
+  };
+}
+
+struct Trainee {
+  std::unique_ptr<nn::Sequential> net;
+  std::unique_ptr<core::DropBackOptimizer> opt;
+};
+
+Trainee make_run(const PreconditionCase& c) {
+  Trainee r;
+  r.net = tiny_net(21);
+  auto params = r.net->collect_parameters();
+  if (c.non_prunable_bias) params[1]->prunable = false;
+  core::DropBackConfig config;
+  config.schedule = c.schedule;
+  config.steps_per_epoch = 2;
+  config.regenerate_untracked = c.regenerate_untracked;
+  r.opt = std::make_unique<core::DropBackOptimizer>(params, 0.2F, config);
+  return r;
+}
+
+void train_step(Trainee& r, int step) {
+  r.net->zero_grad();
+  make_gradients(*r.net, 300 + static_cast<std::uint64_t>(step));
+  r.opt->step();
+}
+
+std::vector<float> weights_of(const Trainee& r) {
+  std::vector<float> out;
+  for (auto* p : r.net->collect_parameters()) {
+    const float* w = p->var.value().data();
+    out.insert(out.end(), w, w + p->numel());
+  }
+  return out;
+}
+
+TEST(DropBackPrecondition, UntrackedWeightsHoldReplacementAfterEveryStep) {
+  for (const auto& c : precondition_cases()) {
+    Trainee r = make_run(c);
+    for (int step = 0; step < 12; ++step) {
+      train_step(r, step);
+      ASSERT_TRUE(untracked_at_replacement(*r.opt))
+          << c.name << " after step " << step
+          << (r.opt->frozen() ? " (frozen)" : "");
+    }
+  }
+}
+
+TEST(DropBackPrecondition, HoldsAfterLoadStateAndResumesBitwise) {
+  for (const auto& c : precondition_cases()) {
+    Trainee uninterrupted = make_run(c);
+    for (int step = 0; step < 12; ++step) train_step(uninterrupted, step);
+
+    Trainee first = make_run(c);
+    for (int step = 0; step < 5; ++step) train_step(first, step);
+    std::stringstream weights, state;
+    nn::save_checkpoint(weights, first.net->collect_parameters());
+    first.opt->save_state(state);
+
+    Trainee resumed = make_run(c);
+    nn::load_checkpoint(weights, resumed.net->collect_parameters());
+    resumed.opt->load_state(state);
+    EXPECT_TRUE(std::isnan(resumed.opt->tracked().last_lambda())) << c.name;
+    for (int step = 5; step < 12; ++step) {
+      train_step(resumed, step);
+      ASSERT_TRUE(untracked_at_replacement(*resumed.opt))
+          << c.name << " after resumed step " << step;
+    }
+    const std::vector<float> a = weights_of(uninterrupted);
+    const std::vector<float> b = weights_of(resumed);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << c.name;
+  }
+}
+
+TEST(DropBackPrecondition, FirstStepAfterLoadStateSweepsEveryWeight) {
+  // The loaded weights come from a separate checkpoint, so the first step
+  // after load_state rewrites every untracked weight, even one that the
+  // checkpoint carried off its replacement value. The run is frozen, so no
+  // selection re-tracks that weight first.
+  const PreconditionCase frozen = precondition_cases()[2];
+  ASSERT_EQ(frozen.name, "constant_frozen");
+  Trainee first = make_run(frozen);
+  for (int step = 0; step < 4; ++step) train_step(first, step);
+  ASSERT_TRUE(first.opt->frozen());
+  std::stringstream weights, state;
+  nn::save_checkpoint(weights, first.net->collect_parameters());
+  first.opt->save_state(state);
+  Trainee resumed = make_run(frozen);
+  auto params = resumed.net->collect_parameters();
+  nn::load_checkpoint(weights, params);
+  resumed.opt->load_state(state);
+  const auto& tracked = resumed.opt->tracked();
+  std::int64_t untracked = -1;
+  for (std::int64_t g = 0; g < tracked.index().total() && untracked < 0; ++g) {
+    if (!tracked.is_tracked(g)) untracked = g;
+  }
+  ASSERT_GE(untracked, 0);
+  const std::size_t p = tracked.index().param_of(untracked);
+  params[p]->var.value()[untracked - tracked.index().offset(p)] = 123.0F;
+  ASSERT_FALSE(untracked_at_replacement(*resumed.opt));
+  train_step(resumed, 4);
+  EXPECT_TRUE(untracked_at_replacement(*resumed.opt));
+}
+
+TEST(DropBackPrecondition, EvictedThenReadmittedWeightKeepsTrainedValue) {
+  // A weight that select() evicts and readmit() re-admits in the same step
+  // is tracked when the step commits: it takes the SGD update from its
+  // trained value instead of being regenerated.
+  auto net = tiny_net(22);
+  auto params = net->collect_parameters();
+  core::DropBackConfig config;
+  config.schedule = std::make_shared<optim::StochasticDropBack>(12, 0.5F, 3);
+  core::DropBackOptimizer opt(params, 0.2F, config);
+  std::int64_t checked = 0;
+  for (int step = 0; step < 8; ++step) {
+    net->zero_grad();
+    make_gradients(*net, 400 + static_cast<std::uint64_t>(step));
+    std::vector<float> before, grad;
+    for (auto* p : params) {
+      const float* w = p->var.value().data();
+      const float* g = p->var.grad().data();
+      before.insert(before.end(), w, w + p->numel());
+      grad.insert(grad.end(), g, g + p->numel());
+    }
+    opt.step();
+    const auto& index = opt.param_index();
+    for (std::int64_t g : opt.tracked().evicted()) {
+      if (!opt.tracked().is_tracked(g)) continue;
+      const std::size_t p = index.param_of(g);
+      const float want = before[static_cast<std::size_t>(g)] -
+                         0.2F * grad[static_cast<std::size_t>(g)];
+      const float got = params[p]->var.value()[g - index.offset(p)];
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "step " << step << " weight " << g;
+      ++checked;
+    }
+    ASSERT_TRUE(untracked_at_replacement(opt)) << "step " << step;
+  }
+  EXPECT_GT(checked, 0) << "no weight was evicted and re-admitted";
 }
 
 }  // namespace

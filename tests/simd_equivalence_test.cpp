@@ -8,7 +8,8 @@
 //
 //   1. the kernel tables directly, against simd::kScalarKernels, over a
 //      size sweep that hits sub-lane sizes, exact vector multiples, and
-//      ragged tails for every lane width (4/8/16);
+//      ragged tails for every lane width (4/8/16) — every entry, the band
+//      gather, fused mask pass and tracked-only update included;
 //   2. the wired hot paths (matmul family, conv2d forward/backward,
 //      InitSpec regeneration, score/apply sweeps, top-k selection), against
 //      a scalar @ 1-thread reference.
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/accumulated_gradients.hpp"
@@ -260,6 +262,17 @@ TEST_P(SimdConformanceTest, ScoreAndApplyBitwiseEqual) {
                     (regen ? " regen" : " zero") +
                     (grad == nullptr ? " nograd" : "")));
           }
+
+          auto got_w = w;
+          auto want_w = w;
+          EXPECT_EQ(
+              k().update_tracked(got_w.data(), grad, mask.data(), 0.1F, n),
+              ref().update_tracked(want_w.data(), grad, mask.data(), 0.1F, n))
+              << "update_tracked tracked n=" << n;
+          EXPECT_TRUE(bitwise_equal(
+              got_w, want_w,
+              "update_tracked n=" + std::to_string(n) +
+                  (grad == nullptr ? " nograd" : "")));
         }
       }
     }
@@ -291,6 +304,61 @@ TEST_P(SimdConformanceTest, TopkPrepassBitwiseEqual) {
         got.resize(static_cast<std::size_t>(got_n));
         want.resize(static_cast<std::size_t>(want_n));
         EXPECT_EQ(got, want) << "compact_cmp indices n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(SimdConformanceTest, BandGatherAndRemaskBitwiseEqual) {
+  for (std::int64_t n : kSizes) {
+    // Tie-heavy scores on an eight-value alphabet, so the band edges and
+    // the remask threshold all land on ties.
+    std::vector<float> s(static_cast<std::size_t>(n));
+    rng::Xorshift128 rng(43);
+    for (auto& v : s) v = 0.125F * static_cast<float>(rng.next_u32() % 8);
+    for (const auto& [lo, hi] : {std::pair{0.25F, 0.5F},
+                                 std::pair{0.3F, 0.3F},
+                                 std::pair{0.0F, 0.875F}}) {
+      for (std::int64_t max_out : {std::int64_t{0}, std::int64_t{3}, n}) {
+        std::vector<float> got(static_cast<std::size_t>(
+            std::max<std::int64_t>(max_out, 1)));
+        auto want = got;
+        const std::int64_t got_n =
+            k().band_gather(s.data(), n, lo, hi, max_out, got.data());
+        const std::int64_t want_n =
+            ref().band_gather(s.data(), n, lo, hi, max_out, want.data());
+        ASSERT_EQ(got_n, want_n) << "band_gather count n=" << n;
+        got.resize(static_cast<std::size_t>(got_n));
+        want.resize(static_cast<std::size_t>(want_n));
+        EXPECT_TRUE(bitwise_equal(got, want,
+                                  "band_gather n=" + std::to_string(n)));
+      }
+    }
+
+    // Old masks with a third tracked, including bytes other than 1.
+    std::vector<std::uint8_t> old_mask(static_cast<std::size_t>(n));
+    for (auto& m : old_mask) {
+      const std::uint32_t r = rng.next_u32() % 6;
+      m = r < 2 ? static_cast<std::uint8_t>(r + 1) : 0U;
+    }
+    for (float threshold : {0.375F, 0.0F, 1.0F}) {
+      for (std::int64_t cap : {std::int64_t{0}, std::int64_t{2}, n}) {
+        auto got_mask = old_mask;
+        auto want_mask = old_mask;
+        std::vector<std::int64_t> got_left(
+            static_cast<std::size_t>(std::max<std::int64_t>(cap, 1)), -1);
+        auto want_left = got_left;
+        const simd::MaskDelta got = k().remask(
+            s.data(), n, threshold, got_mask.data(), 77, cap, got_left.data());
+        const simd::MaskDelta want =
+            ref().remask(s.data(), n, threshold, want_mask.data(), 77, cap,
+                         want_left.data());
+        const std::string tag = "remask n=" + std::to_string(n) +
+                                " cap=" + std::to_string(cap);
+        EXPECT_EQ(got.entered, want.entered) << tag;
+        EXPECT_EQ(got.left, want.left) << tag;
+        EXPECT_EQ(got_mask, want_mask) << tag;
+        EXPECT_EQ(got_left, want_left) << tag;
       }
     }
   }

@@ -487,6 +487,24 @@ void run_simd_speedup_report() {
     });
   }
 
+  // matmul_nt at the forward shapes that dominate training steps: MNIST
+  // fc1 (batch 32, 784 -> 100) and VGG-S conv1 as im2col rows x weights.
+  struct NtShape {
+    const char* name;
+    std::int64_t m, k, n;
+  };
+  for (const NtShape& s :
+       {NtShape{"simd/gemm-nt-fc1-32x784x100", 32, 784, 100},
+        NtShape{"simd/gemm-nt-conv1-16384x72x8", 16384, 72, 8}}) {
+    rng::Xorshift128 rng(1);
+    tensor::Tensor a({s.m, s.k}), bt({s.n, s.k});
+    for (std::int64_t i = 0; i < a.numel(); ++i) a[i] = rng.uniform(-1, 1);
+    for (std::int64_t i = 0; i < bt.numel(); ++i) bt[i] = rng.uniform(-1, 1);
+    run_simd_case(s.name, best, [&] {
+      benchmark::DoNotOptimize(tensor::matmul_nt(a, bt).data());
+    });
+  }
+
   {
     rng::Xorshift128 rng(1);
     tensor::Tensor x({16, 16, 32, 32}), w({32, 16, 3, 3}), b({32});

@@ -1,5 +1,6 @@
 #include "core/sparse_weight_store.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -14,6 +15,8 @@ namespace dropback::core {
 namespace {
 // Container payload kind of the checksummed store format.
 constexpr char kKind[] = "DBSW";
+/// Most entries reserved from a header count before any of them is read.
+constexpr std::uint64_t kMaxReserve = 1 << 16;
 
 template <typename T>
 void write_pod(std::ostream& out, const T& v) {
@@ -72,7 +75,9 @@ SparseParamRecord read_record(std::istream& in) {
                         ") than dense elements (" + std::to_string(dense) +
                         ")");
   }
-  rec.entries.reserve(n_entries);
+  // n_entries is only bounded by the shape: reserve a bounded head start and
+  // let the vector grow with the entries the stream actually holds.
+  rec.entries.reserve(std::min<std::uint64_t>(n_entries, kMaxReserve));
   std::int64_t prev = -1;
   for (std::uint64_t i = 0; i < n_entries; ++i) {
     const auto idx = read_pod<std::uint32_t>(in);

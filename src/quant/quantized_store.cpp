@@ -11,6 +11,9 @@ namespace dropback::quant {
 
 namespace {
 constexpr char kMagic[4] = {'D', 'B', 'Q', 'S'};
+/// Most records or entries reserved from a header count before any of them
+/// is read.
+constexpr std::uint32_t kMaxReserve = 1 << 16;
 
 template <typename T>
 void write_pod(std::ostream& out, const T& v) {
@@ -170,7 +173,9 @@ QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
                         std::to_string(store.bits_));
   }
   const auto count = read_pod<std::uint32_t>(in);
-  store.records_.reserve(count);
+  // Header counts are untrusted: reserve a bounded head start and let the
+  // vectors grow with what the stream actually holds.
+  store.records_.reserve(std::min<std::uint32_t>(count, kMaxReserve));
   for (std::uint32_t p = 0; p < count; ++p) {
     QuantizedParamRecord rec;
     const auto name_len = read_pod<std::uint16_t>(in);
@@ -201,7 +206,7 @@ QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
                           ") than dense elements (" + std::to_string(dense) +
                           ")");
     }
-    rec.entries.reserve(n_entries);
+    rec.entries.reserve(std::min<std::uint64_t>(n_entries, kMaxReserve));
     for (std::uint64_t e = 0; e < n_entries; ++e) {
       const auto idx = read_pod<std::uint32_t>(in);
       const auto q = read_pod<std::int8_t>(in);

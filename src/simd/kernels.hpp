@@ -3,7 +3,7 @@
 // kernel families the training loop spends its time in:
 //
 //   gemm   — axpy / axpy2 row updates (matmul, matmul_tn, col2im) and the
-//            packed-NT dot microkernel (matmul_nt, conv2d);
+//            register-tiled packed-NT microkernel (matmul_nt, conv2d);
 //   conv   — contiguous copy / fill for the im2col gather and zero padding;
 //   regen  — batched counter-based xorshift regeneration (2/4/8 64-bit
 //            lanes per register, 4/8/16 values per step) behind
@@ -16,11 +16,11 @@
 //
 // Determinism contract (docs/SIMD.md): every entry of every target's table
 // is BITWISE IDENTICAL to the scalar reference in `detail` below, for all
-// inputs. Vectorization is only allowed across independent output
-// elements; per-element operation order must match the scalar code
-// exactly, so order-sensitive reductions (dot_nt's running double sum)
-// stay scalar on every target. tests/simd_equivalence_test.cpp enforces
-// this per (kernel x target x thread count).
+// inputs. Vectorize across outputs, never across one output's chain: each
+// output's operation order must match the scalar code exactly, so a
+// reduction (gemm_nt's double sum over l) keeps one accumulator per output
+// and walks l ascending on every target. tests/simd_equivalence_test.cpp
+// enforces this per (kernel x target x thread count).
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,13 @@ struct MaskDelta {
   std::int64_t left;     ///< entries that turned untracked
 };
 
-/// Outputs per packed group of the NT-GEMM microkernel. Fixed across
-/// targets so the pack layout is target-independent.
-inline constexpr std::int64_t kPackWidth = 4;
+/// Columns per packed B group of the NT-GEMM microkernel. Fixed across
+/// targets so the pack layout is target-independent; the last group is
+/// zero-padded, and its padded lanes are computed but never stored.
+inline constexpr std::int64_t kPackWidth = 8;
+/// Rows of C per register tile of the NT-GEMM microkernel; matmul_nt
+/// shards its rows in whole tiles.
+inline constexpr std::int64_t kTileRows = 4;
 
 struct Kernels {
   const char* name;
@@ -59,15 +63,14 @@ struct Kernels {
   /// one dst load/store, accumulation order per element preserved.
   void (*axpy2)(float* dst, const float* s0, float a0, const float* s1,
                 float a1, std::int64_t n);
-  /// C-row microkernel for matmul_nt over a B panel packed in kPackWidth-
-  /// interleaved groups (packed[group*4*k + l*4 + t] = B[group*4+t][l]):
-  /// crow[jb*4+t] = (float) sum_l (double)(arow[l] * packed[l*4+t]), the
-  /// float product and l-ascending double accumulation of the scalar code.
-  void (*gemm_nt_packed)(const float* arow, const float* packed,
-                         std::int64_t k, std::int64_t jblocks, float* crow);
-  /// Plain NT dot for tail columns. Running double sum — order-sensitive,
-  /// so every target points at the scalar reference (see header comment).
-  float (*dot_nt)(const float* a, const float* b, std::int64_t n);
+  /// C = A·Bᵀ for `rows` rows of A (row stride k) against B[n, k] packed
+  /// in ceil(n / kPackWidth) column groups of width W = kPackWidth
+  /// (packed[g*W*k + l*W + t] = B[g*W + t][l]):
+  /// c[i*n + j] = (float) sum_l (double)(a[i*k + l] * B[j][l]), the float
+  /// product and l-ascending double accumulation of the scalar code. Only
+  /// columns j < n are stored; targets tile kTileRows rows at a time.
+  void (*gemm_nt)(const float* a, std::int64_t rows, const float* packed,
+                  std::int64_t k, std::int64_t n, float* c);
 
   // --- conv / copy family ------------------------------------------------
   void (*copy)(float* dst, const float* src, std::int64_t n);
@@ -133,9 +136,8 @@ namespace detail {
 void axpy(float* dst, const float* src, float a, std::int64_t n);
 void axpy2(float* dst, const float* s0, float a0, const float* s1, float a1,
            std::int64_t n);
-void gemm_nt_packed(const float* arow, const float* packed, std::int64_t k,
-                    std::int64_t jblocks, float* crow);
-float dot_nt(const float* a, const float* b, std::int64_t n);
+void gemm_nt(const float* a, std::int64_t rows, const float* packed,
+             std::int64_t k, std::int64_t n, float* c);
 void copy(float* dst, const float* src, std::int64_t n);
 void fill(float* dst, float value, std::int64_t n);
 void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,

@@ -17,8 +17,7 @@ const Kernels kAvx2Kernels = {
     "avx2",
     &impl::axpy<B>,
     &impl::axpy2<B>,
-    &impl::gemm_nt_packed<B>,
-    &detail::dot_nt,  // order-sensitive double reduction stays scalar
+    &impl::gemm_nt<B>,
     &impl::copy<B>,
     &impl::fill<B>,
     &impl::regen_u32<B>,

@@ -6,7 +6,9 @@
 // then a tail delegated to the scalar reference in simd::detail — so the
 // tail is bitwise-correct by construction and the vector loop only has to
 // match the scalar code on full vectors (the per-lane operation sequences
-// documented in vec.hpp take care of that).
+// documented in vec.hpp take care of that). gemm_nt is the exception: its
+// row tail is a shorter register tile and its column tail a zero-padded
+// pack group whose padded lanes are never stored, so it has no scalar tail.
 #pragma once
 
 #include <cstdint>
@@ -322,12 +324,71 @@ MaskDelta remask(const float* s, std::int64_t n, float threshold,
   return delta;
 }
 
+/// One R-row x G-group register tile of gemm_nt: R*G*kPackWidth outputs in
+/// R*G*kPackWidth/kF64 independent double vectors. Each lane is one output's
+/// own chain — float product widened to double, l ascending — so the tile
+/// sets how many chains are in flight, never an output's sequence. Stores
+/// the first `cols` columns of each row; the rest are padded lanes.
+template <class B, int R, int G>
+inline void gemm_nt_tile(const float* a, const float* packed, std::int64_t k,
+                         float* c, std::int64_t n, std::int64_t cols) {
+  static_assert(kPackWidth % B::kF64 == 0, "a vector never spans groups");
+  constexpr int kV = G * static_cast<int>(kPackWidth) / B::kF64;
+  // Fully unrolled loops make every acc index a constant, which is what
+  // keeps the whole tile in registers.
+  typename B::VD acc[R][kV] = {};
+  for (std::int64_t l = 0; l < k; ++l) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+      for (int v = 0; v < kV; ++v) {
+        // Vector v holds tile columns [v*kF64, (v+1)*kF64), inside one
+        // group.
+        const std::int64_t col = v * B::kF64;
+        const float* q = packed + col / kPackWidth * kPackWidth * k +
+                         l * kPackWidth + col % kPackWidth;
+        acc[r][v] = B::dadd(acc[r][v], B::wmul(a[r * k + l], q));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    float tmp[G * kPackWidth];
+    float* out = cols == G * kPackWidth ? c + r * n : tmp;
+#pragma GCC unroll 16
+    for (int v = 0; v < kV; ++v) B::dstore_f32(out + v * B::kF64, acc[r][v]);
+    for (std::int64_t j = 0; out == tmp && j < cols; ++j) c[r * n + j] = tmp[j];
+  }
+}
+
+/// R rows of gemm_nt: G-group tiles across the columns, then one-group
+/// tiles for the rest, the last of them ragged. G = 2 when one vector holds
+/// a whole group (AVX-512: 8 accumulators at R = 4), else 1.
+template <class B, int R>
+void gemm_nt_rows(const float* a, const float* packed, std::int64_t k,
+                  std::int64_t n, float* c) {
+  constexpr int G = B::kF64 == kPackWidth ? 2 : 1;
+  std::int64_t j = 0;
+  for (; j + G * kPackWidth <= n; j += G * kPackWidth) {
+    gemm_nt_tile<B, R, G>(a, packed + j * k, k, c + j, n, G * kPackWidth);
+  }
+  for (; j < n; j += kPackWidth) {
+    const std::int64_t cols = n - j < kPackWidth ? n - j : kPackWidth;
+    gemm_nt_tile<B, R, 1>(a, packed + j * k, k, c + j, n, cols);
+  }
+}
+
 template <class B>
-void gemm_nt_packed(const float* arow, const float* packed, std::int64_t k,
-                    std::int64_t jblocks, float* crow) {
-  for (std::int64_t jb = 0; jb < jblocks; ++jb) {
-    B::gemm_nt_group(arow, packed + jb * kPackWidth * k, k,
-                     crow + jb * kPackWidth);
+void gemm_nt(const float* a, std::int64_t rows, const float* packed,
+             std::int64_t k, std::int64_t n, float* c) {
+  static_assert(kTileRows == 4, "one gemm_nt_rows instance per tile height");
+  using Rows = void (*)(const float*, const float*, std::int64_t,
+                        std::int64_t, float*);
+  constexpr Rows kRows[] = {nullptr, &gemm_nt_rows<B, 1>, &gemm_nt_rows<B, 2>,
+                            &gemm_nt_rows<B, 3>, &gemm_nt_rows<B, 4>};
+  for (std::int64_t i = 0; i < rows; i += kTileRows) {
+    const std::int64_t r = rows - i < kTileRows ? rows - i : kTileRows;
+    kRows[r](a + i * k, packed, k, n, c + i * n);
   }
 }
 

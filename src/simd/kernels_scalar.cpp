@@ -30,32 +30,25 @@ void axpy2(float* dst, const float* s0, float a0, const float* s1, float a1,
   }
 }
 
-void gemm_nt_packed(const float* arow, const float* packed, std::int64_t k,
-                    std::int64_t jblocks, float* crow) {
-  for (std::int64_t jb = 0; jb < jblocks; ++jb) {
-    const float* group = packed + jb * kPackWidth * k;
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (std::int64_t l = 0; l < k; ++l) {
-      const float av = arow[l];
-      const float* q = group + l * kPackWidth;
-      // Float product, double accumulation — matmul_nt's exact sequence.
-      acc0 += av * q[0];
-      acc1 += av * q[1];
-      acc2 += av * q[2];
-      acc3 += av * q[3];
+void gemm_nt(const float* a, std::int64_t rows, const float* packed,
+             std::int64_t k, std::int64_t n, float* c) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * k;
+    for (std::int64_t j0 = 0; j0 < n; j0 += kPackWidth) {
+      const float* group = packed + j0 * k;
+      double acc[kPackWidth] = {};
+      for (std::int64_t l = 0; l < k; ++l) {
+        // Float product, double accumulation — matmul_nt's exact sequence.
+#pragma GCC unroll 8
+        for (std::int64_t t = 0; t < kPackWidth; ++t) {
+          acc[t] += arow[l] * group[l * kPackWidth + t];
+        }
+      }
+      for (std::int64_t t = 0; t < kPackWidth && j0 + t < n; ++t) {
+        c[i * n + j0 + t] = static_cast<float>(acc[t]);
+      }
     }
-    float* c = crow + jb * kPackWidth;
-    c[0] = static_cast<float>(acc0);
-    c[1] = static_cast<float>(acc1);
-    c[2] = static_cast<float>(acc2);
-    c[3] = static_cast<float>(acc3);
   }
-}
-
-float dot_nt(const float* a, const float* b, std::int64_t n) {
-  double acc = 0.0;
-  for (std::int64_t l = 0; l < n; ++l) acc += a[l] * b[l];
-  return static_cast<float>(acc);
 }
 
 void copy(float* dst, const float* src, std::int64_t n) {
@@ -188,8 +181,7 @@ const Kernels kScalarKernels = {
     "scalar",
     &detail::axpy,
     &detail::axpy2,
-    &detail::gemm_nt_packed,
-    &detail::dot_nt,
+    &detail::gemm_nt,
     &detail::copy,
     &detail::fill,
     &detail::regen_u32,

@@ -1,10 +1,11 @@
 // Fixed-width vector traits — the per-ISA layer under the kernel templates.
 //
 // Each struct below exposes the same tiny vocabulary (float lanes, u64
-// lanes, masked select, 64-bit xorshift arithmetic, and a 4-wide NT-GEMM
-// group microkernel) over one instruction set. simd/kernels_impl.hpp
-// instantiates the kernel bodies once per trait; a backend TU is just
-// `using B = vec::Avx2;` plus a table of those instantiations.
+// lanes, masked select, 64-bit xorshift arithmetic, and double lanes fed by
+// widened float products for the NT-GEMM tile) over one instruction set.
+// simd/kernels_impl.hpp instantiates the kernel bodies once per trait; a
+// backend TU is just `using B = vec::Avx2;` plus a table of those
+// instantiations.
 //
 // Bitwise rules baked into this file:
 //   * every float op is an explicit intrinsic — together with
@@ -17,6 +18,9 @@
 //   * `umul` is a full 64-bit low multiply: emulated from 32x32->64
 //     halves on SSE4/AVX2, native on AVX-512DQ (_mm512_mullo_epi64) and
 //     NEON (vmull/vmlal_u32 decomposition);
+//   * `wmul` multiplies in float and only then widens to double, and
+//     `dstore_f32` rounds each double lane once to float — the scalar
+//     `acc += a[l] * b[l]` (float product, double sum) lane by lane;
 //   * `low32_pair`/`store_u32`/`f32_from_sums` interleave two u64-lane
 //     registers back into index order (values 0..k-1 from `a`, k..2k-1
 //     from `b`), which is what makes the 64-bit-laned regen pipeline
@@ -127,23 +131,20 @@ struct Sse4 {
     return _mm_cvtepi32_ps(low32_pair(a, b));
   }
 
-  // --- NT-GEMM group microkernel ------------------------------------------
-  /// out[t] = (float) sum_l (double)(arow[l] * group[l*4+t]), t = 0..3.
-  /// Float products (mulps), widened per element to double, l-ascending.
-  static void gemm_nt_group(const float* arow, const float* group,
-                            std::int64_t k, float* out) {
-    __m128d acc_lo = _mm_setzero_pd();
-    __m128d acc_hi = _mm_setzero_pd();
-    for (std::int64_t l = 0; l < k; ++l) {
-      const __m128 prod =
-          _mm_mul_ps(_mm_set1_ps(arow[l]), _mm_loadu_ps(group + l * 4));
-      acc_lo = _mm_add_pd(acc_lo, _mm_cvtps_pd(prod));
-      acc_hi = _mm_add_pd(
-          acc_hi, _mm_cvtps_pd(_mm_movehl_ps(prod, prod)));
-    }
-    const __m128 lo = _mm_cvtpd_ps(acc_lo);
-    const __m128 hi = _mm_cvtpd_ps(acc_hi);
-    _mm_storeu_ps(out, _mm_movelh_ps(lo, hi));
+  // --- double lanes (NT-GEMM accumulation) --------------------------------
+  static constexpr int kF64 = 2;  ///< double lanes per VD
+  using VD = __m128d;
+  /// (double)(a * p[t]) for t < kF64: float product (mulps), exact widening.
+  static VD wmul(float a, const float* p) {
+    const __m128 b = _mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+    return _mm_cvtps_pd(_mm_mul_ps(_mm_set1_ps(a), b));
+  }
+  static VD dadd(VD a, VD b) { return _mm_add_pd(a, b); }
+  /// Rounds the kF64 lanes to float and stores them at p.
+  static void dstore_f32(float* p, VD v) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm_castps_si128(_mm_cvtpd_ps(v)));
   }
 };
 
@@ -237,15 +238,14 @@ struct Avx2 {
     return _mm256_cvtepi32_ps(low32_pair(a, b));
   }
 
-  static void gemm_nt_group(const float* arow, const float* group,
-                            std::int64_t k, float* out) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::int64_t l = 0; l < k; ++l) {
-      const __m128 prod =
-          _mm_mul_ps(_mm_set1_ps(arow[l]), _mm_loadu_ps(group + l * 4));
-      acc = _mm256_add_pd(acc, _mm256_cvtps_pd(prod));
-    }
-    _mm_storeu_ps(out, _mm256_cvtpd_ps(acc));
+  static constexpr int kF64 = 4;
+  using VD = __m256d;
+  static VD wmul(float a, const float* p) {
+    return _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(a), _mm_loadu_ps(p)));
+  }
+  static VD dadd(VD a, VD b) { return _mm256_add_pd(a, b); }
+  static void dstore_f32(float* p, VD v) {
+    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
   }
 };
 
@@ -327,18 +327,16 @@ struct Avx512 {
     return _mm512_cvtepi32_ps(low32_pair(a, b));
   }
 
-  static void gemm_nt_group(const float* arow, const float* group,
-                            std::int64_t k, float* out) {
-    // 4-wide groups reuse the 128/256-bit path: the pack layout is shared
-    // across targets (kPackWidth), so AVX-512's win here is the wider
-    // axpy/regen lanes, not a wider microkernel.
-    __m256d acc = _mm256_setzero_pd();
-    for (std::int64_t l = 0; l < k; ++l) {
-      const __m128 prod =
-          _mm_mul_ps(_mm_set1_ps(arow[l]), _mm_loadu_ps(group + l * 4));
-      acc = _mm256_add_pd(acc, _mm256_cvtps_pd(prod));
-    }
-    _mm_storeu_ps(out, _mm256_cvtpd_ps(acc));
+  /// One VD holds a whole kPackWidth group: 8 floats -> 8 doubles.
+  static constexpr int kF64 = 8;
+  using VD = __m512d;
+  static VD wmul(float a, const float* p) {
+    return _mm512_cvtps_pd(
+        _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(p)));
+  }
+  static VD dadd(VD a, VD b) { return _mm512_add_pd(a, b); }
+  static void dstore_f32(float* p, VD v) {
+    _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
   }
 };
 
@@ -423,17 +421,13 @@ struct Neon {
     return vcvtq_f32_u32(low32_pair(a, b));
   }
 
-  static void gemm_nt_group(const float* arow, const float* group,
-                            std::int64_t k, float* out) {
-    float64x2_t acc_lo = vdupq_n_f64(0.0);
-    float64x2_t acc_hi = vdupq_n_f64(0.0);
-    for (std::int64_t l = 0; l < k; ++l) {
-      const float32x4_t prod = vmulq_n_f32(vld1q_f32(group + l * 4), arow[l]);
-      acc_lo = vaddq_f64(acc_lo, vcvt_f64_f32(vget_low_f32(prod)));
-      acc_hi = vaddq_f64(acc_hi, vcvt_f64_f32(vget_high_f32(prod)));
-    }
-    vst1q_f32(out, vcombine_f32(vcvt_f32_f64(acc_lo), vcvt_f32_f64(acc_hi)));
+  static constexpr int kF64 = 2;
+  using VD = float64x2_t;
+  static VD wmul(float a, const float* p) {
+    return vcvt_f64_f32(vmul_n_f32(vld1_f32(p), a));
   }
+  static VD dadd(VD a, VD b) { return vaddq_f64(a, b); }
+  static void dstore_f32(float* p, VD v) { vst1_f32(p, vcvt_f32_f64(v)); }
 };
 
 #endif  // __ARM_NEON && __aarch64__

@@ -158,57 +158,37 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   float* pc = c.data();
   // C[i][j] = dot(A row i, B row j): both rows contiguous. Per element the
   // math is a float product accumulated into a double, l ascending — the
-  // packed path below preserves exactly that sequence per output.
-  const simd::Kernels& kernels = simd::kernels();
-  const std::int64_t jblocks = n / simd::kPackWidth;
-  if (jblocks > 0 && m >= 4) {
-    // Pack B once into kPackWidth-interleaved column groups
-    // (packed[jb*4*k + l*4 + t] = B[jb*4+t][l]) so the microkernel streams
-    // one contiguous panel per C-row group. Packing is a pure copy —
-    // shard-order invisible.
-    std::vector<float> packed(
-        static_cast<std::size_t>(jblocks * simd::kPackWidth * k));
-    float* pp = packed.data();
-    util::parallel_for(
-        row_grain(simd::kPackWidth * k), jblocks,
-        [=](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t jb = b0; jb < b1; ++jb) {
-            float* group = pp + jb * simd::kPackWidth * k;
-            const float* rows[simd::kPackWidth];
-            for (std::int64_t t = 0; t < simd::kPackWidth; ++t) {
-              rows[t] = pb + (jb * simd::kPackWidth + t) * k;
-            }
-            for (std::int64_t l = 0; l < k; ++l) {
-              for (std::int64_t t = 0; t < simd::kPackWidth; ++t) {
-                group[l * simd::kPackWidth + t] = rows[t][l];
-              }
-            }
-          }
-        });
-    util::parallel_for(
-        row_grain(k * n), m,
-        [=, &kernels](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const float* arow = pa + i * k;
-            float* crow = pc + i * n;
-            kernels.gemm_nt_packed(arow, pp, k, jblocks, crow);
-            for (std::int64_t j = jblocks * simd::kPackWidth; j < n; ++j) {
-              crow[j] = kernels.dot_nt(arow, pb + j * k, k);
-            }
-          }
-        });
-    return c;
-  }
-  util::parallel_for(row_grain(k * n), m, [=, &kernels](std::int64_t i0,
-                                                        std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] = kernels.dot_nt(arow, pb + j * k, k);
+  // tile microkernel preserves exactly that sequence per output.
+  //
+  // Pack B once into kPackWidth-column groups (packed[g*W*k + l*W + t] =
+  // B[g*W+t][l]), the last group zero-padded, so the microkernel streams one
+  // contiguous panel per column tile. Packing is a pure copy — shard-order
+  // invisible.
+  constexpr std::int64_t W = simd::kPackWidth;
+  const std::int64_t groups = (n + W - 1) / W;
+  std::vector<float> packed(static_cast<std::size_t>(groups * W * k));
+  float* pp = packed.data();
+  util::parallel_for(row_grain(W * k), groups, [=](std::int64_t g0,
+                                                   std::int64_t g1) {
+    for (std::int64_t g = g0; g < g1; ++g) {
+      float* group = pp + g * W * k;
+      const std::int64_t width = std::min(W, n - g * W);
+      for (std::int64_t t = 0; t < width; ++t) {
+        const float* brow = pb + (g * W + t) * k;
+        for (std::int64_t l = 0; l < k; ++l) group[l * W + t] = brow[l];
       }
     }
   });
+  // Shards own whole kTileRows-row tiles of C.
+  constexpr std::int64_t R = simd::kTileRows;
+  const simd::Kernels& kernels = simd::kernels();
+  util::parallel_for(row_grain(R * k * n), (m + R - 1) / R,
+                     [=, &kernels](std::int64_t t0, std::int64_t t1) {
+                       const std::int64_t i0 = t0 * R;
+                       const std::int64_t i1 = std::min(t1 * R, m);
+                       kernels.gemm_nt(pa + i0 * k, i1 - i0, pp, k, n,
+                                       pc + i0 * n);
+                     });
   return c;
 }
 

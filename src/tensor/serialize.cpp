@@ -1,7 +1,9 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
@@ -11,6 +13,8 @@ namespace dropback::tensor {
 
 namespace {
 constexpr char kMagic[4] = {'D', 'B', 'T', '1'};
+/// Largest payload piece read (and allocated) ahead of the bytes seen so far.
+constexpr std::size_t kChunkFloats = std::size_t{1} << 18;  // 1 MiB
 
 template <typename T>
 void write_pod(std::ostream& out, const T& v) {
@@ -51,15 +55,27 @@ Tensor load_tensor(std::istream& in) {
     throw util::IoError("load_tensor: invalid shape " + shape_str(shape) +
                         " (negative dimension or element count overflow)");
   }
-  Tensor t(shape);
-  in.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  if (!in) {
-    throw util::IoError("load_tensor: truncated payload (need " +
-                        std::to_string(t.numel() * sizeof(float)) +
-                        " bytes, have " + std::to_string(in.gcount()) + ")");
+  // The payload is read in bounded chunks, so memory grows only with bytes
+  // the stream really holds: a header that claims more fails as truncated
+  // instead of allocating the claimed size up front.
+  const auto total = static_cast<std::size_t>(numel);
+  std::vector<float> values;
+  while (values.size() < total) {
+    const std::size_t have = values.size();
+    const std::size_t chunk = std::min(total - have, kChunkFloats);
+    values.resize(have + chunk);
+    in.read(reinterpret_cast<char*>(values.data() + have),
+            static_cast<std::streamsize>(chunk * sizeof(float)));
+    if (!in) {
+      throw util::IoError(
+          "load_tensor: truncated payload (need " +
+          std::to_string(total * sizeof(float)) + " bytes, have " +
+          std::to_string(have * sizeof(float) +
+                         static_cast<std::size_t>(in.gcount())) +
+          ")");
+    }
   }
-  return t;
+  return Tensor::from_vector(std::move(shape), values);
 }
 
 void save_tensor_file(const std::string& path, const Tensor& t) {

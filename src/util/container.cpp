@@ -98,7 +98,9 @@ ContainerReader ContainerReader::read_from(std::istream& in,
 
   ContainerReader reader;
   std::int64_t offset = ContainerWriter::header_bytes();
-  reader.sections_.reserve(count);
+  // The count is checksummed but still file-controlled: reserve a bounded
+  // head start, and let the sections that really follow grow the vector.
+  reader.sections_.reserve(std::min<std::uint32_t>(count, 256));
   for (std::uint32_t s = 0; s < count; ++s) {
     Section section;
     const auto name_len = read_pod<std::uint16_t>(in, "section name length");

@@ -139,8 +139,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Edge shapes for the SIMD kernels (docs/SIMD.md): sizes below one vector
 // lane for every backend width (n in 1..3 < SSE4's 4, n in 5..7 < AVX2's 8,
 // n in 9..15 < AVX-512's 16), ragged tails just past each width, and odd
-// everything. The packed matmul_nt microkernel additionally sees n % 4
-// remainder columns handled by the scalar dot tail.
+// everything. The matmul_nt tile microkernel additionally sees m % 4
+// remainder rows (a short row tile) and n % 8 remainder columns (a
+// zero-padded last pack group whose padded lanes are never stored).
 INSTANTIATE_TEST_SUITE_P(
     SimdEdgeShapes, MatmulSweep,
     ::testing::Values(std::make_tuple(1, 1, 2), std::make_tuple(1, 1, 3),
@@ -167,7 +168,7 @@ TEST(Matmul, ZeroSizeOperands) {
 
 /// The exact per-output semantic of matmul_nt: float product (rounded to
 /// float) accumulated into a double, l ascending, one final rounding to
-/// float. The packed 4-wide microkernel must reproduce this bit for bit —
+/// float. The register-tiled microkernel must reproduce this bit for bit —
 /// EXPECT_EQ on floats, not EXPECT_NEAR.
 float exact_nt_dot(const Tensor& a, const Tensor& b, std::int64_t i,
                    std::int64_t j) {
@@ -180,15 +181,20 @@ float exact_nt_dot(const Tensor& a, const Tensor& b, std::int64_t i,
 }
 
 TEST(MatmulNt, PackedMicrokernelIsBitwiseExact) {
-  // m >= 4 and n >= 4 engages the packed-panel path; n = 4q + r leaves r
-  // columns on the scalar dot tail. Both halves must match the reference
-  // semantic exactly on the active dispatch target.
+  // Every shape runs on the packed tile path: full and short row tiles
+  // (m % 4), full and zero-padded column groups (n % 8), and m < 4 (3x5x9).
+  // fc1 (32x784x100) and a VGG-S-like conv shape (257x27x8) are the hot
+  // forward shapes. All must match the reference semantic exactly on the
+  // active dispatch target.
   for (const auto& [m, k, n] :
        std::vector<std::array<std::int64_t, 3>>{{4, 4, 4},
                                                 {5, 3, 6},
                                                 {7, 17, 9},
                                                 {4, 1, 5},
-                                                {9, 33, 13}}) {
+                                                {9, 33, 13},
+                                                {32, 784, 100},
+                                                {257, 27, 8},
+                                                {3, 5, 9}}) {
     const Tensor a = rand_tensor({m, k}, 100 + k);
     const Tensor b = rand_tensor({n, k}, 200 + n);
     const Tensor c = matmul_nt(a, b);

@@ -71,10 +71,13 @@ T::Tensor random_tensor(const T::Shape& shape, std::uint64_t seed) {
 
 TEST_F(ParallelEquivalenceTest, MatmulAllShapes) {
   // Odd shapes including m=1 / n=1 degenerate panels, plus sizes that
-  // exercise the ikj kernel, the blocked kernel, and the parallel gate.
+  // exercise the ikj kernel, the blocked kernel, and the parallel gate. The
+  // last row has m % 4 != 0 with enough work to shard: matmul_nt shards by
+  // 4-row tiles, so a 2- or 7-way split by rows would land inside a tile.
   const std::vector<std::array<std::int64_t, 3>> shapes = {
       {1, 1, 1},    {1, 5, 3},     {7, 5, 1},      {17, 13, 29},
       {64, 64, 64}, {129, 65, 33}, {96, 700, 512}, {3, 1024, 300},
+      {7, 300, 50}, {30, 200, 90}, {103, 37, 45},
   };
   for (const auto& [m, k, n] : shapes) {
     const T::Tensor a = random_tensor({m, k}, 11 * static_cast<unsigned>(m));

@@ -132,15 +132,18 @@ TEST(QuantizedStore, LoadRejectsTruncationAtEveryByte) {
   }
 }
 
-/// One hand-written DBQS record with the given shape and no entries.
-std::string single_record_bytes(const T::Shape& shape) {
+/// One hand-written DBQS record with the given shape whose header claims
+/// `n_entries` entries (none follow) in a file claiming `records` records.
+std::string single_record_bytes(const T::Shape& shape,
+                                std::uint64_t n_entries = 0,
+                                std::uint32_t records = 1) {
   std::ostringstream out(std::ios::binary);
   const auto put = [&out](const auto& v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   out.write("DBQS", 4);
   put(std::uint8_t{8});   // bits
-  put(std::uint32_t{1});  // record count
+  put(records);           // record count
   put(std::uint16_t{1});
   out.write("w", 1);
   put(static_cast<std::uint8_t>(shape.size()));
@@ -149,7 +152,7 @@ std::string single_record_bytes(const T::Shape& shape) {
   put(0.5F);              // init scale
   put(std::uint64_t{7});  // init seed
   put(1.0F);              // quant scale
-  put(std::uint64_t{0});  // entry count
+  put(n_entries);         // entry count
   return out.str();
 }
 
@@ -162,6 +165,20 @@ TEST(QuantizedStore, LoadRejectsInvalidShapesWithTypedError) {
     EXPECT_THROW(QuantizedSparseStore::load(in), util::IoError)
         << T::shape_str(shape);
   }
+}
+
+TEST(QuantizedStore, LyingHeaderCountsFailAsTruncationNotAllocation) {
+  // A shape of 2^34 elements passes checked_numel, so the header may claim
+  // 2^34 entries, and the record count may claim 2^32 - 1 records; the
+  // stream holds none of them. Loading must fail with the typed error after
+  // allocating about what the stream holds, not bad_alloc or OOM.
+  const T::Shape huge{std::int64_t{1} << 20, std::int64_t{1} << 14};
+  std::istringstream entries(single_record_bytes(huge, std::uint64_t{1} << 34),
+                             std::ios::binary);
+  EXPECT_THROW(QuantizedSparseStore::load(entries), util::IoError);
+  std::istringstream records(single_record_bytes({3, 4}, 0, UINT32_MAX),
+                             std::ios::binary);
+  EXPECT_THROW(QuantizedSparseStore::load(records), util::IoError);
 }
 
 TEST(QuantizedStore, RejectsBadBitWidths) {

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -164,28 +165,66 @@ TEST_P(SimdConformanceTest, AxpyFamilyBitwiseEqual) {
   }
 }
 
+/// Packs B[n, k] (row-major) into gemm_nt's kPackWidth-column groups,
+/// filling the padded lanes of the last group with `pad`.
+std::vector<float> pack_nt(const std::vector<float>& b, std::int64_t n,
+                           std::int64_t kdim, float pad) {
+  constexpr std::int64_t W = simd::kPackWidth;
+  const std::int64_t groups = (n + W - 1) / W;
+  std::vector<float> packed(static_cast<std::size_t>(groups * W * kdim), pad);
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t l = 0; l < kdim; ++l) {
+      packed[static_cast<std::size_t>(j / W * W * kdim + l * W + j % W)] =
+          b[static_cast<std::size_t>(j * kdim + l)];
+    }
+  }
+  return packed;
+}
+
 TEST_P(SimdConformanceTest, GemmMicrokernelBitwiseEqual) {
-  for (std::int64_t kdim : {1LL, 2LL, 7LL, 8LL, 33LL, 128LL}) {
-    for (std::int64_t jblocks : {0LL, 1LL, 3LL, 16LL}) {
-      const auto arow = random_floats(static_cast<std::size_t>(kdim), 21);
-      const auto packed = random_floats(
-          static_cast<std::size_t>(jblocks * simd::kPackWidth * kdim), 22);
-      std::vector<float> got(
-          static_cast<std::size_t>(jblocks * simd::kPackWidth), 0.0F);
-      auto want = got;
-      k().gemm_nt_packed(arow.data(), packed.data(), kdim, jblocks,
-                         got.data());
-      ref().gemm_nt_packed(arow.data(), packed.data(), kdim, jblocks,
-                           want.data());
-      EXPECT_TRUE(bitwise_equal(got, want,
-                                "gemm_nt_packed k=" + std::to_string(kdim) +
-                                    " jb=" + std::to_string(jblocks)));
-      if (kdim > 0) {
-        const auto brow = random_floats(static_cast<std::size_t>(kdim), 23);
-        const float a = k().dot_nt(arow.data(), brow.data(), kdim);
-        const float b = ref().dot_nt(arow.data(), brow.data(), kdim);
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
-            << "dot_nt k=" << kdim;
+  // Rows 1..kTileRows+1 hit every tile height plus a full tile with a
+  // remainder; 33 is many tiles. Columns are sub-group, exact and ragged for
+  // both tile widths (8 and 16). The padded lanes of the last group hold NaN
+  // and a sentinel trails C, so a padded lane that reached memory shows.
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float zero = 0.0F;
+  // The NaN this host's arithmetic generates (inf * 0). Injecting that one
+  // keeps every NaN identical, so no payload depends on which NaN operand
+  // an add happens to propagate.
+  const float nan = inf * zero;
+  constexpr float kSentinel = -7.25F;
+  const std::int64_t kRows[] = {1, 2, 3, 4, 5, 33};
+  const std::int64_t kCols[] = {1, 3, 4, 7, 8, 9, 15, 16, 17, 100};
+  const std::int64_t kDepths[] = {0, 1, 2, 7, 33, 784};
+  static_assert(simd::kTileRows + 1 == 5, "row sweep covers 1..kTileRows+1");
+  for (const std::int64_t rows : kRows) {
+    for (const std::int64_t cols : kCols) {
+      for (const std::int64_t kdim : kDepths) {
+        for (const bool special : {false, true}) {
+          auto a = random_floats(static_cast<std::size_t>(rows * kdim), 21);
+          auto b = random_floats(static_cast<std::size_t>(cols * kdim), 22);
+          if (special && kdim > 0) {
+            // +inf in row 0, NaN in the last row, -inf in column 0 and
+            // NaN in the last column of B.
+            a.front() = inf;
+            a.back() = nan;
+            b[static_cast<std::size_t>(kdim / 2)] = -inf;
+            b.back() = nan;
+          }
+          const auto packed = pack_nt(b, cols, kdim, nan);
+          std::vector<float> got(static_cast<std::size_t>(rows * cols + 1),
+                                 kSentinel);
+          auto want = got;
+          k().gemm_nt(a.data(), rows, packed.data(), kdim, cols, got.data());
+          ref().gemm_nt(a.data(), rows, packed.data(), kdim, cols,
+                        want.data());
+          EXPECT_TRUE(bitwise_equal(
+              got, want,
+              "gemm_nt rows=" + std::to_string(rows) +
+                  " cols=" + std::to_string(cols) +
+                  " k=" + std::to_string(kdim) +
+                  (special ? " inf/nan" : "")));
+        }
       }
     }
   }

@@ -304,6 +304,32 @@ TEST(SparseWeightStore, ShapeWhoseElementCountOverflowsIsRejected) {
   EXPECT_THROW(SparseWeightStore::load(crafted), util::IoError);
 }
 
+TEST(SparseWeightStore, LyingEntryCountFailsAsTruncationNotAllocation) {
+  // A record of shape {2^20, 2^14} (2^34 elements, a valid element count)
+  // whose header claims 2^34 entries, with valid CRCs and no entry bytes.
+  // Loading must fail with the typed error after allocating about what the
+  // section holds, not bad_alloc or OOM.
+  util::ContainerWriter writer("DBSW");
+  std::ostream& out = writer.add_section("w");
+  const auto put = [&out](const auto& v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint16_t{1});
+  out.write("w", 1);
+  put(std::uint8_t{2});                // ndim
+  put(std::int64_t{1} << 20);
+  put(std::int64_t{1} << 14);
+  put(std::uint8_t{0});                // init kind
+  put(0.5F);                           // init scale
+  put(std::uint64_t{7});               // init seed
+  put(std::uint64_t{1} << 34);         // entry count
+  put(std::uint32_t{0});               // one entry (index 0) ...
+  put(1.0F);                           // ... then the section ends
+  std::stringstream crafted;
+  writer.write_to(crafted);
+  EXPECT_THROW(SparseWeightStore::load(crafted), util::IoError);
+}
+
 TEST(SparseWeightStore, SaveFileIsAtomicOnDiskFailure) {
   auto net = tiny_net();
   auto opt = trained_optimizer(*net, 8);

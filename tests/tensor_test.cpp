@@ -203,6 +203,21 @@ TEST(Serialize, RejectsShapeWhoseElementCountOverflows) {
   EXPECT_THROW(load_tensor(ss), util::IoError);
 }
 
+TEST(Serialize, LyingShapeFailsAsTruncationNotAllocation) {
+  // {2^20, 2^14} passes checked_numel (2^34 elements, 64 GiB of payload)
+  // but the stream holds 16 bytes. Loading must fail with the typed error
+  // after allocating about what the stream holds, not bad_alloc or OOM.
+  std::stringstream ss;
+  ss.write("DBT1", 4);
+  const std::uint32_t ndim = 2;
+  ss.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
+  const std::int64_t dims[2] = {std::int64_t{1} << 20, std::int64_t{1} << 14};
+  ss.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  const float payload[4] = {1.0F, 2.0F, 3.0F, 4.0F};
+  ss.write(reinterpret_cast<const char*>(payload), sizeof(payload));
+  EXPECT_THROW(load_tensor(ss), util::IoError);
+}
+
 TEST(Serialize, FileRoundTrip) {
   Tensor t = Tensor::from_vector({3}, {1.5F, -2.5F, 0.0F});
   const std::string path = ::testing::TempDir() + "/tensor_roundtrip.bin";

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "obs/profiler.hpp"
 #include "simd/dispatch.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
-#include "util/io_error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dropback::core {
@@ -191,116 +188,91 @@ double DropBackOptimizer::compression_ratio() const {
 }
 
 namespace {
-constexpr char kStateMagic[4] = {'D', 'B', 'O', 'S'};
+constexpr std::string_view kStateMagic = "DBOS";
 // Schedule-state extension appended after the masks for non-constant
 // schedules; absent for ConstantSchedule so those bytes stay identical to
 // the pre-schedule DBOS format.
-constexpr char kScheduleMagic[4] = {'S', 'C', 'H', 'D'};
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError("DropBackOptimizer state: truncated");
-  return v;
-}
+constexpr std::string_view kScheduleMagic = "SCHD";
 }  // namespace
 
 void DropBackOptimizer::save_state(std::ostream& out) const {
-  out.write(kStateMagic, sizeof(kStateMagic));
-  write_pod<std::int64_t>(out, config_.schedule->base_budget());
-  write_pod<std::int64_t>(out, index_.total());
-  write_pod<std::int64_t>(out, steps_);
-  write_pod<std::uint8_t>(out, frozen_ ? 1 : 0);
-  write_pod<std::uint8_t>(out, tracked_.all_tracked() ? 1 : 0);
+  util::ByteWriter w(out, "DropBackOptimizer state");
+  w.raw(kStateMagic);
+  w.pod<std::int64_t>(config_.schedule->base_budget());
+  w.pod<std::int64_t>(index_.total());
+  w.pod<std::int64_t>(steps_);
+  w.pod<std::uint8_t>(frozen_ ? 1 : 0);
+  w.pod<std::uint8_t>(tracked_.all_tracked() ? 1 : 0);
+  std::vector<std::uint8_t> packed;
   for (std::size_t p = 0; p < index_.num_params(); ++p) {
-    // Bit-pack each mask: 1 bit per weight instead of 1 byte.
+    // Bit-pack each mask: 1 bit per weight instead of 1 byte, each
+    // parameter starting on a fresh byte.
     const std::uint8_t* mask = tracked_.mask_of(p);
-    const std::int64_t n = index_.param(p).numel();
-    std::uint8_t byte = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (mask[static_cast<std::size_t>(i)]) {
-        byte |= static_cast<std::uint8_t>(1U << (i % 8));
-      }
-      if (i % 8 == 7 || i == n - 1) {
-        write_pod<std::uint8_t>(out, byte);
-        byte = 0;
-      }
+    const auto n = static_cast<std::size_t>(index_.param(p).numel());
+    packed.assign((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask[i]) packed[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
     }
+    w.raw(packed.data(), packed.size());
   }
   if (!config_.schedule->is_constant()) {
     // Dynamic schedules stamp their canonical spec so a kill/resume
     // mid-shrink or mid-re-dense can only continue under the same schedule.
-    const std::string spec = config_.schedule->spec();
-    out.write(kScheduleMagic, sizeof(kScheduleMagic));
-    write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(spec.size()));
-    out.write(spec.data(), static_cast<std::streamsize>(spec.size()));
+    w.raw(kScheduleMagic);
+    w.str<std::uint32_t>(config_.schedule->spec());
   }
-  if (!out) throw util::IoError("DropBackOptimizer state: write failed");
+  w.finish();
 }
 
 void DropBackOptimizer::load_state(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kStateMagic, sizeof(kStateMagic)) != 0) {
-    throw util::IoError("DropBackOptimizer state: bad magic");
-  }
-  const auto budget = read_pod<std::int64_t>(in);
-  const auto total = read_pod<std::int64_t>(in);
+  util::ByteReader r(in, "DropBackOptimizer state");
+  r.expect_magic(kStateMagic);
+  const auto budget = r.pod<std::int64_t>();
+  const auto total = r.pod<std::int64_t>();
   const std::int64_t base_budget = config_.schedule->base_budget();
   if (budget != base_budget || total != index_.total()) {
-    throw util::IoError(
-        "DropBackOptimizer state: budget/model mismatch (file has budget " +
-        std::to_string(budget) + " over " + std::to_string(total) +
-        " weights, optimizer has " + std::to_string(base_budget) +
-        " over " + std::to_string(index_.total()) + ")");
+    r.fail("budget/model mismatch (file has budget " + std::to_string(budget) +
+           " over " + std::to_string(total) + " weights, optimizer has " +
+           std::to_string(base_budget) + " over " +
+           std::to_string(index_.total()) + ")");
   }
-  const auto steps = read_pod<std::int64_t>(in);
-  const bool frozen = read_pod<std::uint8_t>(in) != 0;
-  const bool all_tracked = read_pod<std::uint8_t>(in) != 0;
-  // One flat mask; each parameter's bits start on a fresh byte.
+  const auto steps = r.pod<std::int64_t>();
+  if (steps < 0) r.fail("negative step count " + std::to_string(steps));
+  const bool frozen = r.boolean();
+  const bool all_tracked = r.boolean();
+  // One flat mask, sized by the model; each parameter's bits start on a
+  // fresh byte and the padding bits of its last byte are zero.
   std::vector<std::uint8_t> mask(static_cast<std::size_t>(index_.total()), 0);
+  std::vector<std::uint8_t> packed;
   for (std::size_t p = 0; p < index_.num_params(); ++p) {
-    const std::int64_t n = index_.param(p).numel();
+    const auto n = static_cast<std::size_t>(index_.param(p).numel());
     std::uint8_t* mask_p = mask.data() + index_.offset(p);
-    std::uint8_t byte = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (i % 8 == 0) byte = read_pod<std::uint8_t>(in);
-      mask_p[i] = (byte >> (i % 8)) & 1U ? 1 : 0;
+    packed.resize((n + 7) / 8);
+    r.raw(packed.data(), packed.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      mask_p[i] = (packed[i / 8] >> (i % 8)) & 1U;
+    }
+    if (n % 8 != 0 && (packed.back() >> (n % 8)) != 0) {
+      r.fail("mask padding bits set for parameter " + std::to_string(p));
     }
   }
-  if (in.peek() != std::istream::traits_type::eof()) {
-    char ext[4];
-    in.read(ext, sizeof(ext));
-    if (!in || std::memcmp(ext, kScheduleMagic, sizeof(kScheduleMagic)) != 0) {
-      throw util::IoError(
-          "DropBackOptimizer state: bad schedule-extension magic");
-    }
-    const auto len = read_pod<std::uint32_t>(in);
-    std::string spec(len, '\0');
-    in.read(spec.data(), static_cast<std::streamsize>(len));
-    if (!in) {
-      throw util::IoError("DropBackOptimizer state: truncated schedule spec");
-    }
+  if (r.remaining() > 0) {
+    r.expect_magic(kScheduleMagic);
+    const std::string spec = r.str<std::uint32_t>();
     if (spec != config_.schedule->spec()) {
-      throw util::IoError(
-          "DropBackOptimizer state: schedule mismatch (snapshot was written "
-          "under '" +
-          spec + "', optimizer runs '" + config_.schedule->spec() + "')");
+      r.fail("schedule mismatch (snapshot was written under '" + spec +
+             "', optimizer runs '" + config_.schedule->spec() + "')");
+    }
+    if (config_.schedule->is_constant()) {
+      r.fail("schedule extension on a constant-schedule snapshot");
     }
   } else if (!config_.schedule->is_constant()) {
-    throw util::IoError(
-        "DropBackOptimizer state: snapshot carries no schedule state but the "
-        "optimizer runs '" +
-        config_.schedule->spec() +
-        "' — it was written under a constant schedule and cannot resume a "
-        "dynamic-schedule run");
+    r.fail("snapshot carries no schedule state but the optimizer runs '" +
+           config_.schedule->spec() +
+           "' — it was written under a constant schedule and cannot resume "
+           "a dynamic-schedule run");
   }
+  r.expect_end();
   tracked_.restore(std::move(mask), all_tracked);
   // The weights come from a separate model checkpoint, so nothing vouches
   // that the untracked ones sit at their replacement value: sweep once.

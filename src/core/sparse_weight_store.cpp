@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "tensor/serialize.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/container.hpp"
@@ -15,86 +16,27 @@ namespace dropback::core {
 namespace {
 // Container payload kind of the checksummed store format.
 constexpr char kKind[] = "DBSW";
-/// Most entries reserved from a header count before any of them is read.
-constexpr std::uint64_t kMaxReserve = 1 << 16;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError("SparseWeightStore: truncated stream");
-  return v;
-}
 
 void write_record(std::ostream& out, const SparseParamRecord& rec) {
-  write_pod<std::uint16_t>(out, static_cast<std::uint16_t>(rec.name.size()));
-  out.write(rec.name.data(), static_cast<std::streamsize>(rec.name.size()));
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(rec.shape.size()));
-  for (std::int64_t d : rec.shape) write_pod<std::int64_t>(out, d);
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(rec.init.kind()));
-  write_pod<float>(out, rec.init.scale());
-  write_pod<std::uint64_t>(out, rec.init.seed());
-  write_pod<std::uint64_t>(out, rec.entries.size());
-  for (const auto& [idx, val] : rec.entries) {
-    write_pod<std::uint32_t>(out, idx);
-    write_pod<float>(out, val);
-  }
+  util::ByteWriter w(out, "SparseWeightStore");
+  w.str(rec.name);
+  tensor::write_shape<std::uint8_t>(w, rec.shape);
+  rec.init.encode(w);
+  write_sparse_entries(w, rec.entries);
 }
 
-SparseParamRecord read_record(std::istream& in) {
+SparseParamRecord read_record(std::istream& in, const std::string& section,
+                              std::int64_t offset) {
+  util::ByteReader r(in, "SparseWeightStore: section '" + section +
+                             "' at offset " + std::to_string(offset));
   SparseParamRecord rec;
-  const auto name_len = read_pod<std::uint16_t>(in);
-  rec.name.resize(name_len);
-  in.read(rec.name.data(), name_len);
-  if (!in) throw util::IoError("SparseWeightStore: truncated record name");
-  const auto ndim = read_pod<std::uint8_t>(in);
-  rec.shape.resize(ndim);
-  for (auto& d : rec.shape) d = read_pod<std::int64_t>(in);
+  rec.name = r.str();
+  if (rec.name != section) r.fail("holds record named '" + rec.name + "'");
   std::int64_t dense = 0;
-  if (!tensor::checked_numel(rec.shape, &dense)) {
-    throw util::IoError("SparseWeightStore: record '" + rec.name +
-                        "': invalid shape " + tensor::shape_str(rec.shape) +
-                        " (negative dimension or element count overflow)");
-  }
-  const auto kind = read_pod<std::uint8_t>(in);
-  const auto scale = read_pod<float>(in);
-  const auto seed = read_pod<std::uint64_t>(in);
-  rec.init =
-      kind == static_cast<std::uint8_t>(rng::InitSpec::Kind::kScaledNormal)
-          ? rng::InitSpec::scaled_normal(scale, seed)
-          : rng::InitSpec::constant(scale);
-  const auto n_entries = read_pod<std::uint64_t>(in);
-  if (n_entries > static_cast<std::uint64_t>(dense)) {
-    throw util::IoError("SparseWeightStore: record '" + rec.name +
-                        "': more entries (" + std::to_string(n_entries) +
-                        ") than dense elements (" + std::to_string(dense) +
-                        ")");
-  }
-  // n_entries is only bounded by the shape: reserve a bounded head start and
-  // let the vector grow with the entries the stream actually holds.
-  rec.entries.reserve(std::min<std::uint64_t>(n_entries, kMaxReserve));
-  std::int64_t prev = -1;
-  for (std::uint64_t i = 0; i < n_entries; ++i) {
-    const auto idx = read_pod<std::uint32_t>(in);
-    const auto val = read_pod<float>(in);
-    if (static_cast<std::int64_t>(idx) >= dense) {
-      throw util::IoError("SparseWeightStore: record '" + rec.name +
-                          "': entry index " + std::to_string(idx) +
-                          " out of range " + std::to_string(dense));
-    }
-    if (static_cast<std::int64_t>(idx) <= prev) {
-      throw util::IoError("SparseWeightStore: record '" + rec.name +
-                          "': entries not strictly sorted at index " +
-                          std::to_string(idx));
-    }
-    prev = static_cast<std::int64_t>(idx);
-    rec.entries.emplace_back(idx, val);
-  }
+  rec.shape = tensor::read_shape<std::uint8_t>(r, &dense);
+  rec.init = rng::InitSpec::decode(r);
+  rec.entries = read_sparse_entries<float>(r, dense);
+  r.expect_end();
   return rec;
 }
 }  // namespace
@@ -208,17 +150,9 @@ std::int64_t SparseWeightStore::dense_weights() const {
 }
 
 std::int64_t SparseWeightStore::bytes() const {
-  std::int64_t total = util::ContainerWriter::header_bytes();
-  for (const auto& rec : records_) {
-    // One checksummed section per record, named after the parameter.
-    total += util::ContainerWriter::section_overhead_bytes(rec.name.size());
-    total += 2 + static_cast<std::int64_t>(rec.name.size());   // name
-    total += 1 + 8 * static_cast<std::int64_t>(rec.shape.size());  // shape
-    total += static_cast<std::int64_t>(rng::InitSpec::persisted_bytes());
-    total += 8;                                                 // entry count
-    total += 8 * static_cast<std::int64_t>(rec.entries.size());  // idx+val
-  }
-  return total;
+  std::ostringstream out(std::ios::binary);
+  save(out);
+  return static_cast<std::int64_t>(out.tellp());
 }
 
 std::int64_t SparseWeightStore::dense_bytes() const {
@@ -237,7 +171,6 @@ void SparseWeightStore::save(std::ostream& out) const {
     write_record(writer.add_section(rec.name), rec);
   }
   writer.write_to(out);
-  if (!out) throw util::IoError("SparseWeightStore: write failed");
 }
 
 SparseWeightStore SparseWeightStore::load(std::istream& in) {
@@ -247,21 +180,8 @@ SparseWeightStore SparseWeightStore::load(std::istream& in) {
   store.records_.reserve(reader.num_sections());
   for (std::size_t p = 0; p < reader.num_sections(); ++p) {
     std::istringstream section = reader.section_stream(p);
-    SparseParamRecord rec = read_record(section);
-    if (rec.name != reader.section_name(p)) {
-      throw util::IoError("SparseWeightStore: section '" +
-                          reader.section_name(p) + "' at offset " +
-                          std::to_string(reader.section_offset(p)) +
-                          " holds record named '" + rec.name + "'");
-    }
-    const auto consumed = static_cast<std::size_t>(section.tellg());
-    if (consumed != reader.section_bytes(p).size()) {
-      throw util::IoError("SparseWeightStore: record '" + rec.name + "': " +
-                          std::to_string(reader.section_bytes(p).size() -
-                                         consumed) +
-                          " trailing bytes after entries");
-    }
-    store.records_.push_back(std::move(rec));
+    store.records_.push_back(read_record(section, reader.section_name(p),
+                                         reader.section_offset(p)));
   }
   return store;
 }
@@ -273,13 +193,7 @@ void SparseWeightStore::save_file(const std::string& path) const {
 SparseWeightStore SparseWeightStore::load_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw util::IoError("SparseWeightStore: cannot open " + path);
-  SparseWeightStore store = load(in);
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw util::IoError("SparseWeightStore: trailing bytes after store "
-                        "payload in " +
-                        path);
-  }
-  return store;
+  return load(in);
 }
 
 bool operator==(const SparseWeightStore& a, const SparseWeightStore& b) {

@@ -19,15 +19,60 @@
 #include "nn/module.hpp"
 #include "rng/init_spec.hpp"
 #include "tensor/tensor.hpp"
+#include "util/bytes.hpp"
 
 namespace dropback::core {
+
+/// (flat index, value) pairs of the stored weights, strictly increasing in
+/// index.
+template <typename V>
+using SparseEntries = std::vector<std::pair<std::uint32_t, V>>;
+
+/// The sparse-entry codec shared by DBSW (V = float) and DBQS (V = int8):
+/// a u64 count, then (u32 index, V value) pairs.
+template <typename V>
+void write_sparse_entries(util::ByteWriter& w,
+                          const SparseEntries<V>& entries) {
+  w.pod<std::uint64_t>(entries.size());
+  for (const auto& [idx, val] : entries) {
+    w.pod(idx);
+    w.pod(val);
+  }
+}
+
+/// Rejects, with util::IoError, more entries than `dense` elements, an
+/// index outside [0, dense), and indices that do not strictly increase.
+template <typename V>
+SparseEntries<V> read_sparse_entries(util::ByteReader& r, std::int64_t dense) {
+  const std::uint64_t n = r.count(r.pod<std::uint64_t>(),
+                                  sizeof(std::uint32_t) + sizeof(V), "entries");
+  if (n > static_cast<std::uint64_t>(dense)) {
+    r.fail("more entries (" + std::to_string(n) + ") than dense elements (" +
+           std::to_string(dense) + ")");
+  }
+  SparseEntries<V> entries(n);
+  std::int64_t prev = -1;
+  for (auto& [idx, val] : entries) {
+    idx = r.pod<std::uint32_t>();
+    val = r.pod<V>();
+    if (static_cast<std::int64_t>(idx) >= dense) {
+      r.fail("entry index " + std::to_string(idx) + " out of range " +
+             std::to_string(dense));
+    }
+    if (static_cast<std::int64_t>(idx) <= prev) {
+      r.fail("entries not strictly sorted at index " + std::to_string(idx));
+    }
+    prev = static_cast<std::int64_t>(idx);
+  }
+  return entries;
+}
 
 struct SparseParamRecord {
   std::string name;
   tensor::Shape shape;
   rng::InitSpec init;
   /// Sorted by index; only tracked weights appear.
-  std::vector<std::pair<std::uint32_t, float>> entries;
+  SparseEntries<float> entries;
 
   std::int64_t dense_numel() const;
 };
@@ -71,9 +116,10 @@ class SparseWeightStore {
   double compression_ratio() const;
 
   /// Persistence uses the shared checksummed container (util/container.hpp,
-  /// kind "DBSW"): one CRC32-guarded section per record. Corrupt,
-  /// truncated, or over-long input raises util::IoError. File saves are
-  /// atomic (temp + fsync + rename).
+  /// kind "DBSW"): one CRC32-guarded section per record holding the name,
+  /// shape, InitSpec and sparse entries. Corrupt, truncated, or over-long
+  /// input raises util::IoError. File saves are atomic (temp + fsync +
+  /// rename).
   void save(std::ostream& out) const;
   static SparseWeightStore load(std::istream& in);
   void save_file(const std::string& path) const;

@@ -1,15 +1,12 @@
 #include "data/dataloader.hpp"
 
-#include <cstring>
-#include <istream>
 #include <numeric>
-#include <ostream>
 #include <string>
 #include <utility>
 
 #include "obs/profiler.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
-#include "util/io_error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dropback::data {
@@ -208,40 +205,28 @@ bool DataLoader::next(Batch& batch) {
 
 namespace {
 // Versioned state layout: "DBD2" magic + version.
-constexpr char kMagicV2[4] = {'D', 'B', 'D', '2'};
+constexpr std::string_view kMagicV2 = "DBD2";
 constexpr std::uint32_t kStateVersion = 2;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError("DataLoader state: truncated");
-  return v;
-}
 }  // namespace
 
 void DataLoader::save_state(std::ostream& out) const {
-  out.write(kMagicV2, sizeof(kMagicV2));
-  write_pod<std::uint32_t>(out, kStateVersion);
-  write_pod<std::int64_t>(out, dataset_.size());
-  write_pod<std::int64_t>(out, options_.batch_size);
-  write_pod<std::uint8_t>(out, options_.shuffle ? 1 : 0);
+  util::ByteWriter w(out, "DataLoader state");
+  w.raw(kMagicV2);
+  w.pod(kStateVersion);
+  w.pod(dataset_.size());
+  w.pod(options_.batch_size);
+  w.pod<std::uint8_t>(options_.shuffle ? 1 : 0);
   const rng::Xorshift128::State rs = rng_.state();
-  write_pod<std::uint32_t>(out, rs.x);
-  write_pod<std::uint32_t>(out, rs.y);
-  write_pod<std::uint32_t>(out, rs.z);
-  write_pod<std::uint32_t>(out, rs.w);
-  write_pod<std::uint8_t>(out, rs.has_cached_normal ? 1 : 0);
-  write_pod<float>(out, rs.cached_normal);
-  write_pod<std::int64_t>(out, epoch_);
-  write_pod<std::int64_t>(out, cursor_);
-  for (const std::int64_t idx : order_) write_pod<std::int64_t>(out, idx);
-  if (!out) throw util::IoError("DataLoader state: write failed");
+  w.pod(rs.x);
+  w.pod(rs.y);
+  w.pod(rs.z);
+  w.pod(rs.w);
+  w.pod<std::uint8_t>(rs.has_cached_normal ? 1 : 0);
+  w.pod(rs.cached_normal);
+  w.pod(epoch_);
+  w.pod(cursor_);
+  w.raw(order_.data(), order_.size() * sizeof(std::int64_t));
+  w.finish();
 }
 
 void DataLoader::load_state(std::istream& in) {
@@ -249,57 +234,45 @@ void DataLoader::load_state(std::istream& in) {
     std::unique_lock<std::mutex> lock(mu_);
     drain_stage_locked(lock);
   }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in) throw util::IoError("DataLoader state: truncated");
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
-    throw util::IoError("DataLoader state: bad magic");
-  }
-  const auto version = read_pod<std::uint32_t>(in);
+  util::ByteReader r(in, "DataLoader state");
+  r.expect_magic(kMagicV2);
+  const auto version = r.pod<std::uint32_t>();
   if (version != kStateVersion) {
-    throw util::IoError("DataLoader state: unsupported version " +
-                        std::to_string(version));
+    r.fail("unsupported version " + std::to_string(version));
   }
-  const auto size = read_pod<std::int64_t>(in);
-  const auto batch_size = read_pod<std::int64_t>(in);
+  const auto size = r.pod<std::int64_t>();
+  const auto batch_size = r.pod<std::int64_t>();
   if (size != dataset_.size() || batch_size != options_.batch_size) {
-    throw util::IoError("DataLoader state: dataset of " +
-                        std::to_string(size) + " samples / batch " +
-                        std::to_string(batch_size) + ", loader has " +
-                        std::to_string(dataset_.size()) + " / batch " +
-                        std::to_string(options_.batch_size));
+    r.fail("dataset of " + std::to_string(size) + " samples / batch " +
+           std::to_string(batch_size) + ", loader has " +
+           std::to_string(dataset_.size()) + " / batch " +
+           std::to_string(options_.batch_size));
   }
-  const bool shuffle = read_pod<std::uint8_t>(in) != 0;
-  if (shuffle != options_.shuffle) {
-    throw util::IoError("DataLoader state: shuffle flag mismatch");
-  }
+  if (r.boolean() != options_.shuffle) r.fail("shuffle flag mismatch");
   rng::Xorshift128::State rs{};
-  rs.x = read_pod<std::uint32_t>(in);
-  rs.y = read_pod<std::uint32_t>(in);
-  rs.z = read_pod<std::uint32_t>(in);
-  rs.w = read_pod<std::uint32_t>(in);
-  rs.has_cached_normal = read_pod<std::uint8_t>(in) != 0;
-  rs.cached_normal = read_pod<float>(in);
-  const auto epoch = read_pod<std::int64_t>(in);
-  if (epoch < 0) {
-    throw util::IoError("DataLoader state: negative epoch " +
-                        std::to_string(epoch));
-  }
-  const auto cursor = read_pod<std::int64_t>(in);
+  rs.x = r.pod<std::uint32_t>();
+  rs.y = r.pod<std::uint32_t>();
+  rs.z = r.pod<std::uint32_t>();
+  rs.w = r.pod<std::uint32_t>();
+  rs.has_cached_normal = r.boolean();
+  rs.cached_normal = r.pod<float>();
+  const auto epoch = r.pod<std::int64_t>();
+  if (epoch < 0) r.fail("negative epoch " + std::to_string(epoch));
+  const auto cursor = r.pod<std::int64_t>();
   if (cursor < 0 || cursor > dataset_.size()) {
-    throw util::IoError("DataLoader state: cursor " + std::to_string(cursor) +
-                        " outside dataset of " +
-                        std::to_string(dataset_.size()));
+    r.fail("cursor " + std::to_string(cursor) + " outside dataset of " +
+           std::to_string(dataset_.size()));
   }
+  // The order is sized by the dataset, never by the input.
   std::vector<std::int64_t> order(order_.size());
-  for (std::int64_t& idx : order) {
-    idx = read_pod<std::int64_t>(in);
+  r.raw(order.data(), order.size() * sizeof(std::int64_t));
+  for (const std::int64_t idx : order) {
     if (idx < 0 || idx >= dataset_.size()) {
-      throw util::IoError("DataLoader state: sample index " +
-                          std::to_string(idx) + " outside dataset of " +
-                          std::to_string(dataset_.size()));
+      r.fail("sample index " + std::to_string(idx) + " outside dataset of " +
+             std::to_string(dataset_.size()));
     }
   }
+  r.expect_end();
   rng_.set_state(rs);
   cursor_ = cursor;
   epoch_ = epoch;

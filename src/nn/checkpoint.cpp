@@ -60,14 +60,6 @@ void load_checkpoint(std::istream& in,
                           std::to_string(reader.section_offset(i)) + ": " +
                           e.what());
     }
-    const auto consumed = static_cast<std::size_t>(section.tellg());
-    if (consumed != reader.section_bytes(i).size()) {
-      throw util::IoError(
-          "load_checkpoint: " + param_label(i, p->name) + " at offset " +
-          std::to_string(reader.section_offset(i)) + ": " +
-          std::to_string(reader.section_bytes(i).size() - consumed) +
-          " trailing bytes after tensor payload");
-    }
     if (t.shape() != p->var.value().shape()) {
       throw util::IoError("load_checkpoint: " + param_label(i, p->name) +
                           ": shape mismatch (checkpoint " +
@@ -89,11 +81,6 @@ void load_checkpoint_file(const std::string& path,
   std::ifstream in(path, std::ios::binary);
   if (!in) throw util::IoError("load_checkpoint_file: cannot open " + path);
   load_checkpoint(in, params);
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw util::IoError("load_checkpoint_file: trailing bytes after "
-                        "checkpoint payload in " +
-                        path);
-  }
 }
 
 }  // namespace dropback::nn

@@ -24,14 +24,14 @@ void save_checkpoint(std::ostream& out,
 
 /// Restores a checkpoint into a parameter list with identical names/shapes
 /// in identical order. Throws util::IoError naming the offending parameter
-/// (name, ordinal, byte offset) on any mismatch or corruption.
+/// (name, ordinal, byte offset) on any mismatch or corruption, and on
+/// trailing bytes after the checkpoint (an over-long input is as suspicious
+/// as a truncated one).
 void load_checkpoint(std::istream& in, const std::vector<Parameter*>& params);
 
 /// Atomic (temp + fsync + rename) file save.
 void save_checkpoint_file(const std::string& path,
                           const std::vector<Parameter*>& params);
-/// Loads a checkpoint file; also rejects trailing bytes after the payload
-/// (an over-long file is as suspicious as a truncated one).
 void load_checkpoint_file(const std::string& path,
                           const std::vector<Parameter*>& params);
 

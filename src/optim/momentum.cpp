@@ -1,58 +1,38 @@
 #include "optim/momentum.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <ostream>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
-#include "util/io_error.hpp"
 
 namespace dropback::optim {
 
 namespace {
 
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in, const char* who) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError(std::string(who) + " state: truncated");
-  return v;
-}
-
-void write_float_banks(std::ostream& out,
+void write_float_banks(util::ByteWriter& w,
                        const std::vector<std::vector<float>>& banks) {
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(banks.size()));
+  w.pod(static_cast<std::uint32_t>(banks.size()));
   for (const auto& bank : banks) {
-    write_pod<std::uint64_t>(out, bank.size());
-    out.write(reinterpret_cast<const char*>(bank.data()),
-              static_cast<std::streamsize>(bank.size() * sizeof(float)));
+    w.pod<std::uint64_t>(bank.size());
+    w.raw(bank.data(), bank.size() * sizeof(float));
   }
 }
 
-void read_float_banks(std::istream& in, std::vector<std::vector<float>>& banks,
-                      const char* who) {
-  const auto count = read_pod<std::uint32_t>(in, who);
+/// Banks are sized by the optimizer's parameters, never by the input.
+void read_float_banks(util::ByteReader& r,
+                      std::vector<std::vector<float>>& banks) {
+  const auto count = r.pod<std::uint32_t>();
   if (count != banks.size()) {
-    throw util::IoError(std::string(who) + " state: " + std::to_string(count) +
-                        " parameter banks, optimizer has " +
-                        std::to_string(banks.size()));
+    r.fail(std::to_string(count) + " parameter banks, optimizer has " +
+           std::to_string(banks.size()));
   }
   for (auto& bank : banks) {
-    const auto n = read_pod<std::uint64_t>(in, who);
+    const auto n = r.pod<std::uint64_t>();
     if (n != bank.size()) {
-      throw util::IoError(std::string(who) + " state: bank of " +
-                          std::to_string(n) + " floats, optimizer expects " +
-                          std::to_string(bank.size()));
+      r.fail("bank of " + std::to_string(n) + " floats, optimizer expects " +
+             std::to_string(bank.size()));
     }
-    in.read(reinterpret_cast<char*>(bank.data()),
-            static_cast<std::streamsize>(n * sizeof(float)));
-    if (!in) throw util::IoError(std::string(who) + " state: truncated bank");
+    r.raw(bank.data(), bank.size() * sizeof(float));
   }
 }
 
@@ -91,18 +71,17 @@ std::int64_t MomentumSGD::state_floats() const {
 }
 
 void MomentumSGD::save_state(std::ostream& out) const {
-  out.write("MSGD", 4);
-  write_float_banks(out, velocity_);
-  if (!out) throw util::IoError("MomentumSGD state: write failed");
+  util::ByteWriter w(out, "MomentumSGD state");
+  w.raw("MSGD");
+  write_float_banks(w, velocity_);
+  w.finish();
 }
 
 void MomentumSGD::load_state(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, "MSGD", 4) != 0) {
-    throw util::IoError("MomentumSGD state: bad magic");
-  }
-  read_float_banks(in, velocity_, "MomentumSGD");
+  util::ByteReader r(in, "MomentumSGD state");
+  r.expect_magic("MSGD");
+  read_float_banks(r, velocity_);
+  r.expect_end();
 }
 
 Adam::Adam(std::vector<nn::Parameter*> params, float lr, float beta1,
@@ -152,22 +131,22 @@ std::int64_t Adam::state_floats() const {
 }
 
 void Adam::save_state(std::ostream& out) const {
-  out.write("ADAM", 4);
-  write_pod<std::int64_t>(out, t_);
-  write_float_banks(out, m_);
-  write_float_banks(out, v_);
-  if (!out) throw util::IoError("Adam state: write failed");
+  util::ByteWriter w(out, "Adam state");
+  w.raw("ADAM");
+  w.pod<std::int64_t>(t_);
+  write_float_banks(w, m_);
+  write_float_banks(w, v_);
+  w.finish();
 }
 
 void Adam::load_state(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, "ADAM", 4) != 0) {
-    throw util::IoError("Adam state: bad magic");
-  }
-  t_ = read_pod<std::int64_t>(in, "Adam");
-  read_float_banks(in, m_, "Adam");
-  read_float_banks(in, v_, "Adam");
+  util::ByteReader r(in, "Adam state");
+  r.expect_magic("ADAM");
+  t_ = r.pod<std::int64_t>();
+  if (t_ < 0) r.fail("negative step count " + std::to_string(t_));
+  read_float_banks(r, m_);
+  read_float_banks(r, v_);
+  r.expect_end();
 }
 
 }  // namespace dropback::optim

@@ -2,31 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <sstream>
 
+#include "tensor/serialize.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
-#include "util/io_error.hpp"
 
 namespace dropback::quant {
 
 namespace {
-constexpr char kMagic[4] = {'D', 'B', 'Q', 'S'};
-/// Most records or entries reserved from a header count before any of them
-/// is read.
-constexpr std::uint32_t kMaxReserve = 1 << 16;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError("QuantizedSparseStore: truncated stream");
-  return v;
-}
+constexpr std::string_view kMagic = "DBQS";
+/// Smallest possible record: empty name, rank 0, InitSpec, scale, count.
+constexpr std::uint64_t kMinRecordBytes =
+    2 + 1 + rng::InitSpec::persisted_bytes() + 4 + 8;
 }  // namespace
 
 QuantizedSparseStore QuantizedSparseStore::quantize(
@@ -101,17 +89,9 @@ std::int64_t QuantizedSparseStore::dense_weights() const {
 }
 
 std::int64_t QuantizedSparseStore::bytes() const {
-  std::int64_t total = 4 + 1 + 4;  // magic + bits + record count
-  const std::int64_t payload = (bits_ + 7) / 8;
-  for (const auto& rec : records_) {
-    total += 2 + static_cast<std::int64_t>(rec.name.size());
-    total += 1 + 8 * static_cast<std::int64_t>(rec.shape.size());
-    total += static_cast<std::int64_t>(rng::InitSpec::persisted_bytes());
-    total += 4;  // scale
-    total += 8;  // entry count
-    total += (4 + payload) * static_cast<std::int64_t>(rec.entries.size());
-  }
-  return total;
+  std::ostringstream out(std::ios::binary);
+  save(out);
+  return static_cast<std::int64_t>(out.tellp());
 }
 
 double QuantizedSparseStore::compression_ratio_bytes() const {
@@ -139,86 +119,39 @@ double QuantizedSparseStore::max_abs_error(
 }
 
 void QuantizedSparseStore::save(std::ostream& out) const {
-  out.write(kMagic, sizeof(kMagic));
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(bits_));
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(records_.size()));
+  util::ByteWriter w(out, "QuantizedSparseStore");
+  w.raw(kMagic);
+  w.pod(static_cast<std::uint8_t>(bits_));
+  w.pod(static_cast<std::uint32_t>(records_.size()));
   for (const auto& rec : records_) {
-    write_pod<std::uint16_t>(out, static_cast<std::uint16_t>(rec.name.size()));
-    out.write(rec.name.data(), static_cast<std::streamsize>(rec.name.size()));
-    write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(rec.shape.size()));
-    for (std::int64_t d : rec.shape) write_pod<std::int64_t>(out, d);
-    write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(rec.init.kind()));
-    write_pod<float>(out, rec.init.scale());
-    write_pod<std::uint64_t>(out, rec.init.seed());
-    write_pod<float>(out, rec.scale);
-    write_pod<std::uint64_t>(out, rec.entries.size());
-    for (const auto& [idx, q] : rec.entries) {
-      write_pod<std::uint32_t>(out, idx);
-      write_pod<std::int8_t>(out, q);
-    }
+    w.str(rec.name);
+    tensor::write_shape<std::uint8_t>(w, rec.shape);
+    rec.init.encode(w);
+    w.pod(rec.scale);
+    core::write_sparse_entries(w, rec.entries);
   }
-  if (!out) throw util::IoError("QuantizedSparseStore: write failed");
+  w.finish();
 }
 
 QuantizedSparseStore QuantizedSparseStore::load(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw util::IoError("QuantizedSparseStore: bad magic");
-  }
+  util::ByteReader r(in, "QuantizedSparseStore");
+  r.expect_magic(kMagic);
   QuantizedSparseStore store;
-  store.bits_ = read_pod<std::uint8_t>(in);
+  store.bits_ = r.pod<std::uint8_t>();
   if (store.bits_ < 2 || store.bits_ > 8) {
-    throw util::IoError("QuantizedSparseStore: bad bit width " +
-                        std::to_string(store.bits_));
+    r.fail("bad bit width " + std::to_string(store.bits_));
   }
-  const auto count = read_pod<std::uint32_t>(in);
-  // Header counts are untrusted: reserve a bounded head start and let the
-  // vectors grow with what the stream actually holds.
-  store.records_.reserve(std::min<std::uint32_t>(count, kMaxReserve));
-  for (std::uint32_t p = 0; p < count; ++p) {
-    QuantizedParamRecord rec;
-    const auto name_len = read_pod<std::uint16_t>(in);
-    rec.name.resize(name_len);
-    in.read(rec.name.data(), name_len);
-    if (!in) throw util::IoError("QuantizedSparseStore: truncated record name");
-    const auto ndim = read_pod<std::uint8_t>(in);
-    rec.shape.resize(ndim);
-    for (auto& d : rec.shape) d = read_pod<std::int64_t>(in);
+  store.records_.resize(
+      r.count(r.pod<std::uint32_t>(), kMinRecordBytes, "records"));
+  for (QuantizedParamRecord& rec : store.records_) {
+    rec.name = r.str();
     std::int64_t dense = 0;
-    if (!tensor::checked_numel(rec.shape, &dense)) {
-      throw util::IoError("QuantizedSparseStore: record '" + rec.name +
-                          "': invalid shape " + tensor::shape_str(rec.shape) +
-                          " (negative dimension or element count overflow)");
-    }
-    const auto kind = read_pod<std::uint8_t>(in);
-    const auto init_scale = read_pod<float>(in);
-    const auto seed = read_pod<std::uint64_t>(in);
-    rec.init = kind == static_cast<std::uint8_t>(
-                           rng::InitSpec::Kind::kScaledNormal)
-                   ? rng::InitSpec::scaled_normal(init_scale, seed)
-                   : rng::InitSpec::constant(init_scale);
-    rec.scale = read_pod<float>(in);
-    const auto n_entries = read_pod<std::uint64_t>(in);
-    if (n_entries > static_cast<std::uint64_t>(dense)) {
-      throw util::IoError("QuantizedSparseStore: record '" + rec.name +
-                          "': more entries (" + std::to_string(n_entries) +
-                          ") than dense elements (" + std::to_string(dense) +
-                          ")");
-    }
-    rec.entries.reserve(std::min<std::uint64_t>(n_entries, kMaxReserve));
-    for (std::uint64_t e = 0; e < n_entries; ++e) {
-      const auto idx = read_pod<std::uint32_t>(in);
-      const auto q = read_pod<std::int8_t>(in);
-      if (static_cast<std::int64_t>(idx) >= dense) {
-        throw util::IoError("QuantizedSparseStore: record '" + rec.name +
-                            "': entry index " + std::to_string(idx) +
-                            " out of range " + std::to_string(dense));
-      }
-      rec.entries.emplace_back(idx, q);
-    }
-    store.records_.push_back(std::move(rec));
+    rec.shape = tensor::read_shape<std::uint8_t>(r, &dense);
+    rec.init = rng::InitSpec::decode(r);
+    rec.scale = r.pod<float>();
+    rec.entries = core::read_sparse_entries<std::int8_t>(r, dense);
   }
+  r.expect_end();
   return store;
 }
 

@@ -26,7 +26,7 @@ struct QuantizedParamRecord {
   tensor::Shape shape;
   rng::InitSpec init;
   float scale = 1.0F;  ///< dequant: value = scale * q
-  std::vector<std::pair<std::uint32_t, std::int8_t>> entries;
+  core::SparseEntries<std::int8_t> entries;
 
   std::int64_t dense_numel() const { return tensor::numel_of(shape); }
 };
@@ -51,7 +51,7 @@ class QuantizedSparseStore {
 
   std::int64_t live_weights() const;
   std::int64_t dense_weights() const;
-  /// Serialized size; entry payload is ceil(bits/8) bytes + 4-byte index.
+  /// Serialized size; every entry is a 4-byte index + a 1-byte value.
   std::int64_t bytes() const;
   /// vs dense float32 storage.
   double compression_ratio_bytes() const;
@@ -60,9 +60,10 @@ class QuantizedSparseStore {
   /// (must be the store this was quantized from).
   double max_abs_error(const core::SparseWeightStore& reference) const;
 
-  /// Flat "DBQS" format (magic, bit width, records; no checksums). Write
-  /// failures and corrupt, truncated or implausible input raise
-  /// util::IoError.
+  /// Flat "DBQS" format (magic, bit width, records; no checksums), built
+  /// from the same name, shape, InitSpec and sparse-entry codecs as DBSW.
+  /// Write failures and corrupt, truncated, over-long or implausible input
+  /// raise util::IoError.
   void save(std::ostream& out) const;
   static QuantizedSparseStore load(std::istream& in);
 

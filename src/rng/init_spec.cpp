@@ -5,6 +5,7 @@
 
 #include "rng/xorshift.hpp"
 #include "simd/dispatch.hpp"
+#include "util/bytes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dropback::rng {
@@ -40,6 +41,28 @@ InitSpec InitSpec::he(std::size_t fan_in, std::uint64_t seed) {
 
 InitSpec InitSpec::constant(float value) {
   return InitSpec(Kind::kConstant, value, 0);
+}
+
+void InitSpec::encode(util::ByteWriter& w) const {
+  w.pod(static_cast<std::uint8_t>(kind_));
+  w.pod(scale_);
+  w.pod(seed_);
+}
+
+InitSpec InitSpec::decode(util::ByteReader& r) {
+  const auto kind = r.pod<std::uint8_t>();
+  const auto scale = r.pod<float>();
+  const auto seed = r.pod<std::uint64_t>();
+  switch (static_cast<Kind>(kind)) {
+    case Kind::kScaledNormal:
+      return scaled_normal(scale, seed);
+    case Kind::kConstant:
+      if (seed != 0) {
+        r.fail("constant InitSpec with seed " + std::to_string(seed));
+      }
+      return constant(scale);
+  }
+  r.fail("unknown InitSpec kind " + std::to_string(kind));
 }
 
 float InitSpec::value_at(std::uint64_t index) const {

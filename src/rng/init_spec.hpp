@@ -15,6 +15,11 @@
 #include <cstdint>
 #include <string>
 
+namespace dropback::util {
+class ByteReader;
+class ByteWriter;
+}  // namespace dropback::util
+
 namespace dropback::rng {
 
 /// A deterministic, index-addressable initializer for one parameter tensor.
@@ -63,6 +68,14 @@ class InitSpec {
   /// Bytes needed to persist this spec (kind + scale + seed) — the entire
   /// storage cost of all untracked weights of a tensor.
   static constexpr std::size_t persisted_bytes() { return 1 + 4 + 8; }
+
+  /// The persisted triple: u8 kind, f32 scale, u64 seed. Every format that
+  /// stores a spec (DBSW, DBQS, the DBTS inits section) goes through these.
+  void encode(util::ByteWriter& w) const;
+  /// Rejects, with util::IoError, a kind this build does not know and a
+  /// constant spec with a nonzero seed: a spec that decodes must regenerate
+  /// exactly the weights it was saved with.
+  static InitSpec decode(util::ByteReader& r);
 
   std::string describe() const;
 

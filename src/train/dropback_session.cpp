@@ -5,7 +5,6 @@
 #include "nn/checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/container.hpp"
-#include "util/io_error.hpp"
 
 namespace dropback::train {
 
@@ -46,28 +45,31 @@ void DropBackSession::export_compressed(const std::string& path) const {
   compressed().save_file(path);
 }
 
-void DropBackSession::save_training_state(const std::string& path) const {
-  util::atomic_write_file(path, [this](std::ostream& out) {
-    util::ContainerWriter writer("DBSS");
-    nn::save_checkpoint(writer.add_section("model"), params_);
-    optimizer_->save_state(writer.add_section("optimizer"));
-    writer.write_to(out);
-  });
+void DropBackSession::save_training_state(std::ostream& out) const {
+  util::ContainerWriter writer("DBSS");
+  nn::save_checkpoint(writer.add_section("model"), params_);
+  optimizer_->save_state(writer.add_section("optimizer"));
+  writer.write_to(out);
 }
 
-void DropBackSession::load_training_state(const std::string& path) {
-  const std::string bytes = util::read_file(path);
-  std::istringstream in(bytes, std::ios::binary);
+void DropBackSession::save_training_state(const std::string& path) const {
+  util::atomic_write_file(
+      path, [this](std::ostream& out) { save_training_state(out); });
+}
+
+void DropBackSession::load_training_state(std::istream& in) {
   const util::ContainerReader reader =
       util::ContainerReader::read_from(in, "DBSS");
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw util::IoError("DropBackSession state " + path +
-                        ": trailing bytes after container");
-  }
+  reader.expect_sections({"model", "optimizer"});
   std::istringstream model_in = reader.section_stream("model");
   nn::load_checkpoint(model_in, params_);
   std::istringstream opt_in = reader.section_stream("optimizer");
   optimizer_->load_state(opt_in);
+}
+
+void DropBackSession::load_training_state(const std::string& path) {
+  std::istringstream in(util::read_file(path), std::ios::binary);
+  load_training_state(in);
 }
 
 }  // namespace dropback::train

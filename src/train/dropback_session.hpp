@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -68,9 +69,11 @@ class DropBackSession {
 
   /// Saves/restores the full training state (weights + optimizer masks) so
   /// a run can resume exactly after a restart. Stored in the checksummed
-  /// "DBSS" container and written atomically; corrupt or truncated files
-  /// raise util::IoError on load.
+  /// "DBSS" container and written atomically; corrupt, truncated or
+  /// over-long input raises util::IoError on load.
+  void save_training_state(std::ostream& out) const;
   void save_training_state(const std::string& path) const;
+  void load_training_state(std::istream& in);
   void load_training_state(const std::string& path);
 
   double compression_ratio() const { return optimizer_->compression_ratio(); }

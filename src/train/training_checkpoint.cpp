@@ -7,82 +7,71 @@
 #include "nn/checkpoint.hpp"
 #include "obs/profiler.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 #include "util/container.hpp"
-#include "util/io_error.hpp"
 
 namespace dropback::train {
 
 namespace {
 
 constexpr char kSnapshotKind[] = "DBTS";
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw util::IoError("training snapshot: trainer section truncated");
-  return v;
-}
+/// One persisted EpochStats: epoch, three doubles, lr.
+constexpr std::uint64_t kEpochStatsBytes = 8 + 3 * 8 + 4;
 
 void write_trainer_section(std::ostream& out, const TrainerSnapshot& snap) {
-  write_pod<std::int64_t>(out, snap.global_step);
-  write_pod<std::int64_t>(out, snap.epoch);
-  write_pod<std::uint8_t>(out, snap.in_epoch ? 1 : 0);
-  write_pod<double>(out, snap.loss_sum);
-  write_pod<double>(out, snap.acc_sum);
-  write_pod<std::int64_t>(out, snap.batches);
-  write_pod<std::int64_t>(out, snap.anomalies);
-  write_pod<std::int64_t>(out, snap.skipped_steps);
-  write_pod<float>(out, snap.lr);
-  write_pod<double>(out, snap.best_val_acc);
-  write_pod<std::int64_t>(out, snap.best_epoch);
-  write_pod<std::int64_t>(out, snap.stale_epochs);
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(snap.history.size()));
+  util::ByteWriter w(out, "training snapshot: trainer section");
+  w.pod(snap.global_step);
+  w.pod(snap.epoch);
+  w.pod<std::uint8_t>(snap.in_epoch ? 1 : 0);
+  w.pod(snap.loss_sum);
+  w.pod(snap.acc_sum);
+  w.pod(snap.batches);
+  w.pod(snap.anomalies);
+  w.pod(snap.skipped_steps);
+  w.pod(snap.lr);
+  w.pod(snap.best_val_acc);
+  w.pod(snap.best_epoch);
+  w.pod(snap.stale_epochs);
+  w.pod(static_cast<std::uint32_t>(snap.history.size()));
   // History doubles are stored raw so the resumed TrainResult compares
   // bitwise equal to the uninterrupted run's.
   for (const EpochStats& s : snap.history) {
-    write_pod<std::int64_t>(out, s.epoch);
-    write_pod<double>(out, s.train_loss);
-    write_pod<double>(out, s.train_acc);
-    write_pod<double>(out, s.val_acc);
-    write_pod<float>(out, s.lr);
+    w.pod(s.epoch);
+    w.pod(s.train_loss);
+    w.pod(s.train_acc);
+    w.pod(s.val_acc);
+    w.pod(s.lr);
   }
 }
 
 TrainerSnapshot read_trainer_section(std::istream& in) {
+  util::ByteReader r(in, "training snapshot: trainer section");
   TrainerSnapshot snap;
-  snap.global_step = read_pod<std::int64_t>(in);
-  snap.epoch = read_pod<std::int64_t>(in);
-  snap.in_epoch = read_pod<std::uint8_t>(in) != 0;
-  snap.loss_sum = read_pod<double>(in);
-  snap.acc_sum = read_pod<double>(in);
-  snap.batches = read_pod<std::int64_t>(in);
-  snap.anomalies = read_pod<std::int64_t>(in);
-  snap.skipped_steps = read_pod<std::int64_t>(in);
-  snap.lr = read_pod<float>(in);
-  snap.best_val_acc = read_pod<double>(in);
-  snap.best_epoch = read_pod<std::int64_t>(in);
-  snap.stale_epochs = read_pod<std::int64_t>(in);
-  const auto n = read_pod<std::uint32_t>(in);
+  snap.global_step = r.pod<std::int64_t>();
+  snap.epoch = r.pod<std::int64_t>();
+  snap.in_epoch = r.boolean();
+  snap.loss_sum = r.pod<double>();
+  snap.acc_sum = r.pod<double>();
+  snap.batches = r.pod<std::int64_t>();
+  snap.anomalies = r.pod<std::int64_t>();
+  snap.skipped_steps = r.pod<std::int64_t>();
+  snap.lr = r.pod<float>();
+  snap.best_val_acc = r.pod<double>();
+  snap.best_epoch = r.pod<std::int64_t>();
+  snap.stale_epochs = r.pod<std::int64_t>();
   if (snap.global_step < 0 || snap.epoch < 0 || snap.batches < 0) {
-    throw util::IoError("training snapshot: negative counter");
+    r.fail("negative counter");
   }
-  snap.history.resize(n);
+  snap.history.resize(
+      r.count(r.pod<std::uint32_t>(), kEpochStatsBytes, "history"));
   for (EpochStats& s : snap.history) {
-    s.epoch = read_pod<std::int64_t>(in);
-    s.train_loss = read_pod<double>(in);
-    s.train_acc = read_pod<double>(in);
-    s.val_acc = read_pod<double>(in);
-    s.lr = read_pod<float>(in);
+    s.epoch = r.pod<std::int64_t>();
+    s.train_loss = r.pod<double>();
+    s.train_acc = r.pod<double>();
+    s.val_acc = r.pod<double>();
+    s.lr = r.pod<float>();
   }
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw util::IoError("training snapshot: trainer section has trailing bytes");
-  }
+  r.expect_end();
   return snap;
 }
 
@@ -91,37 +80,37 @@ TrainerSnapshot read_trainer_section(std::istream& in) {
 // its model with a different seed must still regenerate the original values.
 void write_inits_section(std::ostream& out,
                          const std::vector<nn::Parameter*>& params) {
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(params.size()));
-  for (const nn::Parameter* p : params) {
-    write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(p->init.kind()));
-    write_pod<float>(out, p->init.scale());
-    write_pod<std::uint64_t>(out, p->init.seed());
-  }
+  util::ByteWriter w(out, "training snapshot: inits section");
+  w.pod(static_cast<std::uint32_t>(params.size()));
+  for (const nn::Parameter* p : params) p->init.encode(w);
 }
 
 void read_inits_section(std::istream& in,
                         const std::vector<nn::Parameter*>& params) {
-  const auto n = read_pod<std::uint32_t>(in);
+  util::ByteReader r(in, "training snapshot: inits section");
+  const auto n = r.pod<std::uint32_t>();
   if (n != params.size()) {
-    throw util::IoError("training snapshot: init specs for " +
-                        std::to_string(n) + " parameters, model has " +
-                        std::to_string(params.size()));
+    r.fail("init specs for " + std::to_string(n) + " parameters, model has " +
+           std::to_string(params.size()));
   }
-  for (nn::Parameter* p : params) {
-    const auto kind = read_pod<std::uint8_t>(in);
-    const auto scale = read_pod<float>(in);
-    const auto seed = read_pod<std::uint64_t>(in);
-    p->init =
-        kind == static_cast<std::uint8_t>(rng::InitSpec::Kind::kScaledNormal)
-            ? rng::InitSpec::scaled_normal(scale, seed)
-            : rng::InitSpec::constant(scale);
-  }
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw util::IoError("training snapshot: inits section has trailing bytes");
-  }
+  for (nn::Parameter* p : params) p->init = rng::InitSpec::decode(r);
+  r.expect_end();
 }
 
 }  // namespace
+
+void save_training_snapshot(std::ostream& out, const TrainerSnapshot& snap,
+                            const std::vector<nn::Parameter*>& params,
+                            const optim::Optimizer& optimizer,
+                            const data::DataLoader& loader) {
+  util::ContainerWriter writer(kSnapshotKind);
+  write_trainer_section(writer.add_section("trainer"), snap);
+  nn::save_checkpoint(writer.add_section("model"), params);
+  write_inits_section(writer.add_section("inits"), params);
+  optimizer.save_state(writer.add_section("optimizer"));
+  loader.save_state(writer.add_section("loader"));
+  writer.write_to(out);
+}
 
 void save_training_snapshot(const std::string& path,
                             const TrainerSnapshot& snap,
@@ -130,48 +119,37 @@ void save_training_snapshot(const std::string& path,
                             const data::DataLoader& loader) {
   DROPBACK_PROFILE_SCOPE("checkpoint_save");
   util::atomic_write_file(path, [&](std::ostream& out) {
-    util::ContainerWriter writer(kSnapshotKind);
-    write_trainer_section(writer.add_section("trainer"), snap);
-    nn::save_checkpoint(writer.add_section("model"), params);
-    write_inits_section(writer.add_section("inits"), params);
-    optimizer.save_state(writer.add_section("optimizer"));
-    loader.save_state(writer.add_section("loader"));
-    writer.write_to(out);
+    save_training_snapshot(out, snap, params, optimizer, loader);
   });
+}
+
+TrainerSnapshot load_training_snapshot(
+    std::istream& in, const std::vector<nn::Parameter*>& params,
+    optim::Optimizer& optimizer, data::DataLoader& loader) {
+  const util::ContainerReader reader =
+      util::ContainerReader::read_from(in, kSnapshotKind);
+  reader.expect_sections({"trainer", "model", "inits", "optimizer", "loader"});
+  // Parse the trainer section before touching any caller state, so a bad
+  // snapshot leaves the run unmodified.
+  std::istringstream trainer_in = reader.section_stream("trainer");
+  std::istringstream model_in = reader.section_stream("model");
+  std::istringstream inits_in = reader.section_stream("inits");
+  std::istringstream opt_in = reader.section_stream("optimizer");
+  std::istringstream loader_in = reader.section_stream("loader");
+  TrainerSnapshot snap = read_trainer_section(trainer_in);
+  nn::load_checkpoint(model_in, params);
+  read_inits_section(inits_in, params);
+  optimizer.load_state(opt_in);
+  loader.load_state(loader_in);
+  return snap;
 }
 
 TrainerSnapshot load_training_snapshot(
     const std::string& path, const std::vector<nn::Parameter*>& params,
     optim::Optimizer& optimizer, data::DataLoader& loader) {
   DROPBACK_PROFILE_SCOPE("checkpoint_load");
-  const std::string bytes = util::read_file(path);
-  std::istringstream in(bytes, std::ios::binary);
-  const util::ContainerReader reader =
-      util::ContainerReader::read_from(in, kSnapshotKind);
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw util::IoError("training snapshot " + path +
-                        ": trailing bytes after container");
-  }
-  for (const char* name : {"trainer", "model", "inits", "optimizer",
-                           "loader"}) {
-    if (!reader.has_section(name)) {
-      throw util::IoError("training snapshot " + path + ": missing section '" +
-                          name + "'");
-    }
-  }
-  // Parse the trainer section before touching any caller state, so a bad
-  // snapshot leaves the run unmodified.
-  std::istringstream trainer_in = reader.section_stream("trainer");
-  TrainerSnapshot snap = read_trainer_section(trainer_in);
-  std::istringstream model_in = reader.section_stream("model");
-  nn::load_checkpoint(model_in, params);
-  std::istringstream inits_in = reader.section_stream("inits");
-  read_inits_section(inits_in, params);
-  std::istringstream opt_in = reader.section_stream("optimizer");
-  optimizer.load_state(opt_in);
-  std::istringstream loader_in = reader.section_stream("loader");
-  loader.load_state(loader_in);
-  return snap;
+  std::istringstream in(util::read_file(path), std::ios::binary);
+  return load_training_snapshot(in, params, optimizer, loader);
 }
 
 }  // namespace dropback::train

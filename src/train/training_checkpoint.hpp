@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,11 @@ struct TrainerSnapshot {
   std::int64_t stale_epochs = 0;
 };
 
+/// Writes a full snapshot of the training run to `out`.
+void save_training_snapshot(std::ostream& out, const TrainerSnapshot& snap,
+                            const std::vector<nn::Parameter*>& params,
+                            const optim::Optimizer& optimizer,
+                            const data::DataLoader& loader);
 /// Atomically writes a full snapshot of the training run to `path`.
 void save_training_snapshot(const std::string& path,
                             const TrainerSnapshot& snap,
@@ -54,10 +60,15 @@ void save_training_snapshot(const std::string& path,
                             const optim::Optimizer& optimizer,
                             const data::DataLoader& loader);
 
-/// Loads a snapshot from `path`, restoring weights, optimizer state, and
-/// loader position in place, and returns the trainer-level state. Raises
-/// util::IoError on corruption, truncation, or model mismatch — the caller's
-/// state is only mutated after the container's checksums validate.
+/// Loads a snapshot from `in` (which it must consume exactly), restoring
+/// weights, optimizer state, and loader position in place, and returns the
+/// trainer-level state. Raises util::IoError on corruption, truncation, or
+/// model mismatch — the caller's state is only mutated after the
+/// container's checksums and the trainer section validate.
+TrainerSnapshot load_training_snapshot(
+    std::istream& in, const std::vector<nn::Parameter*>& params,
+    optim::Optimizer& optimizer, data::DataLoader& loader);
+/// load_training_snapshot on the bytes of `path`.
 TrainerSnapshot load_training_snapshot(
     const std::string& path, const std::vector<nn::Parameter*>& params,
     optim::Optimizer& optimizer, data::DataLoader& loader);

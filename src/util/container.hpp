@@ -18,21 +18,25 @@
 //               payload bytes
 //
 // A flipped byte anywhere is caught by the header or a section CRC; a
-// truncated or over-long stream is caught by the size fields. Every failure
+// truncated or over-long input is caught by the size fields (the container
+// must end its input). Both sides go through util/bytes, so a size field
+// sizes an allocation only if the input holds that many bytes. Every failure
 // raises util::IoError naming the section and byte offset, so a caller can
 // report exactly what is corrupt and fall back to the previous checkpoint.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <iosfwd>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dropback::util {
 
-inline constexpr char kContainerMagic[4] = {'D', 'B', 'K', '1'};
+inline constexpr std::string_view kContainerMagic = "DBK1";
 inline constexpr std::uint32_t kContainerVersion = 1;
 
 /// Accumulates named sections in memory, then emits the checksummed
@@ -70,7 +74,8 @@ class ContainerWriter {
 /// Parses and validates a container, holding all section payloads in memory.
 class ContainerReader {
  public:
-  /// Reads and validates one container of payload `kind` from `in`.
+  /// Reads and validates one container of payload `kind` from `in`, which
+  /// must end where the container does.
   static ContainerReader read_from(std::istream& in, const std::string& kind);
 
   std::size_t num_sections() const { return sections_.size(); }
@@ -81,7 +86,9 @@ class ContainerReader {
   /// Stream over a copy of section i's payload.
   std::istringstream section_stream(std::size_t i) const;
 
-  bool has_section(const std::string& name) const;
+  /// Throws IoError unless the sections are exactly `names`, in order: a
+  /// fixed-layout payload must not carry extra, missing or moved sections.
+  void expect_sections(std::initializer_list<std::string_view> names) const;
   /// Payload stream of the first section with this name; throws IoError if
   /// no such section exists.
   std::istringstream section_stream(const std::string& name) const;

@@ -1,4 +1,4 @@
-// Unit tests for tools/dbk_lint: every rule R1–R12 has at least one
+// Unit tests for tools/dbk_lint: every rule R1–R13 has at least one
 // true-positive fixture (the rule fires on a minimal offending snippet) and
 // at least one suppression fixture (inline directive or allowlist entry
 // silences it), plus scrubber and include-extractor edge cases (comments,
@@ -716,6 +716,72 @@ TEST(LintR10, InlineAllowAndAllowlistSuppress) {
 }
 
 // ---------------------------------------------------------------------------
+// R13: persisted bytes go through util::ByteWriter / util::ByteReader
+// ---------------------------------------------------------------------------
+
+TEST(LintR13, FiresOnCharCastStreamReadAndWrite) {
+  const std::string src =
+      "void save(std::ostream& out, std::int64_t v) {\n"
+      "  out.write(reinterpret_cast<const char*>(&v), sizeof(v));\n"
+      "}\n"
+      "void load(std::istream* in, float* data, std::size_t n) {\n"
+      "  in->read(reinterpret_cast<char *>(data), n * sizeof(float));\n"
+      "  in->read( reinterpret_cast<unsigned char*>(data), 1);\n"
+      "}\n";
+  const auto all = lint_source("src/core/codec.cpp", src, empty_allow());
+  const auto r13 = findings_for(all, "R13");
+  ASSERT_EQ(r13.size(), 3U);
+  EXPECT_EQ(r13[0].line, 2);
+  EXPECT_NE(r13[0].message.find("util::ByteWriter"), std::string::npos);
+  EXPECT_NE(r13[0].message.find("write"), std::string::npos);
+  EXPECT_EQ(r13[1].line, 5);
+  EXPECT_EQ(r13[2].line, 6);
+}
+
+TEST(LintR13, UtilTestsAndCodecCallsAreExempt) {
+  const std::string raw =
+      "out.write(reinterpret_cast<const char*>(&v), sizeof(v));\n";
+  EXPECT_TRUE(findings_for(lint_source("src/util/bytes.cpp", raw,
+                                       empty_allow()),
+                           "R13")
+                  .empty());
+  EXPECT_TRUE(findings_for(lint_source("tests/tensor_test.cpp", raw,
+                                       empty_allow()),
+                           "R13")
+                  .empty());
+  const std::string codec =
+      "w.pod(v);\n"
+      "r.raw(data, n * sizeof(float));\n"
+      "out.write(header.data(), header.size());\n"
+      "auto* p = reinterpret_cast<const char*>(&v);\n";
+  EXPECT_TRUE(
+      findings_for(lint_source("src/core/codec.cpp", codec, empty_allow()),
+                   "R13")
+          .empty());
+}
+
+TEST(LintR13, InlineAllowAndAllowlistSuppress) {
+  const std::string inline_src =
+      "void f() {\n"
+      "  // dbk-lint: allow(R13): big-endian third-party header\n"
+      "  in.read(reinterpret_cast<char*>(bytes), 4);\n"
+      "}\n";
+  const auto inline_all =
+      lint_source("src/data/idx.cpp", inline_src, empty_allow());
+  const auto inline_r13 = findings_for(inline_all, "R13");
+  ASSERT_EQ(inline_r13.size(), 1U);
+  EXPECT_TRUE(inline_r13[0].suppressed);
+
+  const auto allow = parse_allow("R13 src/data/idx.cpp  third-party format\n");
+  const auto listed = lint_source(
+      "src/data/idx.cpp", "in.read(reinterpret_cast<char*>(bytes), 4);\n",
+      allow);
+  EXPECT_EQ(live_count(listed, "R13"), 0);
+  ASSERT_EQ(findings_for(listed, "R13").size(), 1U);
+  EXPECT_TRUE(findings_for(listed, "R13")[0].suppressed);
+}
+
+// ---------------------------------------------------------------------------
 // Scrubber: rule tokens inside comments/strings never fire
 // ---------------------------------------------------------------------------
 
@@ -1284,6 +1350,7 @@ TEST(LintSarif, GoldenBytes) {
             {"id": "R10", "shortDescription": {"text": "tracked-set capacity mutation outside src/core/"}},
             {"id": "R11", "shortDescription": {"text": "include-graph layering contract violation"}},
             {"id": "R12", "shortDescription": {"text": "determinism taint reachable from serialization/kernel root"}},
+            {"id": "R13", "shortDescription": {"text": "raw stream I/O bypassing util::ByteReader/ByteWriter"}},
             {"id": "S1", "shortDescription": {"text": "stale suppression (matched no finding)"}}
           ]
         }

@@ -111,6 +111,13 @@ TEST(QuantizedStore, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.bits(), 6);
 }
 
+TEST(QuantizedStore, BytesMatchesSerializedSize) {
+  auto q = QuantizedSparseStore::quantize(trained_store(), 4);
+  std::stringstream ss;
+  q.save(ss);
+  EXPECT_EQ(static_cast<std::int64_t>(ss.str().size()), q.bytes());
+}
+
 TEST(QuantizedStore, LoadRejectsGarbage) {
   std::stringstream ss;
   ss << "garbage data here";

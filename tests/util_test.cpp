@@ -197,9 +197,10 @@ TEST(Container, RoundTripsMultipleSections) {
   EXPECT_EQ(reader.section_name(0), "alpha");
   EXPECT_EQ(reader.section_bytes(0), "payload one");
   EXPECT_EQ(reader.section_bytes(1), std::string("\x00\x01\x02", 3));
-  EXPECT_TRUE(reader.has_section("empty"));
   EXPECT_EQ(reader.section_bytes(2), "");
-  EXPECT_FALSE(reader.has_section("gamma"));
+  EXPECT_NO_THROW(reader.expect_sections({"alpha", "beta", "empty"}));
+  EXPECT_THROW(reader.expect_sections({"alpha", "empty", "beta"}), IoError);
+  EXPECT_THROW(reader.expect_sections({"alpha", "beta"}), IoError);
   EXPECT_THROW(reader.section_stream("gamma"), IoError);
   // The reader consumed exactly its own bytes.
   EXPECT_EQ(in.tellg(), static_cast<std::streamoff>(out.str().size()));

@@ -386,6 +386,12 @@ bool r10_applies(const std::string& p) {
          is_source_under(p, "examples") || is_source_under(p, "bench");
 }
 
+bool r13_applies(const std::string& p) {
+  // util::ByteWriter/ByteReader (src/util/bytes) is the one byte codec;
+  // the container and atomic-file plumbing beside it share its layer.
+  return is_source_under(p, "src") && !starts_with(p, "src/util/");
+}
+
 bool serialization_function(const std::string& name) {
   std::string lower;
   lower.reserve(name.size());
@@ -467,6 +473,14 @@ const std::regex& r10_regex() {
   return re;
 }
 
+// A stream read/write whose buffer argument is reinterpret_cast to a char
+// pointer: the signature of a private pod codec.
+const std::regex& r13_regex() {
+  static const std::regex re(
+      R"((\.|->)\s*(read|write)\s*\(\s*reinterpret_cast\s*<\s*(const\s+)?(unsigned\s+|signed\s+)?char\s*\*\s*>)");
+  return re;
+}
+
 // Quoted #include on a scrubbed line. The directive shape must survive
 // scrubbing (so `#include` spelled inside a raw string never counts); the
 // target itself is blanked with the string literal, so it is re-read from
@@ -507,8 +521,8 @@ void emit_line(std::vector<Finding>* findings, const std::string& relpath,
 
 bool Allowlist::parse(const std::string& text, std::string* error) {
   static const std::set<std::string> known = {
-      "R1", "R2", "R3", "R4",  "R5",  "R6",  "R7",
-      "R8", "R9", "R10", "R11", "R12", "*"};
+      "R1", "R2",  "R3",  "R4",  "R5",  "R6",  "R7",
+      "R8", "R9", "R10", "R11", "R12", "R13", "*"};
   int line_no = 0;
   for (const auto& raw : split_lines(text)) {
     ++line_no;
@@ -730,6 +744,15 @@ FileModel analyze_source(const std::string& relpath,
                     ") outside src/core/ — the live budget k_t may only "
                     "change through the optim::BudgetSchedule installed on "
                     "the DropBackOptimizer (docs/SCHEDULES.md)");
+    }
+
+    if (r13_applies(relpath) && std::regex_search(line, m, r13_regex())) {
+      emit_line(&findings, relpath, "R13", line_no,
+                "raw stream " + m[2].str() +
+                    " through reinterpret_cast<char*> outside src/util/ — "
+                    "persisted bytes must go through util::ByteWriter / "
+                    "util::ByteReader (util/bytes.hpp), the one bounds-checked "
+                    "codec");
     }
 
     if (r9_applies(relpath) && std::regex_search(line, m, r9_regex())) {

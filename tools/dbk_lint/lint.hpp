@@ -69,6 +69,11 @@
 //       taint-free; the diagnostic prints the offending call chain down to
 //       the tainted line. A source whose own line-level finding is
 //       inline-suppressed (reviewed and deliberate) does not propagate.
+//   R13 no stream read/write through reinterpret_cast<...char*> under src/
+//       outside src/util/ — persisted bytes go through util::ByteWriter /
+//       util::ByteReader (util/bytes.hpp), the one bounds-checked codec, so
+//       a private pod codec cannot come back. Third-party formats with
+//       their own byte order carry an allowlist grant.
 //
 // Suppression comes in two forms (docs/STATIC_ANALYSIS.md):
 //   * inline: a comment `dbk-lint: allow(R5): reason` on the offending line,
@@ -91,7 +96,7 @@ namespace dbk_lint {
 
 /// One diagnostic. `file` is root-relative with '/' separators.
 struct Finding {
-  std::string rule;      ///< "R1".."R12", or "S1" (stale suppression)
+  std::string rule;      ///< "R1".."R13", or "S1" (stale suppression)
   std::string file;      ///< e.g. "src/tensor/matmul.cpp"
   int line = 0;          ///< 1-based
   std::string message;   ///< human-readable diagnostic
@@ -105,7 +110,7 @@ struct Finding {
 
 /// One `rule path reason` allowlist line.
 struct AllowEntry {
-  std::string rule;    ///< "R1".."R12" or "*" for any rule
+  std::string rule;    ///< "R1".."R13" or "*" for any rule
   std::string path;    ///< file path, or directory prefix ending in '/'
   std::string reason;  ///< rest of the line (shown in suppressed findings)
   int line = 0;        ///< 1-based line in the allowlist file (S1 anchor)
@@ -171,7 +176,8 @@ struct FileModel {
   std::string relpath;
   std::vector<IncludeRef> includes;
   std::vector<FunctionDef> functions;
-  std::vector<Finding> line_findings;  ///< R1..R10, suppression NOT yet applied
+  /// R1..R10 and R13, suppression NOT yet applied
+  std::vector<Finding> line_findings;
   std::vector<InlineDirective> directives;
   /// line -> directive indices whose grant covers that line.
   std::map<int, std::vector<int>> allow_by_line;

@@ -32,6 +32,7 @@ const RuleMeta kRules[] = {
     {"R10", "tracked-set capacity mutation outside src/core/"},
     {"R11", "include-graph layering contract violation"},
     {"R12", "determinism taint reachable from serialization/kernel root"},
+    {"R13", "raw stream I/O bypassing util::ByteReader/ByteWriter"},
     {"S1", "stale suppression (matched no finding)"},
 };
 

@@ -506,6 +506,79 @@ void run_simd_speedup_report() {
   }
 
   {
+    // The float-chain accumulate at MNIST fc1's weight gradient: dW =
+    // gyᵀ·x over a batch of 32, gy holding ReLU's exact zeros (about half),
+    // which the kernel's zero skip drops.
+    rng::Xorshift128 rng(1);
+    tensor::Tensor gy({32, 100}), x({32, 784});
+    for (std::int64_t i = 0; i < gy.numel(); ++i) {
+      const float v = rng.uniform(-1, 1);
+      gy[i] = rng.uniform(0, 1) < 0.5F ? 0.0F : v;
+    }
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(0, 1);
+    run_simd_case("simd/gemm-acc-fc1-dw-32x100x784", best, [&] {
+      benchmark::DoNotOptimize(tensor::matmul_tn(gy, x).data());
+    });
+  }
+
+  {
+    // VGG-S conv2 (8 -> 8 channels, 32x32, batch 16) as conv2d_backward
+    // runs it: per image, 227-row column panels (64 KB of 72 floats). The
+    // dW panel is gy[8, 227] · cols[227, 72] accumulated into dW[8, 72];
+    // the dX panel is gyᵀ[227, 8] · W[8, 72] into a fresh dcols panel.
+    // Each timed call covers the 16 x 5 panels of one backward.
+    constexpr std::int64_t kCout = 8, kPatch = 72, kRows = 1024, kPanel = 227;
+    rng::Xorshift128 rng(1);
+    std::vector<float> gy(static_cast<std::size_t>(kCout * kRows));
+    std::vector<float> cols(static_cast<std::size_t>(kPanel * kPatch));
+    std::vector<float> w(static_cast<std::size_t>(kCout * kPatch));
+    for (auto* v : {&gy, &cols, &w}) {
+      for (float& f : *v) f = rng.uniform(-1, 1);
+    }
+    std::vector<float> dw(static_cast<std::size_t>(kCout * kPatch));
+    std::vector<float> dcols(cols.size());
+    const auto panels = [&](auto&& panel) {
+      for (int image = 0; image < 16; ++image) {
+        for (std::int64_t r0 = 0; r0 < kRows; r0 += kPanel) {
+          panel(r0, std::min(kRows, r0 + kPanel) - r0);
+        }
+      }
+    };
+    run_simd_case("simd/gemm-acc-conv2-dw-panel-8x227x72", best, [&] {
+      std::fill(dw.begin(), dw.end(), 0.0F);
+      panels([&](std::int64_t r0, std::int64_t rows) {
+        simd::kernels().gemm_acc(kCout, kPatch, rows, gy.data() + r0, kRows,
+                                 1, cols.data(), kPatch, dw.data(), kPatch);
+      });
+      benchmark::DoNotOptimize(dw.data());
+    });
+    run_simd_case("simd/gemm-acc-conv2-dx-panel-227x8x72", best, [&] {
+      panels([&](std::int64_t r0, std::int64_t rows) {
+        std::fill(dcols.begin(), dcols.end(), 0.0F);
+        simd::kernels().gemm_acc(rows, kPatch, kCout, gy.data() + r0, 1,
+                                 kRows, w.data(), kPatch, dcols.data(),
+                                 kPatch);
+        benchmark::DoNotOptimize(dcols.data());
+      });
+    });
+  }
+
+  {
+    rng::Xorshift128 rng(1);
+    tensor::Tensor x({16, 8, 32, 32}), w({8, 8, 3, 3}), gy({16, 8, 32, 32});
+    for (auto* t : {&x, &w, &gy}) {
+      for (std::int64_t i = 0; i < t->numel(); ++i) {
+        (*t)[i] = rng.uniform(-1, 1);
+      }
+    }
+    tensor::Conv2dSpec spec{3, 3, 1, 1};
+    run_simd_case("simd/conv2d-backward-16x8x32x32", best, [&] {
+      benchmark::DoNotOptimize(
+          tensor::conv2d_backward(x, w, gy, spec, true).grad_weight.data());
+    });
+  }
+
+  {
     rng::Xorshift128 rng(1);
     tensor::Tensor x({16, 16, 32, 32}), w({32, 16, 3, 3}), b({32});
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);

@@ -23,12 +23,12 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
   auto node = std::make_shared<Node>(
       "conv2d", std::move(inputs),
       [xv, wv, bv, xval, wval, spec, with_bias](const T::Tensor& gy) {
-        const auto grads =
-            T::conv2d_backward(xval, wval, gy, spec, with_bias);
         Variable xm = xv, wm = wv, bm = bv;
-        if (xm.requires_grad() || xm.grad_fn()) {
-          xm.accumulate_grad(grads.grad_input);
-        }
+        // A first layer's input (the batch) takes no gradient: skip its dX.
+        const bool with_input = xm.requires_grad() || xm.grad_fn();
+        const auto grads =
+            T::conv2d_backward(xval, wval, gy, spec, with_bias, with_input);
+        if (with_input) xm.accumulate_grad(grads.grad_input);
         if (wm.requires_grad() || wm.grad_fn()) {
           wm.accumulate_grad(grads.grad_weight);
         }

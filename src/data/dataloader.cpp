@@ -263,14 +263,21 @@ void DataLoader::load_state(std::istream& in) {
     r.fail("cursor " + std::to_string(cursor) + " outside dataset of " +
            std::to_string(dataset_.size()));
   }
-  // The order is sized by the dataset, never by the input.
+  // The order is sized by the dataset, never by the input, and must be a
+  // permutation: a repeated index would serve one sample twice and drop
+  // another for the rest of the epoch.
   std::vector<std::int64_t> order(order_.size());
   r.raw(order.data(), order.size() * sizeof(std::int64_t));
+  std::vector<bool> seen(order.size(), false);
   for (const std::int64_t idx : order) {
     if (idx < 0 || idx >= dataset_.size()) {
       r.fail("sample index " + std::to_string(idx) + " outside dataset of " +
              std::to_string(dataset_.size()));
     }
+    if (seen[static_cast<std::size_t>(idx)]) {
+      r.fail("sample index " + std::to_string(idx) + " appears twice");
+    }
+    seen[static_cast<std::size_t>(idx)] = true;
   }
   r.expect_end();
   rng_.set_state(rs);

@@ -1,10 +1,11 @@
 // The SIMD kernel table: one struct of function pointers per dispatch
-// target (scalar / SSE4.2 / AVX2 / AVX-512 / NEON), covering the five
+// target (scalar / SSE4.2 / AVX2 / AVX-512 / NEON), covering the four
 // kernel families the training loop spends its time in:
 //
-//   gemm   — axpy / axpy2 row updates (matmul, matmul_tn, col2im) and the
-//            register-tiled packed-NT microkernel (matmul_nt, conv2d);
-//   conv   — contiguous copy / fill for the im2col gather and zero padding;
+//   gemm   — the register-tiled packed-NT microkernel (matmul_nt and the
+//            conv2d forward) and the float-chain accumulate C += A·B with
+//            its exact zero skip (matmul, matmul_tn and both conv2d
+//            backward products);
 //   regen  — batched counter-based xorshift regeneration (2/4/8 64-bit
 //            lanes per register, 4/8/16 values per step) behind
 //            rng::InitSpec and the sparse-store/inference regen paths;
@@ -18,9 +19,10 @@
 // is BITWISE IDENTICAL to the scalar reference in `detail` below, for all
 // inputs. Vectorize across outputs, never across one output's chain: each
 // output's operation order must match the scalar code exactly, so a
-// reduction (gemm_nt's double sum over l) keeps one accumulator per output
-// and walks l ascending on every target. tests/simd_equivalence_test.cpp
-// enforces this per (kernel x target x thread count).
+// reduction (gemm_nt's double sum over l, gemm_acc's float chain over l)
+// keeps one accumulator per output and walks l ascending on every target.
+// tests/simd_equivalence_test.cpp enforces this per (kernel x target x
+// thread count).
 #pragma once
 
 #include <cstdint>
@@ -57,12 +59,6 @@ struct Kernels {
   const char* name;
 
   // --- gemm family -------------------------------------------------------
-  /// dst[i] += a * src[i] for i in [0, n).
-  void (*axpy)(float* dst, const float* src, float a, std::int64_t n);
-  /// dst[i] += a0 * s0[i]; dst[i] += a1 * s1[i]; — two fused axpys sharing
-  /// one dst load/store, accumulation order per element preserved.
-  void (*axpy2)(float* dst, const float* s0, float a0, const float* s1,
-                float a1, std::int64_t n);
   /// C = A·Bᵀ for `rows` rows of A (row stride k) against B[n, k] packed
   /// in ceil(n / kPackWidth) column groups of width W = kPackWidth
   /// (packed[g*W*k + l*W + t] = B[g*W + t][l]):
@@ -71,10 +67,15 @@ struct Kernels {
   /// columns j < n are stored; targets tile kTileRows rows at a time.
   void (*gemm_nt)(const float* a, std::int64_t rows, const float* packed,
                   std::int64_t k, std::int64_t n, float* c);
-
-  // --- conv / copy family ------------------------------------------------
-  void (*copy)(float* dst, const float* src, std::int64_t n);
-  void (*fill)(float* dst, float value, std::int64_t n);
+  /// C += A·B for an m x n block of C: with A(i, l) = a[i*a_rs + l*a_cs],
+  /// each output runs the float chain c = c + A(i, l) * b[l*ldb + j] over
+  /// l ascending, and a term whose A(i, l) == 0 (either sign) is skipped
+  /// exactly, whatever B holds there (inf, NaN). NaN in A is a term like
+  /// any other. C rows have stride ldc; only the m x n block is touched.
+  void (*gemm_acc)(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                   const float* b, std::int64_t ldb, float* c,
+                   std::int64_t ldc);
 
   // --- regen family ------------------------------------------------------
   /// out[i] = rng::indexed_u32(seed, first + i).
@@ -129,17 +130,15 @@ struct Kernels {
 };
 
 namespace detail {
-// Scalar reference implementations. These ARE the semantics: every vector
-// backend funnels its tails through them and must match them bitwise on
+// Scalar reference implementations. These ARE the semantics: the vector
+// backends funnel most tails through them and must match them bitwise on
 // full vectors too. Addressable as plain functions so backend tables can
 // reference them without static-init-order concerns.
-void axpy(float* dst, const float* src, float a, std::int64_t n);
-void axpy2(float* dst, const float* s0, float a0, const float* s1, float a1,
-           std::int64_t n);
 void gemm_nt(const float* a, std::int64_t rows, const float* packed,
              std::int64_t k, std::int64_t n, float* c);
-void copy(float* dst, const float* src, std::int64_t n);
-void fill(float* dst, float value, std::int64_t n);
+void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t a_rs, std::int64_t a_cs, const float* b,
+              std::int64_t ldb, float* c, std::int64_t ldc);
 void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,
                std::uint32_t* out);
 void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,

@@ -1,14 +1,15 @@
 // Kernel bodies, templated over a vec.hpp trait struct. Each backend TU
-// instantiates these once (`impl::axpy<vec::Avx2>` etc.) and lists the
+// instantiates these once (`impl::gemm_acc<vec::Avx2>` etc.) and lists the
 // instantiations in its Kernels table.
 //
 // Shared structure of every kernel: a vector main loop over full lanes,
 // then a tail delegated to the scalar reference in simd::detail — so the
 // tail is bitwise-correct by construction and the vector loop only has to
 // match the scalar code on full vectors (the per-lane operation sequences
-// documented in vec.hpp take care of that). gemm_nt is the exception: its
-// row tail is a shorter register tile and its column tail a zero-padded
-// pack group whose padded lanes are never stored, so it has no scalar tail.
+// documented in vec.hpp take care of that). The two GEMMs are the
+// exception: their row tails are shorter register tiles and their column
+// tails are padded lanes that are never stored (gemm_nt's zero-padded pack
+// group, gemm_acc's partial loads/stores), so they have no scalar tail.
 #pragma once
 
 #include <cstdint>
@@ -25,45 +26,13 @@ inline constexpr std::uint64_t kMix2 = 0x94D049BB133111EBULL;
 /// 1/stddev of the 4-byte CLT sum (rng::indexed_normal_fast).
 inline constexpr float kInvStddev = 1.0F / 147.8005413F;
 
-template <class B>
-void axpy(float* dst, const float* src, float a, std::int64_t n) {
-  const typename B::VF av = B::fset1(a);
-  std::int64_t i = 0;
-  for (; i + B::kF32 <= n; i += B::kF32) {
-    B::fstore(dst + i,
-              B::fadd(B::fload(dst + i), B::fmul(av, B::fload(src + i))));
-  }
-  if (i < n) detail::axpy(dst + i, src + i, a, n - i);
-}
-
-template <class B>
-void axpy2(float* dst, const float* s0, float a0, const float* s1, float a1,
-           std::int64_t n) {
-  const typename B::VF a0v = B::fset1(a0);
-  const typename B::VF a1v = B::fset1(a1);
-  std::int64_t i = 0;
-  for (; i + B::kF32 <= n; i += B::kF32) {
-    typename B::VF acc =
-        B::fadd(B::fload(dst + i), B::fmul(a0v, B::fload(s0 + i)));
-    acc = B::fadd(acc, B::fmul(a1v, B::fload(s1 + i)));
-    B::fstore(dst + i, acc);
-  }
-  if (i < n) detail::axpy2(dst + i, s0 + i, a0, s1 + i, a1, n - i);
-}
-
-template <class B>
-void copy(float* dst, const float* src, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + B::kF32 <= n; i += B::kF32) B::fstore(dst + i, B::fload(src + i));
-  if (i < n) detail::copy(dst + i, src + i, n - i);
-}
-
+/// dst[i] = value — regen_fill's constant-spec path.
 template <class B>
 void fill(float* dst, float value, std::int64_t n) {
   const typename B::VF v = B::fset1(value);
   std::int64_t i = 0;
   for (; i + B::kF32 <= n; i += B::kF32) B::fstore(dst + i, v);
-  if (i < n) detail::fill(dst + i, value, n - i);
+  for (; i < n; ++i) dst[i] = value;
 }
 
 /// The full indexed_u32 pipeline on u64 lanes: splitmix64(seed ^ idx*phi)
@@ -389,6 +358,138 @@ void gemm_nt(const float* a, std::int64_t rows, const float* packed,
   for (std::int64_t i = 0; i < rows; i += kTileRows) {
     const std::int64_t r = rows - i < kTileRows ? rows - i : kTileRows;
     kRows[r](a + i * k, packed, k, n, c + i * n);
+  }
+}
+
+/// Terms per gemm_acc chunk: the span of l one row tile's term lists
+/// cover. C is stored between chunks, which keeps every bit — the chain is
+/// a float chain, so the accumulator is exactly what C holds.
+inline constexpr std::int64_t kAccChunk = 256;
+
+/// One row of A over a chunk, reduced to its nonzero terms in l order: the
+/// factor and the B row it scales. Building the list is where the exact
+/// zero skip happens, so the tile's inner loop has no test in it.
+struct AccTerms {
+  float a[kAccChunk];
+  const float* b[kAccChunk];
+  std::int64_t len;
+};
+
+inline void collect_terms(const float* arow, std::int64_t a_cs,
+                          const float* b, std::int64_t ldb, std::int64_t l0,
+                          std::int64_t l1, AccTerms& terms) {
+  std::int64_t len = 0;
+  for (std::int64_t l = l0; l < l1; ++l) {
+    const float av = arow[l * a_cs];
+    terms.a[len] = av;
+    terms.b[len] = b + l * ldb;
+    // dbk-lint: allow(R5): the exact-zero skip is part of the contract
+    len += av != 0.0F ? 1 : 0;
+  }
+  terms.len = len;
+}
+
+/// Vectors per gemm_acc tile row: 4 x 4 accumulators suit the 32 registers
+/// of AVX-512, 4 x 2 the 16 of SSE4/AVX2 (NEON keeps the smaller tile).
+template <class B>
+inline constexpr int kAccVecs = B::kF32 == 16 ? 4 : 2;
+
+/// R rows x kAccVecs vectors of gemm_acc's C from column j: one float
+/// chain per lane. The rows walk their terms in lockstep while every row
+/// has terms left, then each row finishes alone; either way each output
+/// sees its terms in l order. With Last, only the first `nv` vectors are
+/// live and vector nv - 1 holds `tail` columns (partial load/store).
+template <class B, int R, bool Last>
+void gemm_acc_tile(const AccTerms* terms, std::int64_t j, float* c,
+                   std::int64_t ldc, int nv, int tail) {
+  using VF = typename B::VF;
+  constexpr int NV = kAccVecs<B>;
+  const auto live = [nv](int v) { return !Last || v < nv; };
+  const auto load = [nv, tail](const float* p, int v) {
+    return Last && v == nv - 1 ? B::fload_part(p + v * B::kF32, tail)
+                               : B::fload(p + v * B::kF32);
+  };
+  const auto add_term = [&](VF* row_acc, float a, const float* brow) {
+    const VF av = B::fset1(a);
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      if (live(v)) {
+        row_acc[v] = B::fadd(row_acc[v], B::fmul(av, load(brow + j, v)));
+      }
+    }
+  };
+  VF acc[R][NV];
+  std::int64_t common = terms[0].len;
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    common = terms[r].len < common ? terms[r].len : common;
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = live(v) ? load(c + r * ldc + j, v) : B::fset1(0.0F);
+    }
+  }
+  for (std::int64_t t = 0; t < common; ++t) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      add_term(acc[r], terms[r].a[t], terms[r].b[t]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    for (std::int64_t t = common; t < terms[r].len; ++t) {
+      add_term(acc[r], terms[r].a[t], terms[r].b[t]);
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      float* out = c + r * ldc + j + v * B::kF32;
+      if (Last && v == nv - 1) {
+        B::fstore_part(out, acc[r][v], tail);
+      } else if (live(v)) {
+        B::fstore(out, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// R rows of gemm_acc across all n columns: full tiles, then one last tile
+/// of 1..kAccVecs vectors whose final vector may be ragged.
+template <class B, int R>
+void gemm_acc_rows(const AccTerms* terms, std::int64_t n, float* c,
+                   std::int64_t ldc) {
+  constexpr int NV = kAccVecs<B>;
+  constexpr std::int64_t W = B::kF32;
+  std::int64_t j = 0;
+  for (; n - j > NV * W; j += NV * W) {
+    gemm_acc_tile<B, R, false>(terms, j, c, ldc, NV, static_cast<int>(W));
+  }
+  const int nv = static_cast<int>((n - j + W - 1) / W);
+  gemm_acc_tile<B, R, true>(terms, j, c, ldc, nv,
+                             static_cast<int>(n - j - (nv - 1) * W));
+}
+
+template <class B>
+void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t a_rs, std::int64_t a_cs, const float* b,
+              std::int64_t ldb, float* c, std::int64_t ldc) {
+  static_assert(kTileRows == 4, "one gemm_acc_rows instance per tile height");
+  using Rows = void (*)(const AccTerms*, std::int64_t, float*, std::int64_t);
+  constexpr Rows kRows[] = {nullptr, &gemm_acc_rows<B, 1>,
+                            &gemm_acc_rows<B, 2>, &gemm_acc_rows<B, 3>,
+                            &gemm_acc_rows<B, 4>};
+  if (n <= 0) return;
+  AccTerms terms[kTileRows];
+  for (std::int64_t i = 0; i < m; i += kTileRows) {
+    const std::int64_t rows = m - i < kTileRows ? m - i : kTileRows;
+    const float* arows = a + i * a_rs;
+    for (std::int64_t l0 = 0; l0 < k; l0 += kAccChunk) {
+      const std::int64_t l1 = k - l0 < kAccChunk ? k : l0 + kAccChunk;
+      std::int64_t live = 0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        collect_terms(arows + r * a_rs, a_cs, b, ldb, l0, l1, terms[r]);
+        live += terms[r].len;
+      }
+      if (live > 0) kRows[rows](terms, n, c + i * ldc, ldc);
+    }
   }
 }
 

@@ -15,11 +15,8 @@ using B = vec::Neon;
 
 const Kernels kNeonKernels = {
     "neon",
-    &impl::axpy<B>,
-    &impl::axpy2<B>,
     &impl::gemm_nt<B>,
-    &impl::copy<B>,
-    &impl::fill<B>,
+    &impl::gemm_acc<B>,
     &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,

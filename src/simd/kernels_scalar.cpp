@@ -17,19 +17,6 @@
 namespace dropback::simd {
 namespace detail {
 
-void axpy(float* dst, const float* src, float a, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += a * src[i];
-}
-
-void axpy2(float* dst, const float* s0, float a0, const float* s1, float a1,
-           std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    float v = dst[i] + a0 * s0[i];
-    v += a1 * s1[i];
-    dst[i] = v;
-  }
-}
-
 void gemm_nt(const float* a, std::int64_t rows, const float* packed,
              std::int64_t k, std::int64_t n, float* c) {
   for (std::int64_t i = 0; i < rows; ++i) {
@@ -51,12 +38,19 @@ void gemm_nt(const float* a, std::int64_t rows, const float* packed,
   }
 }
 
-void copy(float* dst, const float* src, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
-}
-
-void fill(float* dst, float value, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = value;
+void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t a_rs, std::int64_t a_cs, const float* b,
+              std::int64_t ldb, float* c, std::int64_t ldc) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    for (std::int64_t l = 0; l < k; ++l) {
+      const float av = a[i * a_rs + l * a_cs];
+      // dbk-lint: allow(R5): the exact-zero skip is part of the contract
+      if (av == 0.0F) continue;
+      const float* brow = b + l * ldb;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
 void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,
@@ -179,11 +173,8 @@ MaskDelta remask(const float* s, std::int64_t n, float threshold,
 
 const Kernels kScalarKernels = {
     "scalar",
-    &detail::axpy,
-    &detail::axpy2,
     &detail::gemm_nt,
-    &detail::copy,
-    &detail::fill,
+    &detail::gemm_acc,
     &detail::regen_u32,
     &detail::regen_fill,
     &detail::score,

@@ -14,11 +14,8 @@ using B = vec::Sse4;
 
 const Kernels kSse4Kernels = {
     "sse4",
-    &impl::axpy<B>,
-    &impl::axpy2<B>,
     &impl::gemm_nt<B>,
-    &impl::copy<B>,
-    &impl::fill<B>,
+    &impl::gemm_acc<B>,
     &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,

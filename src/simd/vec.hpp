@@ -1,8 +1,9 @@
 // Fixed-width vector traits — the per-ISA layer under the kernel templates.
 //
-// Each struct below exposes the same tiny vocabulary (float lanes, u64
-// lanes, masked select, 64-bit xorshift arithmetic, and double lanes fed by
-// widened float products for the NT-GEMM tile) over one instruction set.
+// Each struct below exposes the same tiny vocabulary (float lanes with
+// partial loads/stores, u64 lanes, masked select, 64-bit xorshift
+// arithmetic, and double lanes fed by widened float products for the
+// NT-GEMM tile) over one instruction set.
 // simd/kernels_impl.hpp instantiates the kernel bodies once per trait; a
 // backend TU is just `using B = vec::Avx2;` plus a table of those
 // instantiations.
@@ -18,6 +19,10 @@
 //   * `umul` is a full 64-bit low multiply: emulated from 32x32->64
 //     halves on SSE4/AVX2, native on AVX-512DQ (_mm512_mullo_epi64) and
 //     NEON (vmull/vmlal_u32 decomposition);
+//   * `fload_part`/`fstore_part` touch only the first `cnt` lanes (1..kF32)
+//     — masked loads/stores on AVX2/AVX-512, a small copy elsewhere — so a
+//     ragged column tail needs no scalar loop; loaded lanes past `cnt` are
+//     zero and never stored;
 //   * `wmul` multiplies in float and only then widens to double, and
 //     `dstore_f32` rounds each double lane once to float — the scalar
 //     `acc += a[l] * b[l]` (float product, double sum) lane by lane;
@@ -88,6 +93,18 @@ struct Sse4 {
   }
   static VF select(VM m, VF if_set, VF if_clear) {
     return _mm_blendv_ps(if_clear, if_set, m);
+  }
+  /// The first cnt (1..kF32) lanes of p; the rest read as zero.
+  static VF fload_part(const float* p, int cnt) {
+    float tmp[kF32] = {};
+    std::memcpy(tmp, p, static_cast<std::size_t>(cnt) * sizeof(float));
+    return fload(tmp);
+  }
+  /// Stores the first cnt (1..kF32) lanes of v at p.
+  static void fstore_part(float* p, VF v, int cnt) {
+    float tmp[kF32];
+    fstore(tmp, v);
+    std::memcpy(p, tmp, static_cast<std::size_t>(cnt) * sizeof(float));
   }
 
   // --- u64 lanes (xorshift pipeline) --------------------------------------
@@ -194,6 +211,17 @@ struct Avx2 {
   static VF select(VM m, VF if_set, VF if_clear) {
     return _mm256_blendv_ps(if_clear, if_set, m);
   }
+  /// All-ones in lanes [0, cnt).
+  static __m256i part_mask(int cnt) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(cnt),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static VF fload_part(const float* p, int cnt) {
+    return _mm256_maskload_ps(p, part_mask(cnt));
+  }
+  static void fstore_part(float* p, VF v, int cnt) {
+    _mm256_maskstore_ps(p, part_mask(cnt), v);
+  }
 
   static VU uset1(std::uint64_t v) {
     return _mm256_set1_epi64x(static_cast<long long>(v));
@@ -290,6 +318,15 @@ struct Avx512 {
   static VF select(VM m, VF if_set, VF if_clear) {
     return _mm512_mask_blend_ps(m, if_clear, if_set);
   }
+  static __mmask16 part_mask(int cnt) {
+    return static_cast<__mmask16>((1U << cnt) - 1U);
+  }
+  static VF fload_part(const float* p, int cnt) {
+    return _mm512_maskz_loadu_ps(part_mask(cnt), p);
+  }
+  static void fstore_part(float* p, VF v, int cnt) {
+    _mm512_mask_storeu_ps(p, part_mask(cnt), v);
+  }
 
   static VU uset1(std::uint64_t v) {
     return _mm512_set1_epi64(static_cast<long long>(v));
@@ -383,6 +420,16 @@ struct Neon {
   }
   static VF select(VM m, VF if_set, VF if_clear) {
     return vbslq_f32(m, if_set, if_clear);
+  }
+  static VF fload_part(const float* p, int cnt) {
+    float tmp[kF32] = {};
+    std::memcpy(tmp, p, static_cast<std::size_t>(cnt) * sizeof(float));
+    return fload(tmp);
+  }
+  static void fstore_part(float* p, VF v, int cnt) {
+    float tmp[kF32];
+    fstore(tmp, v);
+    std::memcpy(p, tmp, static_cast<std::size_t>(cnt) * sizeof(float));
   }
 
   static VU uset1(std::uint64_t v) { return vdupq_n_u64(v); }

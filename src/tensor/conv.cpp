@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "obs/profiler.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,153 +21,221 @@ std::int64_t conv_grain(std::int64_t flops_per_item) {
   return std::max<std::int64_t>(
       1, kConvGrainFlops / std::max<std::int64_t>(1, flops_per_item));
 }
+
+/// Size of one column panel. A panel of output rows is gathered (or its
+/// gradient produced), used and dropped while it is still in cache, so no
+/// pass ever materializes the [N·OH·OW, patch] columns.
+constexpr std::int64_t kPanelBytes = 64 * 1024;
+
+/// Rows of a panel `width` floats wide (at least one).
+std::int64_t panel_rows(std::int64_t width) {
+  const std::int64_t row_bytes = std::max<std::int64_t>(1, width) *
+                                 static_cast<std::int64_t>(sizeof(float));
+  return std::max<std::int64_t>(1, kPanelBytes / row_bytes);
+}
+
+/// The patch geometry of one image restricted to input channels [c0, c1):
+/// output row r = oy·OW + ox, patch column l = ((ch - c0)·KH + ky)·KW + kx.
+/// A row is (c1 - c0)·KH runs of KW taps, each contiguous in the image.
+/// Interior rows — every tap inside the image — take each run at a
+/// precomputed offset; only border rows clip runs against the image.
+class Patches {
+ public:
+  Patches(const Shape& x_shape, const Conv2dSpec& spec, std::int64_t c0,
+          std::int64_t c1)
+      : c0_(c0), h_(x_shape[2]), w_(x_shape[3]), spec_(spec),
+        oh_(spec.out_h(h_)), ow_(spec.out_w(w_)) {
+    runs_.reserve(static_cast<std::size_t>((c1 - c0) * spec.kernel_h));
+    for (std::int64_t ch = 0; ch < c1 - c0; ++ch) {
+      for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+        runs_.push_back((ch * h_ + ky) * w_);
+      }
+    }
+  }
+
+  std::int64_t rows() const { return oh_ * ow_; }
+  std::int64_t width() const {
+    return static_cast<std::int64_t>(runs_.size()) * spec_.kernel_w;
+  }
+
+  /// dst[(r - r0)·width + l] = tap (r, l) of `image` (the whole NCHW image,
+  /// all channels), 0 where the tap lies in the padding.
+  void gather(const float* image, std::int64_t r0, std::int64_t r1,
+              float* dst) const {
+    const float* src = image + c0_ * h_ * w_;
+    visit(
+        r0, r1,
+        [=](std::int64_t i, std::int64_t px, std::int64_t len) {
+#pragma GCC unroll 4
+          for (std::int64_t k = 0; k < len; ++k) dst[i + k] = src[px + k];
+        },
+        [=](std::int64_t i, std::int64_t len) {
+          for (std::int64_t k = 0; k < len; ++k) dst[i + k] = 0.0F;
+        });
+  }
+
+  /// The adjoint of gather: adds src[(r - r0)·width + l] into its pixel of
+  /// `image`, rows ascending — so each pixel sums its taps in (oy, ox)
+  /// order, panel after panel.
+  void scatter(const float* src, std::int64_t r0, std::int64_t r1,
+               float* image) const {
+    float* dst = image + c0_ * h_ * w_;
+    visit(
+        r0, r1,
+        [=](std::int64_t i, std::int64_t px, std::int64_t len) {
+#pragma GCC unroll 4
+          for (std::int64_t k = 0; k < len; ++k) dst[px + k] += src[i + k];
+        },
+        [](std::int64_t, std::int64_t) {});
+  }
+
+ private:
+  /// Calls run(i, pixel, len) for every in-image run of taps of rows
+  /// [r0, r1) and pad(i, len) for every run in the padding, i = (r - r0)·
+  /// width + l, rows ascending. The pixel offset is relative to channel
+  /// c0's plane. 3-wide kernels get their run length at compile time.
+  template <class Run, class Pad>
+  void visit(std::int64_t r0, std::int64_t r1, Run run, Pad pad) const {
+    if (spec_.kernel_w == 3) {
+      visit_rows<3>(r0, r1, run, pad);
+    } else {
+      visit_rows<0>(r0, r1, run, pad);
+    }
+  }
+
+  template <std::int64_t KW, class Run, class Pad>
+  void visit_rows(std::int64_t r0, std::int64_t r1, Run run, Pad pad) const {
+    const std::int64_t kh = spec_.kernel_h;
+    const std::int64_t kw = KW > 0 ? KW : spec_.kernel_w;
+    const std::int64_t width = this->width();
+    const std::int64_t runs = static_cast<std::int64_t>(runs_.size());
+    const std::int64_t* run_at = runs_.data();
+    std::int64_t oy = r0 / ow_, ox = r0 % ow_;
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const std::int64_t i0 = (r - r0) * width;
+      const std::int64_t iy0 = oy * spec_.stride - spec_.padding;
+      const std::int64_t ix0 = ox * spec_.stride - spec_.padding;
+      const std::int64_t ky_lo = std::max<std::int64_t>(0, -iy0);
+      const std::int64_t ky_hi = std::min(kh, h_ - iy0);
+      const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
+      const std::int64_t kx_hi = std::min(kw, w_ - ix0);
+      const std::int64_t base = iy0 * w_ + ix0;
+      if (ky_lo == 0 && ky_hi == kh && kx_lo == 0 && kx_hi == kw) {
+        for (std::int64_t q = 0; q < runs; ++q) {
+          run(i0 + q * kw, base + run_at[q], kw);
+        }
+      } else {
+        for (std::int64_t q0 = 0; q0 < runs; q0 += kh) {
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const std::int64_t i = i0 + (q0 + ky) * kw;
+            if (ky < ky_lo || ky >= ky_hi || kx_lo >= kx_hi) {
+              pad(i, kw);
+              continue;
+            }
+            pad(i, kx_lo);
+            run(i + kx_lo, base + run_at[q0 + ky] + kx_lo, kx_hi - kx_lo);
+            pad(i + kx_hi, kw - kx_hi);
+          }
+        }
+      }
+      if (++ox == ow_) {
+        ox = 0;
+        ++oy;
+      }
+    }
+  }
+
+  std::int64_t c0_, h_, w_;
+  Conv2dSpec spec_;
+  std::int64_t oh_, ow_;
+  std::vector<std::int64_t> runs_;  ///< image offset of each (ch, ky) run
+};
+
+void check_conv_input(const Tensor& x, const Conv2dSpec& spec,
+                      const char* what) {
+  DROPBACK_CHECK(x.ndim() == 4, << what << " needs NCHW, got "
+                                << shape_str(x.shape()));
+  DROPBACK_CHECK(spec.out_h(x.size(2)) > 0 && spec.out_w(x.size(3)) > 0,
+                 << what << ": empty output for input "
+                 << shape_str(x.shape()));
+}
+
+void check_conv_weight(const Tensor& x, const Tensor& w,
+                       const Conv2dSpec& spec, const char* what) {
+  DROPBACK_CHECK(w.ndim() == 4, << what << ": x " << shape_str(x.shape())
+                                << ", w " << shape_str(w.shape()));
+  DROPBACK_CHECK(w.size(1) == x.size(1) && w.size(2) == spec.kernel_h &&
+                     w.size(3) == spec.kernel_w,
+                 << what << ": weight " << shape_str(w.shape())
+                 << " inconsistent with input channels " << x.size(1)
+                 << " and kernel " << spec.kernel_h << "x" << spec.kernel_w);
+}
 }  // namespace
 
 Tensor im2col(const Tensor& x, const Conv2dSpec& spec) {
   DROPBACK_PROFILE_SCOPE("im2col");
-  DROPBACK_CHECK(x.ndim() == 4, << "im2col needs NCHW, got "
-                                << shape_str(x.shape()));
-  const std::int64_t n = x.size(0), c = x.size(1), h = x.size(2),
-                     w = x.size(3);
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  DROPBACK_CHECK(oh > 0 && ow > 0, << "im2col: empty output for input "
-                                   << shape_str(x.shape()));
-  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
-  Tensor cols({n * oh * ow, patch});
+  check_conv_input(x, spec, "im2col");
+  const Patches patches(x.shape(), spec, 0, x.size(1));
+  const std::int64_t rows = patches.rows(), width = patches.width();
+  const std::int64_t image = x.size(1) * x.size(2) * x.size(3);
+  Tensor cols({x.size(0) * rows, width});
   const float* px = x.data();
   float* pc = cols.data();
-  // Every output row (one (b, oy, ox) patch) is written by exactly one
-  // shard, so the gather parallelizes over rows without ordering concerns.
-  // Within a (ch, ky) slice the kx positions map to consecutive ix, so each
-  // slice is a zero prefix + one contiguous copy + a zero suffix, all on
-  // the SIMD copy/fill kernels — a pure data movement, bitwise independent
-  // of lane width.
-  const Conv2dSpec sp = spec;
-  const simd::Kernels& kernels = simd::kernels();
-  util::parallel_for(
-      conv_grain(patch), n * oh * ow,
-      [=, &kernels](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const std::int64_t b = r / (oh * ow);
-          const std::int64_t oy = (r / ow) % oh;
-          const std::int64_t ox = r % ow;
-          float* col = pc + r * patch;
-          const std::int64_t ix0 = ox * sp.stride - sp.padding;
-          // Valid kx range: ix0 + kx in [0, w).
-          const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
-          const std::int64_t kx_hi =
-              std::min<std::int64_t>(sp.kernel_w, w - ix0);
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            const float* plane = px + (b * c + ch) * h * w;
-            for (std::int64_t ky = 0; ky < sp.kernel_h; ++ky) {
-              const std::int64_t iy = oy * sp.stride + ky - sp.padding;
-              float* dst = col + (ch * sp.kernel_h + ky) * sp.kernel_w;
-              if (iy < 0 || iy >= h || kx_lo >= kx_hi) {
-                kernels.fill(dst, 0.0F, sp.kernel_w);
-                continue;
-              }
-              if (kx_lo > 0) kernels.fill(dst, 0.0F, kx_lo);
-              kernels.copy(dst + kx_lo, plane + iy * w + ix0 + kx_lo,
-                           kx_hi - kx_lo);
-              if (kx_hi < sp.kernel_w) {
-                kernels.fill(dst + kx_hi, 0.0F, sp.kernel_w - kx_hi);
-              }
-            }
-          }
-        }
-      });
+  util::parallel_for(conv_grain(rows * width), x.size(0),
+                     [&](std::int64_t b0, std::int64_t b1) {
+                       for (std::int64_t b = b0; b < b1; ++b) {
+                         patches.gather(px + b * image, 0, rows,
+                                        pc + b * rows * width);
+                       }
+                     });
   return cols;
-}
-
-Tensor col2im(const Tensor& cols, const Shape& x_shape,
-              const Conv2dSpec& spec) {
-  DROPBACK_CHECK(x_shape.size() == 4, << "col2im needs NCHW target shape");
-  const std::int64_t n = x_shape[0], c = x_shape[1], h = x_shape[2],
-                     w = x_shape[3];
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
-  DROPBACK_CHECK(cols.ndim() == 2 && cols.size(0) == n * oh * ow &&
-                     cols.size(1) == patch,
-                 << "col2im: columns " << shape_str(cols.shape())
-                 << " do not match target " << shape_str(x_shape));
-  Tensor x(x_shape);
-  const float* pc = cols.data();
-  float* px = x.data();
-  // Overlapping patches of the same image scatter-add into shared pixels,
-  // so the parallel split is per batch image: shards own disjoint planes
-  // and each image replays the serial (oy, ox, k) accumulation order.
-  // Each in-bounds (ch, ky) slice is one contiguous add-run (kx maps to
-  // consecutive ix), which the SIMD axpy kernel performs with a = 1.0f —
-  // v + 1.0f * u rounds exactly like v + u, and the (oy, ox, ch, ky, kx)
-  // accumulation order is untouched.
-  const Conv2dSpec sp = spec;
-  const simd::Kernels& kernels = simd::kernels();
-  util::parallel_for(
-      conv_grain(oh * ow * patch), n,
-      [=, &kernels](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const float* col = pc + ((b * oh + oy) * ow + ox) * patch;
-              const std::int64_t ix0 = ox * sp.stride - sp.padding;
-              const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
-              const std::int64_t kx_hi =
-                  std::min<std::int64_t>(sp.kernel_w, w - ix0);
-              if (kx_lo >= kx_hi) continue;  // fully out of bounds
-              for (std::int64_t ch = 0; ch < c; ++ch) {
-                float* plane = px + (b * c + ch) * h * w;
-                for (std::int64_t ky = 0; ky < sp.kernel_h; ++ky) {
-                  const std::int64_t iy = oy * sp.stride + ky - sp.padding;
-                  if (iy < 0 || iy >= h) continue;
-                  const float* src =
-                      col + (ch * sp.kernel_h + ky) * sp.kernel_w;
-                  kernels.axpy(plane + iy * w + ix0 + kx_lo, src + kx_lo,
-                               1.0F, kx_hi - kx_lo);
-                }
-              }
-            }
-          }
-        }
-      });
-  return x;
 }
 
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               const Conv2dSpec& spec) {
   DROPBACK_PROFILE_SCOPE("conv2d");
-  DROPBACK_CHECK(x.ndim() == 4 && w.ndim() == 4,
-                 << "conv2d: x " << shape_str(x.shape()) << ", w "
-                 << shape_str(w.shape()));
+  check_conv_input(x, spec, "conv2d");
+  check_conv_weight(x, w, spec, "conv2d");
   const std::int64_t n = x.size(0), cin = x.size(1);
   const std::int64_t cout = w.size(0);
-  DROPBACK_CHECK(w.size(1) == cin && w.size(2) == spec.kernel_h &&
-                     w.size(3) == spec.kernel_w,
-                 << "conv2d: weight " << shape_str(w.shape())
-                 << " inconsistent with input channels " << cin
-                 << " and kernel " << spec.kernel_h << "x" << spec.kernel_w);
-  const std::int64_t oh = spec.out_h(x.size(2)), ow = spec.out_w(x.size(3));
-
-  // cols [N*OH*OW, patch] x wmatT [patch, C_out] -> [N*OH*OW, C_out]
-  const Tensor cols = im2col(x, spec);
-  const Tensor wmat = w.reshape({cout, -1});
-  Tensor out_rows = matmul_nt(cols, wmat);  // rows x wmat^T
-  if (b.defined()) {
-    DROPBACK_CHECK(b.numel() == cout, << "conv2d: bias size " << b.numel());
-    out_rows = add_row_vector(out_rows, b);
-  }
-  // [N*OH*OW, C_out] -> [N, C_out, OH, OW]
-  Tensor y({n, cout, oh, ow});
-  const float* pr = out_rows.data();
+  DROPBACK_CHECK(!b.defined() || b.numel() == cout,
+                 << "conv2d: bias size " << b.numel());
+  const Patches patches(x.shape(), spec, 0, cin);
+  const std::int64_t rows = patches.rows(), width = patches.width();
+  const std::int64_t image = cin * x.size(2) * x.size(3);
+  const std::int64_t panel = panel_rows(width);
+  const std::vector<float> packed = pack_nt(w.data(), cout, width);
+  Tensor y({n, cout, spec.out_h(x.size(2)), spec.out_w(x.size(3))});
+  const float* px = x.data();
+  const float* pp = packed.data();
+  const float* pb = b.defined() ? b.data() : nullptr;
   float* py = y.data();
+  const simd::Kernels& kernels = simd::kernels();
+  // Per panel: columns [rows, patch] · Wᵀ on the NT microkernel (each
+  // output keeps its double chain, l ascending), then the result and bias
+  // go straight into NCHW. Shards own whole images.
   util::parallel_for(
-      conv_grain(oh * ow * cout), n, [=](std::int64_t b0, std::int64_t b1) {
+      conv_grain(rows * width * cout), n,
+      [&](std::int64_t b0, std::int64_t b1) {
+        std::vector<float> cols(static_cast<std::size_t>(panel * width));
+        std::vector<float> out(static_cast<std::size_t>(panel * cout));
         for (std::int64_t bn = b0; bn < b1; ++bn) {
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const float* row = pr + ((bn * oh + oy) * ow + ox) * cout;
-              for (std::int64_t ch = 0; ch < cout; ++ch) {
-                py[((bn * cout + ch) * oh + oy) * ow + ox] = row[ch];
+          float* yimg = py + bn * cout * rows;
+          for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
+            const std::int64_t r1 = std::min(rows, r0 + panel);
+            {
+              DROPBACK_PROFILE_SCOPE("im2col");
+              patches.gather(px + bn * image, r0, r1, cols.data());
+            }
+            kernels.gemm_nt(cols.data(), r1 - r0, pp, width, cout,
+                            out.data());
+            for (std::int64_t o = 0; o < cout; ++o) {
+              float* dst = yimg + o * rows + r0;
+              for (std::int64_t p = 0; p < r1 - r0; ++p) {
+                dst[p] = out[static_cast<std::size_t>(p * cout + o)];
               }
+              if (pb == nullptr) continue;
+              for (std::int64_t p = 0; p < r1 - r0; ++p) dst[p] += pb[o];
             }
           }
         }
@@ -176,45 +244,95 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
 }
 
 Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& gy,
-                            const Conv2dSpec& spec, bool with_bias) {
+                            const Conv2dSpec& spec, bool with_bias,
+                            bool with_input) {
   DROPBACK_PROFILE_SCOPE("conv2d_backward");
-  const std::int64_t n = x.size(0);
+  check_conv_input(x, spec, "conv2d_backward");
+  check_conv_weight(x, w, spec, "conv2d_backward");
+  const std::int64_t n = x.size(0), cin = x.size(1);
   const std::int64_t cout = w.size(0);
-  const std::int64_t oh = gy.size(2), ow = gy.size(3);
-  DROPBACK_CHECK(gy.size(0) == n && gy.size(1) == cout,
+  const std::int64_t oh = spec.out_h(x.size(2)), ow = spec.out_w(x.size(3));
+  DROPBACK_CHECK(gy.ndim() == 4 && gy.size(0) == n && gy.size(1) == cout &&
+                     gy.size(2) == oh && gy.size(3) == ow,
                  << "conv2d_backward: gy " << shape_str(gy.shape()));
+  const std::int64_t rows = oh * ow;
+  const std::int64_t taps = spec.kernel_h * spec.kernel_w;
+  const std::int64_t patch = cin * taps;
+  const std::int64_t image = cin * x.size(2) * x.size(3);
+  const float* px = x.data();
+  const float* pgy = gy.data();
+  const simd::Kernels& kernels = simd::kernels();
 
-  // gy [N,C_out,OH,OW] -> rows [N*OH*OW, C_out]
-  Tensor gy_rows({n * oh * ow, cout});
-  {
-    const float* pg = gy.data();
-    float* pr = gy_rows.data();
+  Conv2dGrads grads;
+  // dW[o, l] += Σ_r gy[o, r] · cols[r, l], a float chain over (image, r)
+  // ascending. gy's NCHW image is already the [C_out, rows] left operand.
+  // Shards own input-channel groups, i.e. disjoint dW column blocks, and
+  // gather only their own patch columns.
+  grads.grad_weight = Tensor(w.shape());
+  float* pdw = grads.grad_weight.data();
+  util::parallel_for(
+      conv_grain(n * rows * taps * cout), cin,
+      [&](std::int64_t c0, std::int64_t c1) {
+        const Patches patches(x.shape(), spec, c0, c1);
+        const std::int64_t width = patches.width();
+        const std::int64_t panel = panel_rows(width);
+        std::vector<float> cols(static_cast<std::size_t>(panel * width));
+        for (std::int64_t bn = 0; bn < n; ++bn) {
+          for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
+            const std::int64_t r1 = std::min(rows, r0 + panel);
+            {
+              DROPBACK_PROFILE_SCOPE("im2col");
+              patches.gather(px + bn * image, r0, r1, cols.data());
+            }
+            kernels.gemm_acc(cout, width, r1 - r0,
+                             pgy + bn * cout * rows + r0, rows, 1,
+                             cols.data(), width, pdw + c0 * taps, patch);
+          }
+        }
+      });
+
+  // dX needs no columns: each dcols panel [rows, patch] = gyᵀ · W (a float
+  // chain over o ascending) is scattered back at once. Shards own images.
+  if (with_input) {
+    grads.grad_input = Tensor(x.shape());
+    float* pgx = grads.grad_input.data();
+    const float* pw = w.data();
+    const Patches patches(x.shape(), spec, 0, cin);
+    const std::int64_t panel = panel_rows(patch);
     util::parallel_for(
-        conv_grain(cout * oh * ow), n, [=](std::int64_t b0, std::int64_t b1) {
+        conv_grain(rows * patch * cout), n,
+        [&](std::int64_t b0, std::int64_t b1) {
+          std::vector<float> dcols(static_cast<std::size_t>(panel * patch));
           for (std::int64_t bn = b0; bn < b1; ++bn) {
-            for (std::int64_t ch = 0; ch < cout; ++ch) {
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
-                for (std::int64_t ox = 0; ox < ow; ++ox) {
-                  pr[((bn * oh + oy) * ow + ox) * cout + ch] =
-                      pg[((bn * cout + ch) * oh + oy) * ow + ox];
-                }
-              }
+            for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
+              const std::int64_t r1 = std::min(rows, r0 + panel);
+              std::fill_n(dcols.begin(), (r1 - r0) * patch, 0.0F);
+              kernels.gemm_acc(r1 - r0, patch, cout,
+                               pgy + bn * cout * rows + r0, 1, rows, pw,
+                               patch, dcols.data(), patch);
+              patches.scatter(dcols.data(), r0, r1, pgx + bn * image);
             }
           }
         });
   }
 
-  const Tensor cols = im2col(x, spec);
-  const Tensor wmat = w.reshape({cout, -1});
-
-  Conv2dGrads grads;
-  // dW = gy_rowsᵀ · cols  -> [C_out, patch]
-  grads.grad_weight = matmul_tn(gy_rows, cols).reshape(w.shape());
-  // dcols = gy_rows · wmat -> [N*OH*OW, patch]; scatter back through col2im.
-  const Tensor dcols = matmul(gy_rows, wmat);
-  grads.grad_input = col2im(dcols, x.shape(), spec);
+  // db[o] = Σ gy[·, o, ·], the float chain of sum_rows over (image, r).
   if (with_bias) {
-    grads.grad_bias = sum_rows(gy_rows);
+    grads.grad_bias = Tensor({cout});
+    float* pdb = grads.grad_bias.data();
+    util::parallel_for(conv_grain(n * rows), cout,
+                       [&](std::int64_t o0, std::int64_t o1) {
+                         for (std::int64_t o = o0; o < o1; ++o) {
+                           float acc = 0.0F;
+                           for (std::int64_t bn = 0; bn < n; ++bn) {
+                             const float* g = pgy + (bn * cout + o) * rows;
+                             for (std::int64_t r = 0; r < rows; ++r) {
+                               acc += g[r];
+                             }
+                           }
+                           pdb[o] = acc;
+                         }
+                       });
   }
   return grads;
 }

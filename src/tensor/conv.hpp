@@ -2,8 +2,12 @@
 // counterparts. All tensors are NCHW float32.
 //
 // conv2d lowers each input window to a column and multiplies by the weight
-// matrix [C_out, C_in*KH*KW]; backward reverses via col2im. Pooling records
-// argmax indices in forward so backward can scatter gradients exactly.
+// matrix [C_out, C_in*KH*KW]; backward scatters column gradients back
+// (col2im). Neither builds the full [N*OH*OW, patch] columns: each image
+// runs in cache-sized row panels that are gathered (or scattered back)
+// right where they are used.
+// Pooling records argmax indices in forward so backward can scatter
+// gradients exactly.
 #pragma once
 
 #include <cstdint>
@@ -30,23 +34,23 @@ struct Conv2dSpec {
 /// Lowers x[N,C,H,W] to columns [N*OH*OW, C*KH*KW].
 Tensor im2col(const Tensor& x, const Conv2dSpec& spec);
 
-/// Adjoint of im2col: accumulates columns back into an image [N,C,H,W].
-Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec);
-
 /// y[N,C_out,OH,OW] = conv(x[N,C_in,H,W], w[C_out,C_in,KH,KW]) + b[C_out]
 /// Pass an undefined bias Tensor to skip the bias add.
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               const Conv2dSpec& spec);
 
 struct Conv2dGrads {
-  Tensor grad_input;   ///< [N,C_in,H,W]
+  Tensor grad_input;   ///< [N,C_in,H,W] (undefined without with_input)
   Tensor grad_weight;  ///< [C_out,C_in,KH,KW]
   Tensor grad_bias;    ///< [C_out] (undefined if no bias was used)
 };
 
 /// Backward pass of conv2d given upstream gradient gy[N,C_out,OH,OW].
+/// grad_bias is computed only with_bias and grad_input only with_input
+/// (a first layer's input needs none); the others stay undefined.
 Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& gy,
-                            const Conv2dSpec& spec, bool with_bias);
+                            const Conv2dSpec& spec, bool with_bias,
+                            bool with_input = true);
 
 /// 2x2-style max pooling. Returns output and fills `argmax` with the flat
 /// input index chosen for each output element (for exact backward).

@@ -466,5 +466,36 @@ TEST(CodecRegression, DbqsRejectsUnsortedAndDuplicateEntries) {
   }
 }
 
+TEST(CodecRegression, Dbd2DuplicateSampleIndexIsIoError) {
+  // Every index in range, but one appears twice: the resumed loader would
+  // serve that sample twice and drop another for the rest of the epoch.
+  // The bytes load and re-save exactly, so only the decoder can catch it.
+  const auto dataset = fixture_dataset();
+  data::DataLoader loader(*dataset, 4, true, 42);
+  data::Batch batch;
+  ASSERT_TRUE(loader.next(batch));
+  const std::string good =
+      saved([&](std::ostream& out) { loader.save_state(out); });
+  ASSERT_GE(dataset->size(), 2);
+  // magic, version, size, batch, shuffle, rng (4 x u32 + flag + float),
+  // epoch and cursor come before the order.
+  const std::size_t order_at = 4 + 4 + 8 + 8 + 1 + 16 + 1 + 4 + 8 + 8;
+  ASSERT_EQ(good.size(), order_at + static_cast<std::size_t>(
+                                        dataset->size()) * sizeof(std::int64_t));
+  std::string bad = good;
+  std::memcpy(bad.data() + order_at + sizeof(std::int64_t),
+              good.data() + order_at, sizeof(std::int64_t));
+  std::istringstream in(bad, std::ios::binary);
+  try {
+    loader.load_state(in);
+    FAIL() << "duplicate sample index loaded";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("appears twice"), std::string::npos)
+        << e.what();
+  }
+  // The loader kept its state: the good bytes still round-trip.
+  EXPECT_EQ(saved([&](std::ostream& out) { loader.save_state(out); }), good);
+}
+
 }  // namespace
 }  // namespace dropback

@@ -72,21 +72,6 @@ TEST(Im2col, ZeroPaddingFillsZeros) {
   EXPECT_FLOAT_EQ(sum, 4.0F);
 }
 
-TEST(Im2colCol2im, AdjointProperty) {
-  // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining property of
-  // an adjoint pair, and exactly what conv backward relies on.
-  Conv2dSpec spec{3, 3, 2, 1};
-  const Shape xshape{2, 2, 5, 5};
-  Tensor x = rand_tensor(xshape, 1);
-  Tensor cols = im2col(x, spec);
-  Tensor y = rand_tensor(cols.shape(), 2);
-  double lhs = 0.0, rhs = 0.0;
-  for (std::int64_t i = 0; i < cols.numel(); ++i) lhs += cols[i] * y[i];
-  Tensor back = col2im(y, xshape, spec);
-  for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
 TEST(Conv2d, MatchesNaiveWithBias) {
   Conv2dSpec spec{3, 3, 1, 1};
   Tensor x = rand_tensor({2, 3, 6, 6}, 3);
@@ -117,6 +102,22 @@ TEST(Conv2d, ShapeChecks) {
   Conv2dSpec spec{3, 3, 1, 1};
   EXPECT_THROW(conv2d(Tensor({1, 2, 5, 5}), Tensor({4, 3, 3, 3}), Tensor(),
                       spec),
+               std::invalid_argument);
+}
+
+TEST(Conv2dBackward, ShapeChecks) {
+  Conv2dSpec spec{3, 3, 1, 1};
+  const Tensor x({1, 2, 5, 5});
+  const Tensor gy({1, 4, 5, 5});
+  // Input channels, kernel height, kernel width and rank each disagree.
+  for (const Shape& bad : {Shape{4, 3, 3, 3}, Shape{4, 2, 5, 3},
+                           Shape{4, 2, 3, 1}, Shape{4, 18}}) {
+    EXPECT_THROW(conv2d_backward(x, Tensor(bad), gy, spec, true),
+                 std::invalid_argument)
+        << shape_str(bad);
+  }
+  EXPECT_THROW(conv2d_backward(x, Tensor({4, 2, 3, 3}), Tensor({1, 3, 5, 5}),
+                               spec, true),
                std::invalid_argument);
 }
 
@@ -151,6 +152,38 @@ TEST(Conv2dBackward, GradInputIsAdjointOfForward) {
     rhs += x[i] * grads.grad_input[i];
   }
   EXPECT_NEAR(lhs, rhs, 1e-2);
+}
+
+TEST(Conv2dBackward, WithoutInputSkipsOnlyTheInputGradient) {
+  // A first layer's input takes no gradient: the dX pass is skipped, and
+  // dW and dB keep every bit of the full pass.
+  Conv2dSpec spec{3, 3, 1, 1};
+  Tensor x = rand_tensor({2, 3, 7, 7}, 15);
+  Tensor w = rand_tensor({4, 3, 3, 3}, 16);
+  Tensor gy = rand_tensor({2, 4, 7, 7}, 17);
+  const auto full = conv2d_backward(x, w, gy, spec, true);
+  const auto no_dx = conv2d_backward(x, w, gy, spec, true, false);
+  EXPECT_TRUE(full.grad_input.defined());
+  EXPECT_FALSE(no_dx.grad_input.defined());
+  for (std::int64_t i = 0; i < full.grad_weight.numel(); ++i) {
+    EXPECT_EQ(full.grad_weight[i], no_dx.grad_weight[i]) << i;
+  }
+  for (std::int64_t i = 0; i < full.grad_bias.numel(); ++i) {
+    EXPECT_EQ(full.grad_bias[i], no_dx.grad_bias[i]) << i;
+  }
+}
+
+TEST(Conv2d, EmptyBatch) {
+  Conv2dSpec spec{3, 3, 1, 1};
+  const Tensor x({0, 2, 5, 5});
+  const Tensor w = rand_tensor({3, 2, 3, 3}, 18);
+  EXPECT_EQ(im2col(x, spec).shape(), Shape({0, 18}));
+  EXPECT_EQ(conv2d(x, w, Tensor(), spec).shape(), Shape({0, 3, 5, 5}));
+  const auto grads = conv2d_backward(x, w, Tensor({0, 3, 5, 5}), spec, false);
+  EXPECT_EQ(grads.grad_input.shape(), x.shape());
+  for (std::int64_t i = 0; i < grads.grad_weight.numel(); ++i) {
+    EXPECT_EQ(grads.grad_weight[i], 0.0F);
+  }
 }
 
 TEST(MaxPool, ForwardAndArgmax) {

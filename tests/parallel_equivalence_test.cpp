@@ -103,11 +103,19 @@ TEST_F(ParallelEquivalenceTest, MatmulAllShapes) {
 TEST_F(ParallelEquivalenceTest, Conv2dForwardBackward) {
   struct Case {
     std::int64_t n, cin, hw, cout, kernel, stride, padding;
+    bool gy_zeros;  ///< every 4th gy entry exactly zero (the zero skip)
   };
+  // The conv passes run each image in column panels of 64 KB: the last
+  // three cases hold two or more panels per image, and their C_in (3, 2)
+  // is below the 7-thread pool, so the dW shards (input-channel groups)
+  // leave threads idle.
   const std::vector<Case> cases = {
-      {1, 1, 5, 1, 3, 1, 1},   // minimal
-      {3, 5, 9, 4, 3, 2, 0},   // odd channels, strided, no padding
-      {4, 8, 16, 16, 3, 1, 1}, // large enough to shard im2col + matmuls
+      {1, 1, 5, 1, 3, 1, 1, false},   // minimal
+      {3, 5, 9, 4, 3, 2, 0, false},   // odd channels, strided, no padding
+      {4, 8, 16, 16, 3, 1, 1, false}, // large enough to shard every pass
+      {3, 3, 32, 8, 3, 1, 1, true},   // 2 panels per image, C_in < threads
+      {2, 2, 20, 6, 5, 1, 2, true},   // 5x5 kernel, 2 panels, C_in = 2
+      {2, 64, 6, 9, 3, 1, 1, true},   // 576-wide patch: 28-row panels
   };
   for (const auto& c : cases) {
     const T::Tensor x = random_tensor({c.n, c.cin, c.hw, c.hw}, 21);
@@ -116,7 +124,10 @@ TEST_F(ParallelEquivalenceTest, Conv2dForwardBackward) {
     const T::Tensor b = random_tensor({c.cout}, 23);
     const T::Conv2dSpec spec{c.kernel, c.kernel, c.stride, c.padding};
     const T::Tensor ref_y = T::conv2d(x, w, b, spec);
-    const T::Tensor gy = random_tensor(ref_y.shape(), 24);
+    T::Tensor gy = random_tensor(ref_y.shape(), 24);
+    for (std::int64_t i = 0; c.gy_zeros && i < gy.numel(); i += 4) {
+      gy[i] = 0.0F;
+    }
     const T::Conv2dGrads ref_g = T::conv2d_backward(x, w, gy, spec, true);
     for (int threads : kThreadCounts) {
       util::set_num_threads(threads);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -136,32 +137,105 @@ class SimdConformanceTest
 
 // --- layer 1: kernel tables vs the scalar reference ----------------------
 
-TEST_P(SimdConformanceTest, AxpyFamilyBitwiseEqual) {
-  for (std::int64_t n : kSizes) {
-    const auto src0 = random_floats(static_cast<std::size_t>(n), 11);
-    const auto src1 = random_floats(static_cast<std::size_t>(n), 12);
-    const auto base = random_floats(static_cast<std::size_t>(n), 13);
+TEST_P(SimdConformanceTest, GemmAccBitwiseEqual) {
+  // Rows 1..kTileRows+1 hit every tile height (and 33 many tiles), columns
+  // 1..40 every partial-vector tail of every lane width plus the conv1 (27),
+  // conv2 (72) and MNIST (784) widths, and k = 300 crosses the 256-term
+  // list chunk. A is read both row-major and transposed (the matmul_tn and
+  // conv dX layouts), and either has no zero (full term lists) or ~40%
+  // exact zeros (term lists of differing lengths). The
+  // special inputs put NaN in A and ±inf/NaN in B, plus -0 in sparse A and
+  // a zero factor over B's poisoned first row, where the exact skip must
+  // hide it; C is a strided block with sentinels around it.
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float zero = 0.0F;
+  const float nan = inf * zero;  // the host's own NaN, as in the gemm_nt test
+  constexpr float kSentinel = -7.25F;
+  std::vector<std::int64_t> cols;
+  for (std::int64_t n = 1; n <= 40; ++n) cols.push_back(n);
+  cols.push_back(72);
+  cols.push_back(784);
+  struct Shape {
+    std::int64_t m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (const std::int64_t m : {1, 2, 3, 4, 5}) {
+    for (const std::int64_t n : cols) {
+      for (const std::int64_t kdim : {0, 1, 7, 300}) {
+        shapes.push_back({m, n, kdim});
+      }
+    }
+  }
+  for (const std::int64_t n : {27, 72}) shapes.push_back({33, n, 300});
+  static_assert(simd::kTileRows + 1 == 5, "row sweep covers 1..kTileRows+1");
+  for (const Shape& sh : shapes) {
+    for (const bool transposed : {false, true}) {
+      for (const int flavor : {0, 1, 2, 3}) {
+        const bool zeros = (flavor & 1) != 0, special = (flavor & 2) != 0;
+        const std::int64_t m = sh.m, n = sh.n, kdim = sh.k, ldc = n + 3;
+        auto a = random_floats(static_cast<std::size_t>(m * kdim), 31);
+        auto b = random_floats(static_cast<std::size_t>(kdim * n), 32);
+        for (std::size_t i = 0; zeros && i < a.size(); ++i) {
+          if ((i * 7919) % 5 < 2) a[i] = 0.0F;
+        }
+        if (special && kdim > 0) {
+          for (std::size_t i = 0; i < a.size(); i += 3) {
+            if (a[i] == 0.0F) a[i] = -0.0F;
+          }
+          a[a.size() / 2] = nan;
+          if (zeros) a.front() = 0.0F;  // B's first row is poisoned below
+          b.front() = nan;
+          b[b.size() / 2] = inf;
+          b[static_cast<std::size_t>(n - 1)] = -inf;
+          b.back() = nan;
+        }
+        // A(i, l) = a[i*a_rs + l*a_cs], stored row-major or transposed.
+        const std::int64_t a_rs = transposed ? 1 : kdim;
+        const std::int64_t a_cs = transposed ? m : 1;
+        std::vector<float> got(static_cast<std::size_t>(m * ldc + 1),
+                               kSentinel);
+        const auto init = random_floats(got.size(), 33);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            got[static_cast<std::size_t>(i * ldc + j)] =
+                init[static_cast<std::size_t>(i * ldc + j)];
+          }
+        }
+        auto want = got;
+        k().gemm_acc(m, n, kdim, a.data(), a_rs, a_cs, b.data(), n,
+                     got.data(), ldc);
+        ref().gemm_acc(m, n, kdim, a.data(), a_rs, a_cs, b.data(), n,
+                       want.data(), ldc);
+        EXPECT_TRUE(bitwise_equal(
+            got, want,
+            "gemm_acc m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                " k=" + std::to_string(kdim) +
+                (transposed ? " transposed" : "") +
+                (zeros ? " zeros" : " dense") +
+                (special ? " -0/inf/nan" : "")));
+      }
+    }
+  }
+}
 
-    auto got = base, want = base;
-    k().axpy(got.data(), src0.data(), 0.37F, n);
-    ref().axpy(want.data(), src0.data(), 0.37F, n);
-    EXPECT_TRUE(bitwise_equal(got, want, "axpy n=" + std::to_string(n)));
-
-    got = base;
-    want = base;
-    k().axpy2(got.data(), src0.data(), 0.37F, src1.data(), -1.25F, n);
-    ref().axpy2(want.data(), src0.data(), 0.37F, src1.data(), -1.25F, n);
-    EXPECT_TRUE(bitwise_equal(got, want, "axpy2 n=" + std::to_string(n)));
-
-    got.assign(static_cast<std::size_t>(n), 0.0F);
-    want.assign(static_cast<std::size_t>(n), 0.0F);
-    k().copy(got.data(), src0.data(), n);
-    ref().copy(want.data(), src0.data(), n);
-    EXPECT_TRUE(bitwise_equal(got, want, "copy n=" + std::to_string(n)));
-
-    k().fill(got.data(), -7.5F, n);
-    ref().fill(want.data(), -7.5F, n);
-    EXPECT_TRUE(bitwise_equal(got, want, "fill n=" + std::to_string(n)));
+TEST(GemmAccReference, SkipsZeroTermsExactly) {
+  // The scalar reference is the contract the targets are held to: a ±0
+  // factor must not touch C even when its B row holds inf or NaN, and a C
+  // row whose factors are all zero keeps its bits (-0 stays -0).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float a[] = {0.0F, -0.0F, 2.0F,  // row 0: only l = 2 counts
+                     0.0F, -0.0F, 0.0F};  // row 1: nothing counts
+  const float b[] = {inf, -inf, nan,   // l = 0
+                     nan, 1.0F, 1.0F,  // l = 1
+                     0.5F, 0.25F, -0.0F};
+  float c[] = {-0.0F, 1.0F, 3.0F, -0.0F, -0.0F, -0.0F};
+  simd::kScalarKernels.gemm_acc(2, 3, 3, a, 3, 1, b, 3, c, 3);
+  EXPECT_EQ(c[0], 1.0F);  // -0 + 2 * 0.5
+  EXPECT_EQ(c[1], 1.5F);  // 1 + 2 * 0.25
+  EXPECT_EQ(c[2], 3.0F);  // 3 + 2 * -0
+  for (int j = 3; j < 6; ++j) {
+    EXPECT_TRUE(c[j] == 0.0F && std::signbit(c[j])) << "column " << j - 3;
   }
 }
 

@@ -103,18 +103,53 @@ TEST_P(ConvLinearity, LinearInWeights) {
                2e-4F);
 }
 
-TEST_P(ConvLinearity, Im2colAdjointHoldsForSpec) {
+TEST_P(ConvLinearity, Im2colMatchesNaiveTapsForSpec) {
+  // Every column entry against its tap computed index by index: row
+  // (b, oy, ox), column (ch, ky, kx), zero where the tap is in the padding.
   const auto [kernel, stride, padding] = GetParam();
   Conv2dSpec spec{kernel, kernel, stride, padding};
   if (spec.out_h(6) <= 0) GTEST_SKIP();
-  const Shape xshape{2, 2, 6, 6};
-  Tensor x = rand_tensor(xshape, 17);
-  Tensor cols = im2col(x, spec);
-  Tensor y = rand_tensor(cols.shape(), 18);
+  const std::int64_t n = 2, c = 3, h = 6, w = 7;
+  Tensor x = rand_tensor({n, c, h, w}, 20);
+  const Tensor cols = im2col(x, spec);
+  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+  ASSERT_EQ(cols.shape(), Shape({n * oh * ow, c * kernel * kernel}));
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const std::int64_t row = (b * oh + oy) * ow + ox;
+        for (std::int64_t ch = 0; ch < c; ++ch) {
+          for (std::int64_t ky = 0; ky < kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < kernel; ++kx) {
+              const std::int64_t iy = oy * stride - padding + ky;
+              const std::int64_t ix = ox * stride - padding + kx;
+              const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+              const float expect = inside ? x.at({b, ch, iy, ix}) : 0.0F;
+              const std::int64_t col = (ch * kernel + ky) * kernel + kx;
+              ASSERT_EQ(cols.at({row, col}), expect)
+                  << "row " << row << " col " << col;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ConvLinearity, InputGradIsAdjointForSpec) {
+  // <conv(x), gy> == <x, dX(gy)>: the col2im scatter of conv2d_backward is
+  // the adjoint of the forward's im2col gather for every geometry.
+  const auto [kernel, stride, padding] = GetParam();
+  Conv2dSpec spec{kernel, kernel, stride, padding};
+  if (spec.out_h(6) <= 0) GTEST_SKIP();
+  Tensor x = rand_tensor({2, 2, 6, 6}, 17);
+  Tensor w = rand_tensor({3, 2, kernel, kernel}, 18);
+  Tensor y = conv2d(x, w, Tensor(), spec);
+  Tensor gy = rand_tensor(y.shape(), 19);
+  const Tensor dx = conv2d_backward(x, w, gy, spec, false).grad_input;
   double lhs = 0.0, rhs = 0.0;
-  for (std::int64_t i = 0; i < cols.numel(); ++i) lhs += cols[i] * y[i];
-  Tensor back = col2im(y, xshape, spec);
-  for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
+  for (std::int64_t i = 0; i < y.numel(); ++i) lhs += y[i] * gy[i];
+  for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * dx[i];
   EXPECT_NEAR(lhs, rhs, 1e-2);
 }
 

@@ -7,15 +7,14 @@
 // curve at the 4.5x budget: const (the fixed-k run itself), dsd (dense
 // warmup, then shrink), and stochastic drop-back. Each variant emits one
 // kernel-timing JSONL record ({"name","calls","total_us","threads"}) on
-// stdout; the committed BENCH_schedule.json baseline is regenerated with
-//   ./bench_ablation_budget_sweep | grep '"schedule/' > BENCH_schedule.json
-//   ./bench_ablation_freeze | grep '"schedule/' >> BENCH_schedule.json
-// and checked with scripts/bench_compare.py BENCH_schedule.json.
+// stdout. These are reproduction figures, not a speed gate: tracked step
+// times, with the host they ran on, come from perfbench
+// (perfbench/README.md).
 #include "bench_common.hpp"
 
-#include "obs/json.hpp"
 #include "optim/budget_schedule.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/steady_clock.hpp"
 
 int main(int argc, char** argv) {
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
          std::to_string(result.best_epoch),
          result.best_val_error < baseline_error + 0.02 ? "yes" : "no"});
     std::printf("%s\n",
-                obs::kernel_timing_json(
+                util::kernel_timing_json(
                     v.name, static_cast<std::uint64_t>(total_steps),
                     static_cast<std::uint64_t>(total_us), /*threads=*/1)
                     .c_str());

@@ -10,13 +10,12 @@
 // A second section phrases the same freeze through BudgetSchedules and
 // compares against the fixed-k rows: const:freeze_epoch, dsd (whose freeze
 // counts epochs into the sparse phase), and stochastic (readmission stops
-// at the freeze). Emits schedule/ kernel-timing JSONL records on stdout for
-// the BENCH_schedule.json baseline (see bench_ablation_budget_sweep.cpp
-// for the regeneration recipe).
+// at the freeze). Emits schedule/ kernel-timing JSONL records on stdout;
+// tracked step times come from perfbench (perfbench/README.md).
 #include "bench_common.hpp"
 
-#include "obs/json.hpp"
 #include "optim/budget_schedule.hpp"
+#include "util/json.hpp"
 #include "util/steady_clock.hpp"
 
 int main(int argc, char** argv) {
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
                          std::to_string(result.best_epoch)});
     std::printf(
         "%s\n",
-        obs::kernel_timing_json(
+        util::kernel_timing_json(
             v.name,
             static_cast<std::uint64_t>(scale.epochs * steps_per_epoch),
             static_cast<std::uint64_t>(total_us), /*threads=*/1)

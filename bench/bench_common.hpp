@@ -17,22 +17,22 @@
 #include "data/synthetic_cifar.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/models/lenet.hpp"
-#include "obs/json.hpp"
 #include "optim/lr_schedule.hpp"
 #include "train/trainer.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace dropback::bench {
 
 /// Prints one kernel-timing record in the unified JSONL schema shared with
-/// the profiler dump (obs::kernel_timing_json / ProfileReport::to_jsonl):
+/// the profiler dump (util::kernel_timing_json / ProfileReport::to_jsonl):
 ///   {"name":...,"calls":...,"total_us":...,"threads":...}
 /// so bench trajectories and profile dumps can be joined on "name".
 inline void print_kernel_timing(const std::string& name, std::uint64_t calls,
                                 double total_us, int threads) {
   std::printf("%s\n",
-              obs::kernel_timing_json(
+              util::kernel_timing_json(
                   name, calls,
                   static_cast<std::uint64_t>(total_us < 0.0 ? 0.0 : total_us),
                   threads)

@@ -12,9 +12,10 @@
 // backward, and batch-parallel data loading, emitting two JSONL
 // records per config — the serial baseline and the threaded run — in the
 // kernel-timing schema shared with the profiler dump
-// ({"name","calls","total_us","threads"}; obs::kernel_timing_json), plus a
-// '#' comment line with the derived speedup, so successive PRs can track
-// the scaling trajectory and join it against --profile output. The kernel
+// ({"name","calls","total_us","threads"}; util::kernel_timing_json), plus a
+// '#' comment line with the derived speedup, to join against --profile
+// output. It is a local tool: the tracked step and kernel numbers, with
+// the host they ran on, come from perfbench (perfbench/README.md). The kernel
 // outputs are bitwise identical by construction (see
 // tests/parallel_equivalence_test), so the comparison is purely wall-clock.
 #include <benchmark/benchmark.h>
@@ -435,8 +436,8 @@ void run_speedup_report(int threads) {
 // --speedup, part 2: scalar-vs-best-SIMD-target comparison over the four
 // vectorized kernel families (gemm, conv, regen, score), at 1/2/7 threads.
 // Records use the same kernel-timing schema with names
-// "simd/<kernel>@<target>"; the committed baselines live in BENCH_simd.json
-// and scripts/bench_compare.py flags >10% regressions against them.
+// "simd/<kernel>@<target>". Nothing is committed from them: compare two
+// builds on one host, or use perfbench for tracked numbers.
 // Outputs are bitwise identical across targets (tests/simd_equivalence_test),
 // so the comparison is purely wall-clock.
 // ---------------------------------------------------------------------------

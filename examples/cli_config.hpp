@@ -113,11 +113,10 @@ struct CliConfig {
     if (!prof.empty()) {
       c.profile = true;
       if (prof != "1") c.profile_path = prof;  // bare --profile parses as "1"
-      obs::reset_profile();
-      obs::set_profiling_enabled(true);
     }
     c.trace_path = flags.get_string("trace-out", "");
-    if (!c.trace_path.empty()) {
+    if (c.profile || !c.trace_path.empty()) {
+      // --profile and --trace-out are two views of the same spans.
       obs::reset_trace();
       obs::set_tracing_enabled(true);
     }
@@ -158,6 +157,7 @@ struct CliConfig {
 
   /// Call once after training: reports the profile and metrics snapshot.
   void report_telemetry() const {
+    obs::set_tracing_enabled(false);  // quiescence before either collection
     if (profile) {
       const obs::ProfileReport report = obs::collect_profile();
       if (profile_path.empty()) {
@@ -172,7 +172,6 @@ struct CliConfig {
       }
     }
     if (!trace_path.empty()) {
-      obs::set_tracing_enabled(false);  // quiescence before collect()
       const obs::TraceSnapshot snapshot = obs::TraceCollector::collect();
       util::atomic_write_file(trace_path, [&](std::ostream& out) {
         out << obs::TraceCollector::export_json(snapshot);

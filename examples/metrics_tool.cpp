@@ -26,15 +26,15 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-using dropback::obs::JsonValue;
+using dropback::util::JsonValue;
 
 /// Requires `key` to exist with number type (or null when nullable).
 /// Returns false (and prints) on violation.
@@ -135,12 +135,15 @@ int run_trace_mode(const std::string& path, int top_k) {
   std::map<std::uint64_t, TraceGroup> groups;
   std::map<std::string, std::vector<std::int64_t>> durs_by_name;
   for (const obs::SpanRecord& span : spans) {
+    durs_by_name[span.name].push_back(span.dur_us);
+    // Trace id 0: a span opened outside any request or step (data loading,
+    // evaluation, an untraced pool dispatch). It has no trace to join.
+    if (span.trace_id == 0) continue;
     TraceGroup& g = groups[span.trace_id];
     g.trace_id = span.trace_id;
     g.start_us = std::min(g.start_us, span.start_us);
     g.end_us = std::max(g.end_us, span.start_us + span.dur_us);
     g.spans.push_back(span);
-    durs_by_name[span.name].push_back(span.dur_us);
   }
 
   // Per-segment latency decomposition: the serve segments tile each
@@ -245,7 +248,7 @@ int main(int argc, char** argv) {
 
     std::map<std::string, JsonValue> rec;
     try {
-      rec = obs::parse_flat_object(line);
+      rec = util::parse_flat_object(line);
     } catch (const std::exception& e) {
       errors.push_back("line " + std::to_string(lineno) + ": " + e.what());
       continue;

@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "data/synthetic_mnist.hpp"
-#include "obs/json.hpp"
 #include "serve/server.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/steady_clock.hpp"
 
 namespace {
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(std::max<std::int64_t>(1,
                                                                 elapsed_us));
   const auto offered = static_cast<std::uint64_t>(slots.size());
-  obs::JsonObject summary;
+  util::JsonObject summary;
   summary.add("type", "serve_loadgen")
       .add("offered", offered)
       .add("offered_qps", 1e6 * static_cast<double>(offered) /

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -39,7 +39,7 @@ std::size_t ParamIndex::param_of(std::int64_t g) const {
 
 void compute_scores(const ParamIndex& index, float lr,
                     std::vector<float>& scores) {
-  DROPBACK_PROFILE_SCOPE("dropback_scores");
+  DROPBACK_TRACE_SPAN("dropback_scores");
   scores.resize(static_cast<std::size_t>(index.total()));
   for (std::size_t p = 0; p < index.num_params(); ++p) {
     nn::Parameter& param = index.param(p);

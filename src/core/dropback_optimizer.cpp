@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "util/bytes.hpp"
 #include "util/check.hpp"
@@ -97,7 +97,7 @@ void DropBackOptimizer::set_steps_per_epoch(std::int64_t steps_per_epoch) {
 }
 
 void DropBackOptimizer::apply_update_and_mask(bool selected) {
-  DROPBACK_PROFILE_SCOPE("dropback_apply");
+  DROPBACK_TRACE_SPAN("dropback_apply");
   const bool sweep = full_sweep_;
   full_sweep_ = false;
   // Without a sweep every untracked weight already holds its replacement

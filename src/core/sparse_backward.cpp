@@ -1,6 +1,6 @@
 #include "core/sparse_backward.hpp"
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "tensor/matmul.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -26,7 +26,7 @@ constexpr std::int64_t kCoordGrain = 512;
 std::vector<TrackedCoord> tracked_coords(const std::uint8_t* mask,
                                          std::int64_t out_features,
                                          std::int64_t in_features) {
-  DROPBACK_PROFILE_SCOPE("tracked_coords");
+  DROPBACK_TRACE_SPAN("tracked_coords");
   // Two-pass so the fill can run shard-parallel while keeping the exact
   // serial (row-major) coordinate order: count tracked entries per row,
   // prefix-sum into per-row output offsets, then fill rows independently.
@@ -81,7 +81,7 @@ std::vector<float> sparse_linear_grad_w(
     const std::vector<TrackedCoord>& coords) {
   DROPBACK_CHECK(x.ndim() == 2 && gy.ndim() == 2 && x.size(0) == gy.size(0),
                  << "sparse_linear_grad_w: batch mismatch");
-  DROPBACK_PROFILE_SCOPE("sparse_grad_w");
+  DROPBACK_TRACE_SPAN("sparse_grad_w");
   const std::int64_t batch = x.size(0);
   const std::int64_t in = x.size(1);
   const std::int64_t out = gy.size(1);
@@ -112,7 +112,7 @@ void apply_sparse_update(tensor::Tensor& w,
   DROPBACK_CHECK(coords.size() == grads.size(),
                  << "apply_sparse_update: size mismatch");
   DROPBACK_CHECK(w.ndim() == 2, << "apply_sparse_update: weight must be 2-D");
-  DROPBACK_PROFILE_SCOPE("sparse_apply");
+  DROPBACK_TRACE_SPAN("sparse_apply");
   const std::int64_t in = w.size(1);
   float* pw = w.data();
   const std::int64_t n = static_cast<std::int64_t>(coords.size());

@@ -6,7 +6,7 @@
 #include <functional>
 #include <utility>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "rng/xorshift.hpp"
 #include "simd/dispatch.hpp"
 #include "util/check.hpp"
@@ -172,7 +172,7 @@ simd::MaskDelta TrackedSet::write_mask(const float* scores, std::int64_t begin,
 }
 
 void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
-  DROPBACK_PROFILE_SCOPE("dropback_select");
+  DROPBACK_TRACE_SPAN("dropback_select");
   const std::int64_t n = static_cast<std::int64_t>(scores.size());
   DROPBACK_CHECK(n == index_->total(), << "select: scores size " << n
                                        << " != total " << index_->total());
@@ -207,7 +207,7 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
 
 std::int64_t TrackedSet::readmit(std::uint64_t seed, std::int64_t step,
                                  float prob) {
-  DROPBACK_PROFILE_SCOPE("dropback_readmit");
+  DROPBACK_TRACE_SPAN("dropback_readmit");
   DROPBACK_CHECK(prob >= 0.0F && prob <= 1.0F,
                  << "readmit: probability " << prob << " outside [0, 1]");
   last_readmitted_ = 0;

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -100,7 +100,7 @@ void DataLoader::start_epoch() {
 
 Batch DataLoader::assemble(std::int64_t first, std::int64_t count,
                            std::int64_t epoch, bool parallel) const {
-  DROPBACK_PROFILE_SCOPE("dataload_assemble");
+  DROPBACK_TRACE_SPAN("dataload_assemble");
   const tensor::Shape sshape = dataset_.sample_shape();
   tensor::Shape bshape;
   bshape.push_back(count);

@@ -3,8 +3,8 @@
 #include <ostream>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace dropback::obs {
 
@@ -26,7 +26,7 @@ void AtomicFileSink::flush() {
 void MemorySink::append(const std::string& line) { lines_.push_back(line); }
 
 std::string StepEvent::to_json() const {
-  JsonObject o;
+  util::JsonObject o;
   o.add("type", "step")
       .add("step", step)
       .add("epoch", epoch)
@@ -60,7 +60,7 @@ std::string StepEvent::to_json() const {
 }
 
 std::string EpochEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "epoch")
       .add("epoch", epoch)
       .add("train_loss", train_loss)
@@ -73,7 +73,7 @@ std::string EpochEvent::to_json() const {
 }
 
 std::string CheckpointEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "checkpoint")
       .add("step", step)
       .add("path", path)
@@ -82,7 +82,7 @@ std::string CheckpointEvent::to_json() const {
 }
 
 std::string AnomalyEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "anomaly")
       .add("step", step)
       .add("what", what)
@@ -91,7 +91,7 @@ std::string AnomalyEvent::to_json() const {
 }
 
 std::string SummaryEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "summary")
       .add("steps", steps)
       .add("epochs", epochs)
@@ -103,7 +103,7 @@ std::string SummaryEvent::to_json() const {
 }
 
 std::string ServeIncidentEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "serve_incident")
       .add("id", id)
       .add("model", model)
@@ -115,7 +115,7 @@ std::string ServeIncidentEvent::to_json() const {
 }
 
 std::string ServeSummaryEvent::to_json() const {
-  return JsonObject()
+  return util::JsonObject()
       .add("type", "serve_summary")
       .add("submitted", submitted)
       .add("ok", ok)

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/json.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace dropback::obs {
 
@@ -146,18 +146,18 @@ LogHistogram& MetricsRegistry::log_histogram(const std::string& name,
 
 std::string MetricsRegistry::snapshot_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  JsonObject counters;
+  util::JsonObject counters;
   for (const auto& [name, c] : counters_) {
     counters.add(name, static_cast<std::uint64_t>(c->value()));
   }
-  JsonObject gauges;
+  util::JsonObject gauges;
   for (const auto& [name, g] : gauges_) gauges.add(name, g->value());
-  JsonObject histograms;
+  util::JsonObject histograms;
   for (const auto& [name, h] : histograms_) {
     std::string bounds = "[";
     for (std::size_t i = 0; i < h->bounds().size(); ++i) {
       if (i) bounds += ',';
-      bounds += json_number(h->bounds()[i]);
+      bounds += util::json_number(h->bounds()[i]);
     }
     // The overflow bin (counts_[m]) has no finite bound; make that explicit
     // so counts[i] always pairs with bounds[i] and the open end is visible.
@@ -168,14 +168,14 @@ std::string MetricsRegistry::snapshot_json() const {
       counts += std::to_string(h->bucket_count(i));
     }
     counts += ']';
-    histograms.add_raw(name, JsonObject()
+    histograms.add_raw(name, util::JsonObject()
                                  .add_raw("bounds", bounds)
                                  .add_raw("counts", counts)
                                  .add("count", h->count())
                                  .add("sum", h->sum())
                                  .str());
   }
-  JsonObject log_histograms;
+  util::JsonObject log_histograms;
   for (const auto& [name, h] : log_histograms_) {
     std::string buckets = "[";  // sparse [index, count] pairs
     bool first = true;
@@ -188,7 +188,7 @@ std::string MetricsRegistry::snapshot_json() const {
     }
     buckets += ']';
     log_histograms.add_raw(name,
-                           JsonObject()
+                           util::JsonObject()
                                .add("min", h->min_value())
                                .add("max", h->max_value())
                                .add("sub_buckets", h->sub_buckets())
@@ -200,7 +200,7 @@ std::string MetricsRegistry::snapshot_json() const {
                                .add_raw("buckets", buckets)
                                .str());
   }
-  return JsonObject()
+  return util::JsonObject()
       .add_raw("counters", counters.str())
       .add_raw("gauges", gauges.str())
       .add_raw("histograms", histograms.str())

@@ -1,154 +1,12 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 
-#include "obs/json.hpp"
-#include "util/steady_clock.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace dropback::obs {
-
-namespace {
-
-std::atomic<bool> g_enabled{false};
-
-// Through util::ClockSource (R9): profiler timestamps stay monotonic and
-// the clock read has exactly one implementation in the codebase.
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(util::steady_clock_source().now_ns());
-}
-
-/// One thread's private scope tree. Guarded by its own mutex so merge /
-/// reset from another thread is race-free; the owning thread's locks are
-/// uncontended in steady state.
-struct ThreadTree {
-  struct Node {
-    const char* name;  // string literal, owned by the caller's binary
-    int parent;        // index into nodes, -1 for the synthetic root
-    std::uint64_t calls = 0;
-    std::uint64_t total_ns = 0;
-    std::vector<int> children;
-  };
-
-  std::mutex mu;
-  std::vector<Node> nodes;  // nodes[0] = synthetic root
-  int current = 0;
-
-  ThreadTree() { nodes.push_back(Node{"", -1, 0, 0, {}}); }
-
-  /// Child of `parent` with label `name`, created on demand. Labels are
-  /// compared by content (literals from different TUs may not be pooled).
-  int child_of(int parent, const char* name) {
-    for (int c : nodes[static_cast<std::size_t>(parent)].children) {
-      if (std::strcmp(nodes[static_cast<std::size_t>(c)].name, name) == 0) {
-        return c;
-      }
-    }
-    const int idx = static_cast<int>(nodes.size());
-    nodes.push_back(Node{name, parent, 0, 0, {}});
-    nodes[static_cast<std::size_t>(parent)].children.push_back(idx);
-    return idx;
-  }
-
-  void clear() {
-    nodes.clear();
-    nodes.push_back(Node{"", -1, 0, 0, {}});
-    current = 0;
-  }
-};
-
-struct Registry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadTree>> trees;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry();  // never freed: threads may outlive
-  return *r;
-}
-
-ThreadTree& local_tree() {
-  // The shared_ptr keeps the tree alive in the registry after thread exit,
-  // so short-lived worker threads still contribute to the merged report.
-  thread_local std::shared_ptr<ThreadTree> tree = [] {
-    auto t = std::make_shared<ThreadTree>();
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.trees.push_back(t);
-    return t;
-  }();
-  return *tree;
-}
-
-}  // namespace
-
-bool profiling_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_profiling_enabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void reset_profile() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& tree : r.trees) {
-    std::lock_guard<std::mutex> tree_lock(tree->mu);
-    tree->clear();
-  }
-}
-
-void record_timing(const char* name, std::uint64_t ns) {
-  if (!profiling_enabled()) return;
-  ThreadTree& tree = local_tree();
-  std::lock_guard<std::mutex> lock(tree.mu);
-  const int node = tree.child_of(tree.current, name);
-  auto& n = tree.nodes[static_cast<std::size_t>(node)];
-  ++n.calls;
-  n.total_ns += ns;
-}
-
-#ifndef DROPBACK_DISABLE_PROFILING
-
-namespace detail {
-
-ScopeTimer::ScopeTimer(const char* name) {
-  if (!profiling_enabled()) return;
-  ThreadTree& tree = local_tree();
-  std::lock_guard<std::mutex> lock(tree.mu);
-  parent_ = tree.current;
-  tree.current = tree.child_of(tree.current, name);
-  tree_ = &tree;
-  start_ns_ = now_ns();
-}
-
-ScopeTimer::~ScopeTimer() {
-  if (!tree_) return;
-  const std::uint64_t elapsed = now_ns() - start_ns_;
-  ThreadTree& tree = *static_cast<ThreadTree*>(tree_);
-  std::lock_guard<std::mutex> lock(tree.mu);
-  // A reset_profile() racing a live scope shrinks the tree; drop the sample
-  // instead of indexing stale node ids.
-  if (tree.current >= static_cast<int>(tree.nodes.size()) ||
-      parent_ >= static_cast<int>(tree.nodes.size())) {
-    tree.current = 0;
-    return;
-  }
-  auto& node = tree.nodes[static_cast<std::size_t>(tree.current)];
-  ++node.calls;
-  node.total_ns += elapsed;
-  tree.current = parent_;
-}
-
-}  // namespace detail
-
-#endif  // DROPBACK_DISABLE_PROFILING
 
 namespace {
 
@@ -159,18 +17,6 @@ struct MergedNode {
   int threads = 0;
   std::map<std::string, MergedNode> children;  // label -> child
 };
-
-void merge_tree(const ThreadTree& tree, int node, MergedNode& into) {
-  const auto& n = tree.nodes[static_cast<std::size_t>(node)];
-  for (int c : n.children) {
-    const auto& child = tree.nodes[static_cast<std::size_t>(c)];
-    MergedNode& m = into.children[child.name];
-    m.calls += child.calls;
-    m.total_ns += child.total_ns;
-    ++m.threads;  // one visit per thread tree
-    merge_tree(tree, c, m);
-  }
-}
 
 void flatten(const MergedNode& node, const std::string& path, int depth,
              std::vector<ProfileEntry>& out) {
@@ -205,16 +51,19 @@ void flatten(const MergedNode& node, const std::string& path, int depth,
 
 ProfileReport collect_profile() {
   MergedNode root;
-  Registry& r = registry();
-  std::vector<std::shared_ptr<ThreadTree>> trees;
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    trees = r.trees;
-  }
-  for (const auto& tree : trees) {
-    std::lock_guard<std::mutex> lock(tree->mu);
-    if (tree->nodes[0].children.empty()) continue;  // thread recorded nothing
-    merge_tree(*tree, 0, root);
+  for (const std::vector<SpanTotal>& thread : TraceCollector::totals()) {
+    // Parents precede children, so one pass maps each of the thread's
+    // nodes onto its merged node.
+    std::vector<MergedNode*> merged{&root};
+    for (std::size_t i = 1; i < thread.size(); ++i) {
+      const SpanTotal& t = thread[i];
+      MergedNode& m =
+          merged[static_cast<std::size_t>(t.parent)]->children[t.name];
+      m.calls += t.calls;
+      m.total_ns += t.total_ns;
+      ++m.threads;  // one visit per thread
+      merged.push_back(&m);
+    }
   }
   ProfileReport report;
   flatten(root, "", 0, report.entries);
@@ -269,8 +118,8 @@ std::string ProfileReport::pretty() const {
 std::string ProfileReport::to_jsonl() const {
   std::string out;
   for (const auto& entry : entries) {
-    out += kernel_timing_json(entry.path, entry.calls,
-                              entry.total_ns / 1000, entry.threads);
+    out += util::kernel_timing_json(entry.path, entry.calls,
+                                    entry.total_ns / 1000, entry.threads);
     out += '\n';
   }
   return out;

@@ -1,49 +1,30 @@
-// Scoped-region wall-time profiler for the training hot paths.
+// The profile view of span tracing: which scope is hot across the run.
 //
-//   void my_kernel() {
-//     DROPBACK_PROFILE_SCOPE("matmul");
-//     ...
-//   }
-//
-// Each thread owns a private scope tree (node = label, call count, total
-// wall nanoseconds, children); entering a scope descends/creates a child of
-// the thread's current node, leaving pops back. collect_profile() merges
-// every thread's tree by label path into one ProfileReport — the `threads`
-// field of an entry counts how many distinct threads contributed to it.
-// Pool workers' shard execution shows up under their own "pool_worker_busy"
-// root (see util/thread_pool.cpp), while the dispatching thread's scope
-// (e.g. "matmul") spans the full dispatch wall time, so per-kernel
-// attribution needs no cross-thread bookkeeping.
-//
-// Cost model:
-//   * Compiled out entirely with -DDROPBACK_DISABLE_PROFILING (the macro
-//     expands to nothing).
-//   * Disabled at runtime (the default): one relaxed atomic load and a
-//     predictable branch per scope — zero-cost for practical purposes, and
-//     provably free of training-result perturbation (the instrumentation
-//     only ever reads clocks; see tests/obs_equivalence_test.cpp).
-//   * Enabled: two steady_clock reads plus an uncontended per-thread mutex
-//     lock per scope. Scopes are placed at kernel granularity, never inside
-//     per-element loops.
+// Every closing DROPBACK_TRACE_SPAN (obs/trace.hpp) adds its wall time to
+// its thread's span totals, a tree keyed by label path. collect_profile()
+// merges every thread's totals by path into one ProfileReport — the
+// `threads` field of an entry counts how many distinct threads contributed
+// to it. A pool worker's shard work nests under its "pool_shards" span,
+// while the dispatching thread's span (e.g. "matmul") covers the full
+// dispatch wall time, so per-kernel attribution needs no cross-thread
+// bookkeeping. The totals do not wrap with the span ring, so the profile
+// is exact however many spans the ring dropped.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace dropback::obs {
 
-/// Runtime master switch; default off. Toggling does not clear data.
-bool profiling_enabled();
-void set_profiling_enabled(bool enabled);
-
-/// Drops every thread's recorded tree (the per-thread registrations stay).
-void reset_profile();
-
-/// Adds one completed sample to a leaf scope of the calling thread without
-/// RAII (used for times measured externally, e.g. pool worker idle gaps).
-/// No-op when profiling is disabled.
-void record_timing(const char* name, std::uint64_t ns);
+/// The same as set_tracing_enabled() / reset_trace(); kept for callers
+/// that predate the single span mechanism.
+inline void set_profiling_enabled(bool enabled) {
+  set_tracing_enabled(enabled);
+}
+inline void reset_profile() { reset_trace(); }
 
 /// One merged scope in depth-first order.
 struct ProfileEntry {
@@ -58,7 +39,7 @@ struct ProfileEntry {
   double total_ms() const { return static_cast<double>(total_ns) / 1e6; }
 };
 
-/// Merged view over every thread's scope tree.
+/// Merged view over every thread's span totals.
 struct ProfileReport {
   std::vector<ProfileEntry> entries;  ///< DFS order, siblings by time desc
 
@@ -66,7 +47,7 @@ struct ProfileReport {
   const ProfileEntry* find(const std::string& path) const;
 
   /// Fraction of `path`'s wall time attributed to its direct children
-  /// (the ISSUE's ">= 90% of step wall-time in named scopes" criterion).
+  /// (a training step keeps >= 90% of its wall time in named scopes).
   double child_coverage(const std::string& path) const;
 
   /// Column-aligned table (util::Table): scope, calls, total ms, % of
@@ -78,42 +59,8 @@ struct ProfileReport {
   std::string to_jsonl() const;
 };
 
-/// Merges all threads' trees. Call while instrumented code is quiescent
-/// (e.g. after Trainer::run returns); concurrent scope entry/exit is safe
-/// but the snapshot may split a scope mid-flight.
+/// Merges all threads' span totals. Call at quiescence (e.g. after
+/// Trainer::run returns), like TraceCollector::collect().
 ProfileReport collect_profile();
-
-#ifndef DROPBACK_DISABLE_PROFILING
-
-namespace detail {
-/// RAII scope timer. `name` must be a string literal (stored by pointer
-/// until merge time).
-class ScopeTimer {
- public:
-  explicit ScopeTimer(const char* name);
-  ~ScopeTimer();
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
- private:
-  void* tree_ = nullptr;  // ThreadTree*, nullptr when disabled at entry
-  int parent_ = 0;
-  std::uint64_t start_ns_ = 0;
-};
-}  // namespace detail
-
-#define DROPBACK_PROFILE_CONCAT2(a, b) a##b
-#define DROPBACK_PROFILE_CONCAT(a, b) DROPBACK_PROFILE_CONCAT2(a, b)
-#define DROPBACK_PROFILE_SCOPE(name)               \
-  ::dropback::obs::detail::ScopeTimer DROPBACK_PROFILE_CONCAT( \
-      dropback_profile_scope_, __LINE__)(name)
-
-#else  // DROPBACK_DISABLE_PROFILING
-
-#define DROPBACK_PROFILE_SCOPE(name) \
-  do {                               \
-  } while (false)
-
-#endif
 
 }  // namespace dropback::obs

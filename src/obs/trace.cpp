@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace dropback::obs {
 
@@ -17,27 +18,6 @@ constexpr std::size_t kDefaultRingCapacity = 4096;
 
 std::atomic<util::ClockSource*> g_clock{nullptr};
 std::atomic<std::size_t> g_ring_capacity{kDefaultRingCapacity};
-
-}  // namespace
-
-void set_trace_clock(util::ClockSource* clock) {
-  g_clock.store(clock, std::memory_order_release);
-}
-
-util::ClockSource& trace_clock() {
-  util::ClockSource* clock = g_clock.load(std::memory_order_acquire);
-  return clock != nullptr ? *clock : util::steady_clock_source();
-}
-
-void set_trace_ring_capacity(std::size_t spans_per_thread) {
-  g_ring_capacity.store(std::max<std::size_t>(1, spans_per_thread),
-                        std::memory_order_relaxed);
-}
-
-#ifndef DROPBACK_DISABLE_TRACING
-
-namespace {
-
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_next_trace_id{1};
 std::atomic<std::uint64_t> g_next_span_id{1};
@@ -53,22 +33,61 @@ struct RawSpan {
   std::int64_t dur_us = 0;
 };
 
-/// One thread's span ring. Single writer (the owning thread); the collector
-/// acquire-loads `cursor` and reads slots at quiescence. `cursor` counts
-/// spans ever written, so dropped = cursor - capacity once it wraps.
+/// One thread's span ring and span totals. Single writer (the owning
+/// thread); the collector acquire-loads `cursor` and reads at quiescence.
+/// `cursor` counts spans ever written, so dropped = cursor - capacity once
+/// it wraps.
 struct ThreadRing {
+  /// A span total plus its first-child / next-sibling links (-1 = none).
+  struct Node {
+    SpanTotal total;
+    int child = -1;
+    int sibling = -1;
+  };
+
   std::atomic<std::uint64_t> cursor{0};
   std::vector<RawSpan> slots;
+  std::vector<Node> nodes;  // nodes[0] = the unnamed root
+  int node = 0;             // innermost open span's node; 0 = none open
   int tid = 0;
   TraceContext ctx;  // owner-thread only (ScopedTraceContext / TraceSpan)
 
   explicit ThreadRing(std::size_t capacity, int id)
-      : slots(capacity), tid(id) {}
+      : slots(capacity), nodes(1), tid(id) {}
 
   void write(const RawSpan& span) {
     const std::uint64_t c = cursor.load(std::memory_order_relaxed);
     slots[static_cast<std::size_t>(c % slots.size())] = span;
     cursor.store(c + 1, std::memory_order_release);
+  }
+
+  /// The node for label `name` under `parent`, created on first use.
+  /// Labels compare by content: literals from different TUs may not be
+  /// pooled.
+  int child_of(int parent, const char* name) {
+    int* link = &nodes[static_cast<std::size_t>(parent)].child;
+    while (*link >= 0) {
+      const SpanTotal& t = nodes[static_cast<std::size_t>(*link)].total;
+      if (t.name == name || std::strcmp(t.name, name) == 0) return *link;
+      link = &nodes[static_cast<std::size_t>(*link)].sibling;
+    }
+    const int id = static_cast<int>(nodes.size());
+    *link = id;  // before the push_back, which may move `link`'s target
+    nodes.push_back(Node{SpanTotal{name, parent, 0, 0}});
+    return id;
+  }
+
+  void add(int id, std::uint64_t ns) {
+    SpanTotal& t = nodes[static_cast<std::size_t>(id)].total;
+    ++t.calls;
+    t.total_ns += ns;
+  }
+
+  void reset(std::size_t capacity) {
+    slots.assign(capacity, RawSpan{});
+    cursor.store(0, std::memory_order_release);
+    nodes.assign(1, Node{});
+    node = 0;
   }
 };
 
@@ -97,7 +116,27 @@ ThreadRing& local_ring() {
   return *ring;
 }
 
+std::vector<std::shared_ptr<ThreadRing>> all_rings() {
+  RingRegistry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return r.rings;
+}
+
 }  // namespace
+
+void set_trace_clock(util::ClockSource* clock) {
+  g_clock.store(clock, std::memory_order_release);
+}
+
+util::ClockSource& trace_clock() {
+  util::ClockSource* clock = g_clock.load(std::memory_order_acquire);
+  return clock != nullptr ? *clock : util::steady_clock_source();
+}
+
+void set_trace_ring_capacity(std::size_t spans_per_thread) {
+  g_ring_capacity.store(std::max<std::size_t>(1, spans_per_thread),
+                        std::memory_order_relaxed);
+}
 
 bool tracing_enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
@@ -130,7 +169,10 @@ void record_span(const char* name, const TraceContext& ctx,
   span.name = name;
   span.start_us = start_us;
   span.dur_us = end_us >= start_us ? end_us - start_us : 0;
-  local_ring().write(span);
+  ThreadRing& ring = local_ring();
+  ring.write(span);
+  ring.add(ring.child_of(ring.node, name),
+           static_cast<std::uint64_t>(span.dur_us) * 1000);
 }
 
 TraceSpan::TraceSpan(const char* name) {
@@ -140,44 +182,41 @@ TraceSpan::TraceSpan(const char* name) {
   parent_ = ring.ctx.span_id;
   span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   ring.ctx.span_id = span_id_;  // children opened inside nest under us
+  ring.node = ring.child_of(ring.node, name);
   ring_ = &ring;
-  start_us_ = trace_clock().now_us();
+  start_ns_ = trace_clock().now_ns();
 }
 
 TraceSpan::~TraceSpan() {
   if (ring_ == nullptr) return;
+  const std::int64_t end_ns = trace_clock().now_ns();
   ThreadRing& ring = *static_cast<ThreadRing*>(ring_);
   RawSpan span;
   span.trace_id = ring.ctx.trace_id;
   span.span_id = span_id_;
   span.parent_id = parent_;
   span.name = name_;
-  span.start_us = start_us_;
-  span.dur_us = trace_clock().now_us() - start_us_;
+  span.start_us = start_ns_ / 1000;
+  span.dur_us = end_ns / 1000 - span.start_us;
   ring.write(span);
   ring.ctx.span_id = parent_;
+  // Spans close innermost first, so ours is the open node — unless a
+  // reset_trace() since our entry sent it back to the root.
+  if (ring.node != 0) {
+    ring.add(ring.node, static_cast<std::uint64_t>(end_ns - start_ns_));
+    ring.node = ring.nodes[static_cast<std::size_t>(ring.node)].total.parent;
+  }
 }
 
 void reset_trace() {
   const std::size_t capacity =
       g_ring_capacity.load(std::memory_order_relaxed);
-  RingRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& ring : r.rings) {
-    ring->slots.assign(capacity, RawSpan{});
-    ring->cursor.store(0, std::memory_order_release);
-  }
+  for (const auto& ring : all_rings()) ring->reset(capacity);
 }
 
 TraceSnapshot TraceCollector::collect() {
   TraceSnapshot snapshot;
-  RingRegistry& r = registry();
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    rings = r.rings;
-  }
-  for (const auto& ring : rings) {
+  for (const auto& ring : all_rings()) {
     const std::uint64_t written =
         ring->cursor.load(std::memory_order_acquire);
     const std::uint64_t capacity =
@@ -202,13 +241,16 @@ TraceSnapshot TraceCollector::collect() {
   return snapshot;
 }
 
-#else  // DROPBACK_DISABLE_TRACING
-
-void reset_trace() {}
-
-TraceSnapshot TraceCollector::collect() { return {}; }
-
-#endif  // DROPBACK_DISABLE_TRACING
+std::vector<std::vector<SpanTotal>> TraceCollector::totals() {
+  std::vector<std::vector<SpanTotal>> out;
+  for (const auto& ring : all_rings()) {
+    std::vector<SpanTotal>& thread = out.emplace_back();
+    for (const ThreadRing::Node& node : ring->nodes) {
+      thread.push_back(node.total);
+    }
+  }
+  return out;
+}
 
 std::string TraceCollector::export_json(const TraceSnapshot& snapshot) {
   std::vector<const SpanRecord*> ordered;
@@ -229,7 +271,7 @@ std::string TraceCollector::export_json(const TraceSnapshot& snapshot) {
   for (const SpanRecord* span : ordered) {
     if (!first) out += ',';
     first = false;
-    out += JsonObject()
+    out += util::JsonObject()
                .add("name", span->name)
                .add("cat", "dropback")
                .add("ph", "X")
@@ -237,7 +279,7 @@ std::string TraceCollector::export_json(const TraceSnapshot& snapshot) {
                .add("dur", span->dur_us)
                .add("pid", 1)
                .add("tid", span->tid)
-               .add_raw("args", JsonObject()
+               .add_raw("args", util::JsonObject()
                                     .add("trace", span->trace_id)
                                     .add("span", span->span_id)
                                     .add("parent", span->parent_id)
@@ -246,15 +288,16 @@ std::string TraceCollector::export_json(const TraceSnapshot& snapshot) {
   }
   if (snapshot.dropped > 0) {
     if (!first) out += ',';
-    out += JsonObject()
+    out += util::JsonObject()
                .add("name", "dropped_spans")
                .add("cat", "dropback")
                .add("ph", "I")
                .add("ts", std::int64_t{0})
                .add("pid", 1)
                .add("tid", 0)
-               .add_raw("args",
-                        JsonObject().add("count", snapshot.dropped).str())
+               .add_raw("args", util::JsonObject()
+                                    .add("count", snapshot.dropped)
+                                    .str())
                .str();
   }
   out += "]}";
@@ -325,13 +368,21 @@ std::string flatten_args(const std::string& object_text) {
   return out;
 }
 
-std::uint64_t field_u64(const std::map<std::string, JsonValue>& fields,
-                        const char* key) {
+/// `key`'s number truncated toward zero, or 0 when absent or not a number.
+/// A negative, non-finite or >= 2^63 value is malformed: converting it to
+/// an integer would be undefined behaviour.
+std::uint64_t field_u64(const std::map<std::string, util::JsonValue>& fields,
+                        const char* key, std::size_t event_pos) {
   const auto it = fields.find(key);
-  if (it == fields.end() || it->second.type != JsonValue::Type::kNumber) {
+  if (it == fields.end() ||
+      it->second.type != util::JsonValue::Type::kNumber) {
     return 0;
   }
-  return static_cast<std::uint64_t>(it->second.number);
+  const double v = it->second.number;
+  if (!(v >= 0.0 && v < 0x1p63)) {
+    trace_parse_error(std::string(key) + " out of range", event_pos);
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -357,25 +408,29 @@ std::vector<SpanRecord> parse_chrome_trace(const std::string& text) {
     if (text[pos] == ']') break;
     const std::size_t event_pos = pos;
     const std::string event = take_object(text, pos);
-    const auto fields = parse_flat_object(flatten_args(event));
+    const auto fields = util::parse_flat_object(flatten_args(event));
     const auto ph = fields.find("ph");
-    if (ph == fields.end() || ph->second.type != JsonValue::Type::kString) {
+    if (ph == fields.end() ||
+        ph->second.type != util::JsonValue::Type::kString) {
       trace_parse_error("event without ph", event_pos);
     }
     if (ph->second.string != "X") continue;  // instants, metadata, ...
     const auto name = fields.find("name");
     if (name == fields.end() ||
-        name->second.type != JsonValue::Type::kString) {
+        name->second.type != util::JsonValue::Type::kString) {
       trace_parse_error("X event without name", event_pos);
     }
+    const auto field = [&](const char* key) {
+      return field_u64(fields, key, event_pos);
+    };
     SpanRecord record;
     record.name = name->second.string;
-    record.start_us = static_cast<std::int64_t>(field_u64(fields, "ts"));
-    record.dur_us = static_cast<std::int64_t>(field_u64(fields, "dur"));
-    record.tid = static_cast<int>(field_u64(fields, "tid"));
-    record.trace_id = field_u64(fields, "trace");
-    record.span_id = field_u64(fields, "span");
-    record.parent_id = field_u64(fields, "parent");
+    record.start_us = static_cast<std::int64_t>(field("ts"));
+    record.dur_us = static_cast<std::int64_t>(field("dur"));
+    record.tid = static_cast<int>(field("tid"));
+    record.trace_id = field("trace");
+    record.span_id = field("span");
+    record.parent_id = field("parent");
     spans.push_back(std::move(record));
   }
   return spans;

@@ -1,36 +1,45 @@
-// End-to-end span tracing: where did one request's (or one step's) time go?
+// Span tracing: the one scope-timing primitive, with two views.
 //
 //   void worker() {
 //     DROPBACK_TRACE_SPAN("run_batch");
 //     ...
 //   }
 //
-// The metrics registry answers "how many / how fast on aggregate"; the
-// profiler answers "which scope is hot across the run". Tracing answers the
-// per-request question the serving path could not: for *this* request, how
-// much of its latency was queue wait vs batch formation vs variant regen vs
-// kernel exec. Every span carries a trace id propagated across thread
-// boundaries (client -> queue -> worker -> kernel pool), so one request's
-// spans reassemble into a tree no matter how many threads touched it.
+// A closing span lands in two places on its own thread:
 //
-// Design (mirrors the profiler's non-perturbation contract, PR 3):
+//   * the span ring — the span itself (trace id, parent, start, duration),
+//     exported as Chrome trace JSON (--trace-out, Perfetto, `metrics_tool
+//     trace`). It answers the per-request question: for *this* request or
+//     step, how much of its latency was queue wait vs batch formation vs
+//     variant regen vs kernel exec. Every span carries a trace id
+//     propagated across thread boundaries (client -> queue -> worker ->
+//     kernel pool), so one request's spans reassemble into a tree no matter
+//     how many threads touched it.
+//   * the span totals — a tree keyed by label path ("step/forward/matmul")
+//     holding calls and total nanoseconds, merged across threads by
+//     collect_profile() (obs/profiler.hpp, --profile). It answers "which
+//     scope is hot across the run" and stays exact however often the ring
+//     wrapped.
 //
-//   * Hot path: per-thread fixed-capacity ring buffers. Recording a span is
-//     a relaxed cursor load, a slot write, and a release cursor store — no
-//     locks, no allocation, no branches on shared state. When the ring
-//     wraps, the oldest spans are overwritten and counted as dropped
-//     (TraceSnapshot::dropped), never blocking the writer.
+// Design:
+//
+//   * Hot path: no locks, and no allocation once a label path has been
+//     seen. Recording a span is a relaxed fetch-add for its id, one clock
+//     read at each end, a child lookup in the thread's totals tree, a ring
+//     slot write and a release cursor store. When the ring wraps, the oldest spans are
+//     overwritten and counted as dropped (TraceSnapshot::dropped), never
+//     blocking the writer; the totals do not wrap.
 //   * TSan-clean: each ring has exactly one writer (its owning thread).
-//     TraceCollector::collect() acquire-loads the cursor and is meant to run
-//     at quiescence (after stop()/join, like collect_profile()); a snapshot
-//     taken mid-flight is safe but may split a trace.
-//   * All timestamps come from the injectable util::ClockSource
-//     (set_trace_clock), so tests export byte-deterministic traces under a
-//     ManualClock. Raw steady_clock reads are banned outside util/ by lint
-//     rule R9 for exactly this reason.
+//     TraceCollector and collect_profile() read at quiescence (after
+//     stop()/join or a pool dispatch returned); a snapshot taken mid-flight
+//     may split a trace.
+//   * One clock read per span end, in nanoseconds, from the injectable
+//     util::ClockSource (set_trace_clock). The ring keeps microseconds
+//     derived from it, so tests export byte-deterministic traces under a
+//     ManualClock; the totals keep nanoseconds. Raw steady_clock reads are
+//     banned outside util/ by lint rule R9 for exactly this reason.
 //   * Runtime-gated (tracing_enabled(), default off: one relaxed load per
-//     site) and compiled out entirely with -DDROPBACK_DISABLE_TRACING.
-//     tests/obs_equivalence_test.cpp proves tracing on/off is bitwise
+//     site). tests/obs_equivalence_test.cpp proves spans on/off is bitwise
 //     invisible to trained weights, checkpoint bytes, and served outputs.
 //
 // Context propagation contract: a thread's current TraceContext is thread
@@ -90,9 +99,19 @@ util::ClockSource& trace_clock();
 /// the call; reset_trace() re-applies it to existing rings. Default 4096.
 void set_trace_ring_capacity(std::size_t spans_per_thread);
 
-/// Drops every thread's recorded spans and dropped-span counts, and resizes
-/// the rings to the current capacity. Call at quiescence.
+/// Drops every thread's recorded spans, dropped-span counts and span
+/// totals, and resizes the rings to the current capacity. Call at
+/// quiescence.
 void reset_trace();
+
+/// One label path of a thread's span totals. `parent` indexes the same
+/// vector and is always lower; entry 0 is the unnamed root.
+struct SpanTotal {
+  const char* name = "";
+  int parent = -1;
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+};
 
 /// Reads spans out of every thread's ring (oldest surviving first per
 /// thread) and aggregates the dropped counts. Rings are single-writer and
@@ -101,6 +120,9 @@ void reset_trace();
 class TraceCollector {
  public:
   static TraceSnapshot collect();
+  /// Every thread's span totals since the last reset_trace(), one vector
+  /// per thread — the input of collect_profile().
+  static std::vector<std::vector<SpanTotal>> totals();
   /// Chrome trace-event / Perfetto JSON for a snapshot. Events are complete
   /// ("ph":"X") spans sorted by (ts, -dur, span_id) so parents precede
   /// children; args carry trace/span/parent ids. A trailing instant event
@@ -113,8 +135,6 @@ class TraceCollector {
 /// carry our args) back into records — the `metrics_tool trace` reader.
 /// Throws std::runtime_error on malformed input. Non-"X" events are skipped.
 std::vector<SpanRecord> parse_chrome_trace(const std::string& text);
-
-#ifndef DROPBACK_DISABLE_TRACING
 
 /// Runtime master switch; default off. Off costs one relaxed atomic load
 /// per site. Toggling does not clear recorded spans.
@@ -144,13 +164,15 @@ class ScopedTraceContext {
 
 /// Records an externally-timed span under `ctx` (e.g. a queue wait whose
 /// endpoints were stamped on different threads). `name` must be a string
-/// literal. No-op when tracing is disabled or ctx.trace_id == 0.
+/// literal. It counts in the calling thread's span totals under its
+/// innermost open span. No-op when tracing is disabled or ctx.trace_id == 0.
 void record_span(const char* name, const TraceContext& ctx,
                  std::int64_t start_us, std::int64_t end_us);
 
-/// RAII span under the thread's current context. `name` must be a string
-/// literal (stored by pointer until collection). Inert when tracing is
-/// disabled at entry.
+/// RAII span under the thread's current context: on close it is written
+/// to the thread's ring and added to its span totals. `name` must be a
+/// string literal (stored by pointer until collection). Inert when tracing
+/// is disabled at entry.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);
@@ -163,7 +185,7 @@ class TraceSpan {
   const char* name_ = nullptr;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_ = 0;
-  std::int64_t start_us_ = 0;
+  std::int64_t start_ns_ = 0;
 };
 
 #define DROPBACK_TRACE_CONCAT2(a, b) a##b
@@ -171,33 +193,5 @@ class TraceSpan {
 #define DROPBACK_TRACE_SPAN(name)                \
   ::dropback::obs::TraceSpan DROPBACK_TRACE_CONCAT( \
       dropback_trace_span_, __LINE__)(name)
-
-#else  // DROPBACK_DISABLE_TRACING
-
-// Compile-out: the whole hot-path surface folds to constants/no-ops, so
-// gated call sites (serve, thread pool) dead-code-eliminate.
-constexpr bool tracing_enabled() { return false; }
-inline void set_tracing_enabled(bool) {}
-inline TraceContext current_trace_context() { return {}; }
-inline TraceContext begin_trace() { return {}; }
-
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(const TraceContext&) {}
-};
-
-inline void record_span(const char*, const TraceContext&, std::int64_t,
-                        std::int64_t) {}
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-};
-
-#define DROPBACK_TRACE_SPAN(name) \
-  do {                            \
-  } while (false)
-
-#endif  // DROPBACK_DISABLE_TRACING
 
 }  // namespace dropback::obs

@@ -4,7 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/matmul.hpp"
 #include "util/check.hpp"
@@ -173,7 +173,7 @@ void check_conv_weight(const Tensor& x, const Tensor& w,
 }  // namespace
 
 Tensor im2col(const Tensor& x, const Conv2dSpec& spec) {
-  DROPBACK_PROFILE_SCOPE("im2col");
+  DROPBACK_TRACE_SPAN("im2col");
   check_conv_input(x, spec, "im2col");
   const Patches patches(x.shape(), spec, 0, x.size(1));
   const std::int64_t rows = patches.rows(), width = patches.width();
@@ -193,7 +193,7 @@ Tensor im2col(const Tensor& x, const Conv2dSpec& spec) {
 
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               const Conv2dSpec& spec) {
-  DROPBACK_PROFILE_SCOPE("conv2d");
+  DROPBACK_TRACE_SPAN("conv2d");
   check_conv_input(x, spec, "conv2d");
   check_conv_weight(x, w, spec, "conv2d");
   const std::int64_t n = x.size(0), cin = x.size(1);
@@ -224,7 +224,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
           for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
             const std::int64_t r1 = std::min(rows, r0 + panel);
             {
-              DROPBACK_PROFILE_SCOPE("im2col");
+              DROPBACK_TRACE_SPAN("im2col");
               patches.gather(px + bn * image, r0, r1, cols.data());
             }
             kernels.gemm_nt(cols.data(), r1 - r0, pp, width, cout,
@@ -246,7 +246,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
 Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& gy,
                             const Conv2dSpec& spec, bool with_bias,
                             bool with_input) {
-  DROPBACK_PROFILE_SCOPE("conv2d_backward");
+  DROPBACK_TRACE_SPAN("conv2d_backward");
   check_conv_input(x, spec, "conv2d_backward");
   check_conv_weight(x, w, spec, "conv2d_backward");
   const std::int64_t n = x.size(0), cin = x.size(1);
@@ -281,7 +281,7 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& gy,
           for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
             const std::int64_t r1 = std::min(rows, r0 + panel);
             {
-              DROPBACK_PROFILE_SCOPE("im2col");
+              DROPBACK_TRACE_SPAN("im2col");
               patches.gather(px + bn * image, r0, r1, cols.data());
             }
             kernels.gemm_acc(cout, width, r1 - r0,

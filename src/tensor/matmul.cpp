@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -27,7 +27,7 @@ std::int64_t row_grain(std::int64_t flops_per_row) {
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  DROPBACK_PROFILE_SCOPE("matmul");
+  DROPBACK_TRACE_SPAN("matmul");
   DROPBACK_CHECK(a.ndim() == 2 && b.ndim() == 2,
                  << "matmul needs 2-D operands, got " << shape_str(a.shape())
                  << " x " << shape_str(b.shape()));
@@ -50,7 +50,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  DROPBACK_PROFILE_SCOPE("matmul_tn");
+  DROPBACK_TRACE_SPAN("matmul_tn");
   DROPBACK_CHECK(a.ndim() == 2 && b.ndim() == 2, << "matmul_tn needs 2-D");
   const std::int64_t k = a.size(0), m = a.size(1), n = b.size(1);
   DROPBACK_CHECK(b.size(0) == k, << "matmul_tn: inner dims " << k << " vs "
@@ -70,7 +70,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  DROPBACK_PROFILE_SCOPE("matmul_nt");
+  DROPBACK_TRACE_SPAN("matmul_nt");
   DROPBACK_CHECK(a.ndim() == 2 && b.ndim() == 2, << "matmul_nt needs 2-D");
   const std::int64_t m = a.size(0), k = a.size(1), n = b.size(0);
   DROPBACK_CHECK(b.size(1) == k, << "matmul_nt: inner dims " << k << " vs "

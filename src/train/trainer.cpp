@@ -9,7 +9,6 @@
 #include "nn/loss.hpp"
 #include "obs/event_stream.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "train/training_checkpoint.hpp"
 #include "util/atomic_file.hpp"
@@ -219,7 +218,7 @@ TrainResult Trainer::run() {
     // enabled it shrinks toward the handoff cost while "dataload_assemble"
     // moves to the background thread.
     const auto fetch = [&] {
-      DROPBACK_PROFILE_SCOPE("dataload");
+      DROPBACK_TRACE_SPAN("dataload");
       return loader.next(batch);
     };
     while (fetch()) {
@@ -228,7 +227,6 @@ TrainResult Trainer::run() {
       // step decomposes the same way a slow request does (obs/trace.hpp).
       obs::ScopedTraceContext step_trace(obs::begin_trace());
       DROPBACK_TRACE_SPAN("step");
-      DROPBACK_PROFILE_SCOPE("step");
       const bool timing = events != nullptr;
       const std::uint64_t step_begin = timing ? now_ns() : 0;
       std::uint64_t forward_ns = 0;
@@ -239,7 +237,6 @@ TrainResult Trainer::run() {
       autograd::Variable loss;
       {
         DROPBACK_TRACE_SPAN("forward");
-        DROPBACK_PROFILE_SCOPE("forward");
         const std::uint64_t t0 = timing ? now_ns() : 0;
         logits = model_.forward(input);
         loss = nn::cross_entropy(logits, batch.labels);
@@ -249,7 +246,6 @@ TrainResult Trainer::run() {
       optimizer_.zero_grad();
       {
         DROPBACK_TRACE_SPAN("backward");
-        DROPBACK_PROFILE_SCOPE("backward");
         const std::uint64_t t0 = timing ? now_ns() : 0;
         autograd::backward(loss);
         if (after_backward) after_backward();
@@ -301,7 +297,6 @@ TrainResult Trainer::run() {
       }
       {
         DROPBACK_TRACE_SPAN("optimizer_step");
-        DROPBACK_PROFILE_SCOPE("optimizer_step");
         const std::uint64_t t0 = timing ? now_ns() : 0;
         optimizer_.step();
         if (timing) optimizer_ns = now_ns() - t0;
@@ -311,7 +306,7 @@ TrainResult Trainer::run() {
       double batch_loss = 0.0;
       double batch_acc = 0.0;
       {
-        DROPBACK_PROFILE_SCOPE("step_stats");
+        DROPBACK_TRACE_SPAN("step_stats");
         batch_loss = loss.value()[0];
         batch_acc = nn::accuracy(logits.value(), batch.labels);
       }
@@ -336,7 +331,7 @@ TrainResult Trainer::run() {
       if (events) {
         // The telemetry cost itself (score quantiles, JSON rendering) stays
         // attributed inside the "step" scope under its own label.
-        DROPBACK_PROFILE_SCOPE("telemetry");
+        DROPBACK_TRACE_SPAN("telemetry");
         obs::StepEvent ev;
         ev.step = global_step_;
         ev.epoch = epoch;
@@ -437,7 +432,7 @@ TrainResult Trainer::run() {
 
 double Trainer::evaluate(nn::Module& model, const data::Dataset& dataset,
                          std::int64_t batch_size) {
-  DROPBACK_PROFILE_SCOPE("evaluate");
+  DROPBACK_TRACE_SPAN("evaluate");
   autograd::NoGradGuard no_grad;
   const bool was_training = model.training();
   model.set_training(false);

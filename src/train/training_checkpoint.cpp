@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "nn/checkpoint.hpp"
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/bytes.hpp"
 #include "util/container.hpp"
@@ -117,7 +117,7 @@ void save_training_snapshot(const std::string& path,
                             const std::vector<nn::Parameter*>& params,
                             const optim::Optimizer& optimizer,
                             const data::DataLoader& loader) {
-  DROPBACK_PROFILE_SCOPE("checkpoint_save");
+  DROPBACK_TRACE_SPAN("checkpoint_save");
   util::atomic_write_file(path, [&](std::ostream& out) {
     save_training_snapshot(out, snap, params, optimizer, loader);
   });
@@ -147,7 +147,7 @@ TrainerSnapshot load_training_snapshot(
 TrainerSnapshot load_training_snapshot(
     const std::string& path, const std::vector<nn::Parameter*>& params,
     optim::Optimizer& optimizer, data::DataLoader& loader) {
-  DROPBACK_PROFILE_SCOPE("checkpoint_load");
+  DROPBACK_TRACE_SPAN("checkpoint_load");
   std::istringstream in(util::read_file(path), std::ios::binary);
   return load_training_snapshot(in, params, optimizer, loader);
 }

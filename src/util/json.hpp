@@ -9,9 +9,7 @@
 //
 // This lives in util/ (not obs/) because util::log's flat-JSON format needs
 // it: the include-graph layering contract (dbk_lint R11, see
-// docs/STATIC_ANALYSIS.md) forbids util from reaching up into obs. The
-// historical obs/json.hpp is a forwarding header that re-exports these
-// names into dropback::obs.
+// docs/STATIC_ANALYSIS.md) forbids util from reaching up into obs.
 //
 // kernel_timing_json is THE shared schema for kernel timings:
 //   {"name":...,"calls":...,"total_us":...,"threads":...}

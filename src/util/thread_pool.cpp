@@ -10,11 +10,9 @@
 #include <thread>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
-#include "util/steady_clock.hpp"
 
 namespace dropback::util {
 
@@ -22,10 +20,6 @@ namespace {
 // Set while a pool participant (worker or caller) executes shards, so
 // nested run() calls degrade to serial instead of deadlocking on the pool.
 thread_local bool t_in_dispatch = false;
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(steady_clock_source().now_ns());
-}
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -49,16 +43,7 @@ struct ThreadPool::Impl {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      // Clock reads happen only while profiling is enabled, so the default
-      // path is exactly the uninstrumented loop. The samples land in this
-      // worker's own scope tree (obs/profiler.hpp), never in shared state,
-      // so dispatch order and shard math are untouched.
-      const bool prof_idle = obs::profiling_enabled();
-      const std::uint64_t wait_begin = prof_idle ? now_ns() : 0;
       cv_start.wait(lock, [&] { return stop || generation != seen; });
-      if (prof_idle) {
-        obs::record_timing("pool_worker_idle", now_ns() - wait_begin);
-      }
       if (stop) return;
       seen = generation;
       const int nshards = shards;
@@ -68,15 +53,16 @@ struct ThreadPool::Impl {
       lock.unlock();
       t_in_dispatch = true;
       // Adopt the caller's trace for the shard work: this worker's busy
-      // interval becomes a "pool_shards" span in the caller's span tree.
+      // interval becomes a "pool_shards" span in the caller's span tree,
+      // and the spans its shards open nest under it. Idle time is the gap
+      // between a worker's spans. Nothing here reads or writes shared
+      // state, so dispatch order and shard math are untouched.
       std::optional<obs::ScopedTraceContext> trace_guard;
       std::optional<obs::TraceSpan> trace_span;
-      if (obs::tracing_enabled() && ctx.trace_id != 0) {
+      if (obs::tracing_enabled()) {
         trace_guard.emplace(ctx);
         trace_span.emplace("pool_shards");
       }
-      const bool prof_busy = obs::profiling_enabled();
-      const std::uint64_t busy_begin = prof_busy ? now_ns() : 0;
       std::exception_ptr err;
       for (int s = participant; s < nshards; s += total) {
         try {
@@ -88,9 +74,6 @@ struct ThreadPool::Impl {
       }
       trace_span.reset();
       trace_guard.reset();
-      if (prof_busy) {
-        obs::record_timing("pool_worker_busy", now_ns() - busy_begin);
-      }
       t_in_dispatch = false;
       lock.lock();
       if (err && !error) error = err;

@@ -18,7 +18,7 @@
 #include "dbk_lint/graph.hpp"
 #include "dbk_lint/lint.hpp"
 #include "dbk_lint/sarif.hpp"
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -355,15 +355,15 @@ TEST(LintR5, AllowlistSuppressionAndWildcardRule) {
 }
 
 // ---------------------------------------------------------------------------
-// R6: profile-scope label uniqueness + CMake registration
+// R6: span label uniqueness + CMake registration
 // ---------------------------------------------------------------------------
 
 TEST(LintR6, FiresOnDuplicateLabelInOneFunction) {
   const std::string src =
       "void step() {\n"
-      "  DROPBACK_PROFILE_SCOPE(\"fwd\");\n"
+      "  DROPBACK_TRACE_SPAN(\"fwd\");\n"
       "  {\n"
-      "    DROPBACK_PROFILE_SCOPE(\"fwd\");\n"
+      "    DROPBACK_TRACE_SPAN(\"fwd\");\n"
       "  }\n"
       "}\n";
   const auto all = lint_source("src/train/step.cpp", src, empty_allow());
@@ -375,8 +375,8 @@ TEST(LintR6, FiresOnDuplicateLabelInOneFunction) {
 
 TEST(LintR6, SameLabelInDifferentFunctionsIsFine) {
   const std::string src =
-      "void forward() { DROPBACK_PROFILE_SCOPE(\"matmul\"); }\n"
-      "void backward() { DROPBACK_PROFILE_SCOPE(\"matmul\"); }\n";
+      "void forward() { DROPBACK_TRACE_SPAN(\"matmul\"); }\n"
+      "void backward() { DROPBACK_TRACE_SPAN(\"matmul\"); }\n";
   const auto all = lint_source("src/nn/layer.cpp", src, empty_allow());
   EXPECT_TRUE(findings_for(all, "R6").empty());
 }
@@ -384,9 +384,9 @@ TEST(LintR6, SameLabelInDifferentFunctionsIsFine) {
 TEST(LintR6, InlineAllowForDeliberateDuplicate) {
   const std::string src =
       "void merge_test() {\n"
-      "  DROPBACK_PROFILE_SCOPE(\"inner\");\n"
+      "  DROPBACK_TRACE_SPAN(\"inner\");\n"
       "  // dbk-lint: allow(R6): duplicate proves same-label merge\n"
-      "  DROPBACK_PROFILE_SCOPE(\"inner\");\n"
+      "  DROPBACK_TRACE_SPAN(\"inner\");\n"
       "}\n";
   const auto all = lint_source("tests/prof_test.cpp", src, empty_allow());
   const auto r6 = findings_for(all, "R6");
@@ -849,18 +849,18 @@ TEST(LintReport, JsonlFindingsAndSummaryParse) {
   for (std::string line; std::getline(is, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 3U);
 
-  const auto first = dropback::obs::parse_flat_object(lines[0]);
+  const auto first = dropback::util::parse_flat_object(lines[0]);
   EXPECT_EQ(first.at("rule").string, "R1");
   EXPECT_EQ(first.at("file").string, "src/core/worker.cpp");
   EXPECT_EQ(first.at("line").number, 1.0);
   EXPECT_FALSE(first.at("suppressed").boolean);
 
-  const auto second = dropback::obs::parse_flat_object(lines[1]);
+  const auto second = dropback::util::parse_flat_object(lines[1]);
   EXPECT_TRUE(second.at("suppressed").boolean);
   EXPECT_NE(second.at("reason").string.find("test fixture"),
             std::string::npos);
 
-  const auto summary = dropback::obs::parse_flat_object(lines[2]);
+  const auto summary = dropback::util::parse_flat_object(lines[2]);
   EXPECT_EQ(summary.at("type").string, "summary");
   EXPECT_EQ(summary.at("files").number, 1.0);
   EXPECT_EQ(summary.at("findings").number, 2.0);

@@ -18,13 +18,13 @@
 #include "core/dropback_optimizer.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/models/lenet.hpp"
-#include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "rng/xorshift.hpp"
 #include "serve/server.hpp"
 #include "train/trainer.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dropback {
@@ -240,16 +240,16 @@ TEST_F(ObsEquivalenceTest, StreamCarriesChurnAndLatency) {
     const std::string line = inst.metrics_bytes.substr(pos, end - pos);
     pos = end + 1;
     if (line.empty()) continue;
-    const auto rec = obs::parse_flat_object(line);  // throws on corruption
+    const auto rec = util::parse_flat_object(line);  // throws on corruption
     const std::string& type = rec.at("type").string;
     if (type == "step") {
       ++steps;
-      if (rec.at("churn_in").type == obs::JsonValue::Type::kNumber &&
+      if (rec.at("churn_in").type == util::JsonValue::Type::kNumber &&
           rec.at("tracked").number > 0) {
         churn_seen = true;
       }
       if (rec.at("step_ms").number > 0 &&
-          rec.at("forward_ms").type == obs::JsonValue::Type::kNumber) {
+          rec.at("forward_ms").type == util::JsonValue::Type::kNumber) {
         latency_seen = true;
       }
     } else if (type == "summary") {

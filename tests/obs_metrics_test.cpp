@@ -11,50 +11,50 @@
 #include <vector>
 
 #include "obs/event_stream.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace dropback;
 
 TEST(JsonTest, EscapeAndNumberRoundTrip) {
-  EXPECT_EQ(obs::json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(obs::json_number(3.0), "3");
-  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(util::json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(util::json_number(3.0), "3");
+  EXPECT_EQ(util::json_number(std::numeric_limits<double>::infinity()), "null");
   // Shortest-round-trip: the value survives a print/parse cycle bit-exactly.
   const double v = 0.1 + 0.2;
   const auto rec =
-      obs::parse_flat_object("{\"v\":" + obs::json_number(v) + "}");
+      util::parse_flat_object("{\"v\":" + util::json_number(v) + "}");
   EXPECT_EQ(rec.at("v").number, v);
 }
 
 TEST(JsonTest, ParseFlatObjectTypes) {
-  const auto rec = obs::parse_flat_object(
+  const auto rec = util::parse_flat_object(
       R"({"s":"x","n":-2.5,"t":true,"f":false,"z":null})");
-  EXPECT_EQ(rec.at("s").type, obs::JsonValue::Type::kString);
+  EXPECT_EQ(rec.at("s").type, util::JsonValue::Type::kString);
   EXPECT_EQ(rec.at("s").string, "x");
   EXPECT_EQ(rec.at("n").number, -2.5);
   EXPECT_TRUE(rec.at("t").boolean);
   EXPECT_FALSE(rec.at("f").boolean);
-  EXPECT_EQ(rec.at("z").type, obs::JsonValue::Type::kNull);
+  EXPECT_EQ(rec.at("z").type, util::JsonValue::Type::kNull);
 }
 
 TEST(JsonTest, ParseRejectsCorruptInputLoudly) {
-  EXPECT_THROW(obs::parse_flat_object("{\"a\":1"), std::runtime_error);
-  EXPECT_THROW(obs::parse_flat_object("{\"a\":}"), std::runtime_error);
-  EXPECT_THROW(obs::parse_flat_object("not json"), std::runtime_error);
-  EXPECT_THROW(obs::parse_flat_object("{\"a\":{\"nested\":1}}"),
+  EXPECT_THROW(util::parse_flat_object("{\"a\":1"), std::runtime_error);
+  EXPECT_THROW(util::parse_flat_object("{\"a\":}"), std::runtime_error);
+  EXPECT_THROW(util::parse_flat_object("not json"), std::runtime_error);
+  EXPECT_THROW(util::parse_flat_object("{\"a\":{\"nested\":1}}"),
                std::runtime_error);
-  EXPECT_THROW(obs::parse_flat_object("{\"a\":1}trailing"),
+  EXPECT_THROW(util::parse_flat_object("{\"a\":1}trailing"),
                std::runtime_error);
 }
 
 TEST(JsonTest, KernelTimingSchema) {
-  const std::string line = obs::kernel_timing_json("matmul", 3, 1500, 2);
+  const std::string line = util::kernel_timing_json("matmul", 3, 1500, 2);
   EXPECT_EQ(line,
             R"({"name":"matmul","calls":3,"total_us":1500,"threads":2})");
-  const auto rec = obs::parse_flat_object(line);
+  const auto rec = util::parse_flat_object(line);
   EXPECT_EQ(rec.at("name").string, "matmul");
   EXPECT_EQ(rec.at("calls").number, 3.0);
 }
@@ -272,28 +272,28 @@ TEST(EventSchemaTest, StepRecordGoldenFieldOrder) {
 TEST(EventSchemaTest, StepRecordNullsWithoutDropBack) {
   obs::StepEvent ev;
   ev.step = 1;
-  const auto rec = obs::parse_flat_object(ev.to_json());
+  const auto rec = util::parse_flat_object(ev.to_json());
   EXPECT_EQ(rec.at("type").string, "step");
-  EXPECT_EQ(rec.at("churn_in").type, obs::JsonValue::Type::kNull);
-  EXPECT_EQ(rec.at("grad_q50").type, obs::JsonValue::Type::kNull);
-  EXPECT_EQ(rec.at("occupancy").type, obs::JsonValue::Type::kNull);
+  EXPECT_EQ(rec.at("churn_in").type, util::JsonValue::Type::kNull);
+  EXPECT_EQ(rec.at("grad_q50").type, util::JsonValue::Type::kNull);
+  EXPECT_EQ(rec.at("occupancy").type, util::JsonValue::Type::kNull);
 }
 
 TEST(EventSchemaTest, OtherRecordsParseWithTypes) {
   obs::EpochEvent ep;
   ep.epoch = 2;
   ep.frozen = true;
-  EXPECT_EQ(obs::parse_flat_object(ep.to_json()).at("type").string, "epoch");
+  EXPECT_EQ(util::parse_flat_object(ep.to_json()).at("type").string, "epoch");
   obs::CheckpointEvent cp;
   cp.path = "a\"b";  // exercises escaping through the full record path
-  EXPECT_EQ(obs::parse_flat_object(cp.to_json()).at("path").string, "a\"b");
+  EXPECT_EQ(util::parse_flat_object(cp.to_json()).at("path").string, "a\"b");
   obs::AnomalyEvent an;
   an.what = "loss is nan";
   an.policy = "skip";
-  EXPECT_EQ(obs::parse_flat_object(an.to_json()).at("policy").string, "skip");
+  EXPECT_EQ(util::parse_flat_object(an.to_json()).at("policy").string, "skip");
   obs::SummaryEvent su;
   su.steps = 5;
-  EXPECT_EQ(obs::parse_flat_object(su.to_json()).at("steps").number, 5.0);
+  EXPECT_EQ(util::parse_flat_object(su.to_json()).at("steps").number, 5.0);
 }
 
 TEST(EventStreamTest, MemorySinkCountsAndKeepsLines) {

@@ -1,14 +1,18 @@
-// Scoped profiler tests (ISSUE 3): runtime on/off gating, nested scope
-// trees, cross-thread merge semantics, child coverage, and the unified
-// kernel-timing JSONL dump.
+// Profile view tests: runtime on/off gating, nested span paths, cross-thread
+// merge semantics, child coverage, the unified kernel-timing JSONL dump,
+// and exactness of the span totals against the span ring under a
+// ManualClock, including after the ring wrapped.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 
-#include "obs/json.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
+#include "util/json.hpp"
+#include "util/steady_clock.hpp"
 
 namespace {
 
@@ -24,38 +28,37 @@ void spin_for_us(int us) {
 class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::reset_profile();
-    obs::set_profiling_enabled(true);
+    obs::reset_trace();
+    obs::set_tracing_enabled(true);
   }
   void TearDown() override {
-    obs::set_profiling_enabled(false);
-    obs::reset_profile();
+    obs::set_tracing_enabled(false);
+    obs::set_trace_clock(nullptr);
+    obs::set_trace_ring_capacity(4096);
+    obs::reset_trace();
   }
 };
 
 TEST_F(ProfilerTest, DisabledRecordsNothing) {
-  obs::set_profiling_enabled(false);
+  obs::set_tracing_enabled(false);
   {
-    DROPBACK_PROFILE_SCOPE("ghost");
+    DROPBACK_TRACE_SPAN("ghost");
     spin_for_us(10);
   }
-  obs::record_timing("ghost_leaf", 1234);
-  const obs::ProfileReport report = obs::collect_profile();
-  EXPECT_EQ(report.find("ghost"), nullptr);
-  EXPECT_EQ(report.find("ghost_leaf"), nullptr);
+  EXPECT_EQ(obs::collect_profile().find("ghost"), nullptr);
 }
 
-TEST_F(ProfilerTest, NestedScopesBuildPaths) {
+TEST_F(ProfilerTest, NestedSpansBuildPaths) {
   for (int i = 0; i < 3; ++i) {
-    DROPBACK_PROFILE_SCOPE("outer");
+    DROPBACK_TRACE_SPAN("outer");
     spin_for_us(50);
     {
-      DROPBACK_PROFILE_SCOPE("inner");
+      DROPBACK_TRACE_SPAN("inner");
       spin_for_us(20);
     }
     {
       // dbk-lint: allow(R6): duplicate on purpose — proves same-label merge
-      DROPBACK_PROFILE_SCOPE("inner");  // same label merges, calls add up
+      DROPBACK_TRACE_SPAN("inner");  // same label merges, calls add up
       spin_for_us(20);
     }
   }
@@ -76,7 +79,7 @@ TEST_F(ProfilerTest, NestedScopesBuildPaths) {
 
 TEST_F(ProfilerTest, MergeAcrossThreadsCountsThreads) {
   auto work = [] {
-    DROPBACK_PROFILE_SCOPE("worker");
+    DROPBACK_TRACE_SPAN("worker");
     spin_for_us(30);
   };
   std::thread t1(work);
@@ -91,41 +94,45 @@ TEST_F(ProfilerTest, MergeAcrossThreadsCountsThreads) {
   EXPECT_EQ(entry->threads, 3);
 }
 
-TEST_F(ProfilerTest, RecordTimingAddsLeafSample) {
-  obs::record_timing("external", 5000);
-  obs::record_timing("external", 7000);
-  const obs::ProfileReport report = obs::collect_profile();
-  const obs::ProfileEntry* entry = report.find("external");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->calls, 2U);
-  EXPECT_EQ(entry->total_ns, 12000U);
-}
-
 TEST_F(ProfilerTest, ResetDropsData) {
   {
-    DROPBACK_PROFILE_SCOPE("gone");
+    DROPBACK_TRACE_SPAN("gone");
     spin_for_us(5);
   }
   ASSERT_NE(obs::collect_profile().find("gone"), nullptr);
-  obs::reset_profile();
+  obs::reset_trace();
   EXPECT_EQ(obs::collect_profile().find("gone"), nullptr);
   // Recording keeps working after a reset.
   {
-    DROPBACK_PROFILE_SCOPE("fresh");
+    DROPBACK_TRACE_SPAN("fresh");
     spin_for_us(5);
   }
   EXPECT_NE(obs::collect_profile().find("fresh"), nullptr);
 }
 
+TEST_F(ProfilerTest, ResetInsideAnOpenSpanDropsOnlyThatSpan) {
+  {
+    DROPBACK_TRACE_SPAN("stale");
+    obs::reset_trace();
+    DROPBACK_TRACE_SPAN("after");
+  }
+  const obs::ProfileReport report = obs::collect_profile();
+  EXPECT_EQ(report.find("stale"), nullptr);
+  const obs::ProfileEntry* after = report.find("after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->calls, 1U);
+  EXPECT_EQ(report.entries.size(), 1U);
+}
+
 TEST_F(ProfilerTest, ChildCoverageAttributesStepTime) {
   {
-    DROPBACK_PROFILE_SCOPE("step");
+    DROPBACK_TRACE_SPAN("step");
     {
-      DROPBACK_PROFILE_SCOPE("forward");
+      DROPBACK_TRACE_SPAN("forward");
       spin_for_us(400);
     }
     {
-      DROPBACK_PROFILE_SCOPE("backward");
+      DROPBACK_TRACE_SPAN("backward");
       spin_for_us(400);
     }
     // A tiny unattributed remainder (loop overhead) is expected.
@@ -139,8 +146,8 @@ TEST_F(ProfilerTest, ChildCoverageAttributesStepTime) {
 
 TEST_F(ProfilerTest, JsonlDumpUsesUnifiedKernelSchema) {
   {
-    DROPBACK_PROFILE_SCOPE("step");
-    DROPBACK_PROFILE_SCOPE("forward");
+    DROPBACK_TRACE_SPAN("step");
+    DROPBACK_TRACE_SPAN("forward");
     spin_for_us(10);
   }
   const obs::ProfileReport report = obs::collect_profile();
@@ -156,11 +163,11 @@ TEST_F(ProfilerTest, JsonlDumpUsesUnifiedKernelSchema) {
     const std::string line = jsonl.substr(pos, end - pos);
     pos = end + 1;
     if (line.empty()) continue;
-    const auto rec = obs::parse_flat_object(line);
-    ASSERT_EQ(rec.at("name").type, obs::JsonValue::Type::kString);
-    ASSERT_EQ(rec.at("calls").type, obs::JsonValue::Type::kNumber);
-    ASSERT_EQ(rec.at("total_us").type, obs::JsonValue::Type::kNumber);
-    ASSERT_EQ(rec.at("threads").type, obs::JsonValue::Type::kNumber);
+    const auto rec = util::parse_flat_object(line);
+    ASSERT_EQ(rec.at("name").type, util::JsonValue::Type::kString);
+    ASSERT_EQ(rec.at("calls").type, util::JsonValue::Type::kNumber);
+    ASSERT_EQ(rec.at("total_us").type, util::JsonValue::Type::kNumber);
+    ASSERT_EQ(rec.at("threads").type, util::JsonValue::Type::kNumber);
     if (rec.at("name").string == "step/forward") saw_nested = true;
     ++records;
   }
@@ -170,8 +177,8 @@ TEST_F(ProfilerTest, JsonlDumpUsesUnifiedKernelSchema) {
 
 TEST_F(ProfilerTest, PrettyTableListsScopes) {
   {
-    DROPBACK_PROFILE_SCOPE("alpha");
-    DROPBACK_PROFILE_SCOPE("beta");
+    DROPBACK_TRACE_SPAN("alpha");
+    DROPBACK_TRACE_SPAN("beta");
     spin_for_us(10);
   }
   const std::string table = obs::collect_profile().pretty();
@@ -182,18 +189,85 @@ TEST_F(ProfilerTest, PrettyTableListsScopes) {
 
 TEST_F(ProfilerTest, ToggleMidRunKeepsEarlierData) {
   {
-    DROPBACK_PROFILE_SCOPE("kept");
+    DROPBACK_TRACE_SPAN("kept");
     spin_for_us(5);
   }
-  obs::set_profiling_enabled(false);
+  obs::set_tracing_enabled(false);
   {
-    DROPBACK_PROFILE_SCOPE("dropped");
+    DROPBACK_TRACE_SPAN("dropped");
     spin_for_us(5);
   }
-  obs::set_profiling_enabled(true);
+  obs::set_tracing_enabled(true);
   const obs::ProfileReport report = obs::collect_profile();
   EXPECT_NE(report.find("kept"), nullptr);
   EXPECT_EQ(report.find("dropped"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Span totals vs the span ring, under a ManualClock
+// ---------------------------------------------------------------------------
+
+// 500 steps of a 3 µs "step" span around a 2 µs "forward" span.
+void run_manual_steps(util::ManualClock& clock) {
+  for (int i = 0; i < 500; ++i) {
+    DROPBACK_TRACE_SPAN("step");
+    clock.advance_us(1);
+    {
+      DROPBACK_TRACE_SPAN("forward");
+      clock.advance_us(2);
+    }
+  }
+}
+
+TEST_F(ProfilerTest, TotalsStayExactAfterTheRingWraps) {
+  util::ManualClock clock;
+  obs::set_trace_clock(&clock);
+  obs::set_trace_ring_capacity(4);
+  obs::reset_trace();
+  run_manual_steps(clock);  // 1,000 spans into a 4-slot ring
+  const obs::TraceSnapshot snapshot = obs::TraceCollector::collect();
+  EXPECT_EQ(snapshot.spans.size(), 4U);
+  EXPECT_EQ(snapshot.dropped, 996U);
+  const obs::ProfileReport report = obs::collect_profile();
+  ASSERT_EQ(report.entries.size(), 2U);
+  const obs::ProfileEntry* step = report.find("step");
+  const obs::ProfileEntry* forward = report.find("step/forward");
+  ASSERT_NE(step, nullptr);
+  ASSERT_NE(forward, nullptr);
+  EXPECT_EQ(step->calls, 500U);
+  EXPECT_EQ(step->total_ns, 500U * 3000U);
+  EXPECT_EQ(forward->calls, 500U);
+  EXPECT_EQ(forward->total_ns, 500U * 2000U);
+  EXPECT_EQ(step->threads, 1);
+}
+
+TEST_F(ProfilerTest, TotalsEqualTheRingWhenNothingWasDropped) {
+  util::ManualClock clock;
+  obs::set_trace_clock(&clock);
+  run_manual_steps(clock);
+  const obs::TraceSnapshot snapshot = obs::TraceCollector::collect();
+  ASSERT_EQ(snapshot.dropped, 0U);
+  std::map<std::string, std::uint64_t> ring_ns;
+  for (const obs::SpanRecord& span : snapshot.spans) {
+    ring_ns[span.name] += static_cast<std::uint64_t>(span.dur_us) * 1000;
+  }
+  std::map<std::string, std::uint64_t> profile_ns;
+  for (const obs::ProfileEntry& entry : obs::collect_profile().entries) {
+    profile_ns[entry.name] += entry.total_ns;
+  }
+  EXPECT_EQ(ring_ns, profile_ns);
+  EXPECT_EQ(ring_ns.size(), 2U);
+}
+
+TEST_F(ProfilerTest, JsonlBytesArePinnedUnderManualClock) {
+  util::ManualClock clock;
+  obs::set_trace_clock(&clock);
+  run_manual_steps(clock);
+  EXPECT_EQ(obs::collect_profile().to_jsonl(),
+            "{\"name\":\"step\",\"calls\":500,\"total_us\":1500,"
+            "\"threads\":1}\n"
+            "{\"name\":\"step/forward\",\"calls\":500,\"total_us\":1000,"
+            "\"threads\":1}\n");
 }
 
 }  // namespace

@@ -2,15 +2,19 @@
 // context propagation (explicit handoff + ScopedTraceContext adoption), ring
 // wraparound with dropped-span accounting, byte-deterministic Chrome-trace
 // export under an injectable ManualClock, and the export -> parse round trip
-// that `metrics_tool trace` depends on.
+// that `metrics_tool trace` depends on, including a seeded mutation fuzz
+// of that reader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "rng/xorshift.hpp"
 #include "util/steady_clock.hpp"
 
 namespace {
@@ -282,6 +286,100 @@ TEST(TraceExportTest, ParserRejectsMalformedInput) {
   const auto parsed = obs::parse_chrome_trace(spaced);
   ASSERT_EQ(parsed.size(), 1U);
   EXPECT_EQ(parsed[0].trace_id, 5U);
+}
+
+/// One "X" event whose numeric field `key` reads `value`.
+std::string event_with(const std::string& key, const std::string& value) {
+  std::map<std::string, std::string> f = {{"ts", "1"},    {"dur", "2"},
+                                          {"tid", "0"},   {"trace", "5"},
+                                          {"span", "1"},  {"parent", "0"}};
+  f[key] = value;
+  return "{\"traceEvents\":[{\"name\":\"s\",\"ph\":\"X\",\"ts\":" +
+         f["ts"] + ",\"dur\":" + f["dur"] + ",\"tid\":" + f["tid"] +
+         ",\"args\":{\"trace\":" + f["trace"] + ",\"span\":" + f["span"] +
+         ",\"parent\":" + f["parent"] + "}}]}";
+}
+
+TEST(TraceExportTest, ParserRejectsNumbersNoIdCanHold) {
+  // A negative or >= 2^63 value has no uint64/int64 conversion; casting it
+  // anyway was undefined behaviour (UBSan float-cast-overflow).
+  for (const char* key : {"ts", "dur", "tid", "trace", "span", "parent"}) {
+    for (const char* bad : {"-5", "-0.5", "9223372036854775808", "1e300"}) {
+      EXPECT_THROW(obs::parse_chrome_trace(event_with(key, bad)),
+                   std::runtime_error)
+          << key << "=" << bad;
+    }
+  }
+  // Fractions still truncate, and the largest exact doubles still parse.
+  EXPECT_EQ(obs::parse_chrome_trace(event_with("ts", "4.75"))[0].start_us, 4);
+  EXPECT_EQ(
+      obs::parse_chrome_trace(event_with("span", "9007199254740992"))[0]
+          .span_id,
+      9007199254740992U);
+}
+
+/// One random edit: any byte, a JSON-significant byte, a truncation, a
+/// digit changed into another digit, or a number's sign flipped.
+void mutate(std::string& text, rng::Xorshift128& rng) {
+  static const std::string kJsonBytes = "-+.0123456789eE\"{}[],: ";
+  if (text.empty()) return;
+  const std::size_t at =
+      rng.uniform_int(static_cast<std::uint32_t>(text.size()));
+  switch (rng.uniform_int(5)) {
+    case 0:
+      text[at] = static_cast<char>(rng.next_u32());
+      break;
+    case 1:
+      text[at] = kJsonBytes[rng.uniform_int(
+          static_cast<std::uint32_t>(kJsonBytes.size()))];
+      break;
+    case 2:
+      text.resize(at);
+      break;
+    case 3: {
+      const std::size_t digit = text.find_first_of("0123456789", at);
+      if (digit != std::string::npos) {
+        text[digit] = static_cast<char>('0' + rng.uniform_int(10));
+      }
+      break;
+    }
+    default: {
+      const std::size_t colon = text.find(':', at);
+      if (colon == std::string::npos || colon + 1 >= text.size()) break;
+      if (text[colon + 1] == '-') {
+        text.erase(colon + 1, 1);
+      } else {
+        text.insert(colon + 1, "-");
+      }
+    }
+  }
+}
+
+TEST(TraceExportTest, MutatedExportsParseOrThrow) {
+  obs::TraceSnapshot snap;
+  snap.spans.push_back(make_span(7, 1, 0, "request", 0, 10, 30));
+  snap.spans.push_back(make_span(7, 2, 1, "exec", 1, 12, 5));
+  snap.spans.push_back(make_span(8, 3, 0, "queue_wait", 2, 40, 1234567));
+  snap.dropped = 3;
+  const std::string base = obs::TraceCollector::export_json(snap);
+  rng::Xorshift128 rng(0x7ACE5EED);
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = base;
+    const std::uint32_t edits = 1 + rng.uniform_int(3);
+    for (std::uint32_t e = 0; e < edits; ++e) mutate(text, rng);
+    // Anything but a parse or std::runtime_error (another exception, a
+    // crash, a sanitizer report) fails the test.
+    try {
+      obs::parse_chrome_trace(text);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -27,12 +27,12 @@
 
 #include "nn/models/lenet.hpp"
 #include "obs/event_stream.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "rng/xorshift.hpp"
 #include "serve/server.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault_injection.hpp"
+#include "util/json.hpp"
 #include "util/steady_clock.hpp"
 
 namespace dropback::serve {
@@ -209,7 +209,7 @@ TEST(ServeChaos, TwoXOverloadWithFaultsNoCrashBoundedP99) {
   // incident lines parse as flat JSON with typed outcomes.
   stream.flush();
   ASSERT_FALSE(events->lines().empty());
-  const auto summary = obs::parse_flat_object(events->lines().back());
+  const auto summary = util::parse_flat_object(events->lines().back());
   ASSERT_EQ(summary.at("type").string, "serve_summary");
   EXPECT_EQ(static_cast<std::uint64_t>(summary.at("submitted").number),
             s.submitted);
@@ -219,7 +219,7 @@ TEST(ServeChaos, TwoXOverloadWithFaultsNoCrashBoundedP99) {
   EXPECT_GE(summary.at("quarantined").number, 1.0);
   bool saw_incident = false;
   for (const auto& line : events->lines()) {
-    const auto record = obs::parse_flat_object(line);
+    const auto record = util::parse_flat_object(line);
     if (record.at("type").string == "serve_incident") {
       saw_incident = true;
       EXPECT_FALSE(record.at("outcome").string.empty());

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -64,7 +64,7 @@ TEST_F(UtilLogTest, JsonFormatIsOneFlatParseableRecord) {
   util::set_log_format(util::LogFormat::kJson);
   const std::string line =
       util::format_log_line(util::LogLevel::kInfo, "loss=0.5 \"quoted\"");
-  const auto rec = obs::parse_flat_object(line);
+  const auto rec = util::parse_flat_object(line);
   EXPECT_EQ(rec.at("level").string, "info");
   EXPECT_EQ(rec.at("msg").string, "loss=0.5 \"quoted\"");
   // ts is a full UTC second stamp.
@@ -138,7 +138,7 @@ TEST_F(UtilLogTest, ConcurrentJsonLoggersStayParseable) {
     std::size_t end = out.find('\n', pos);
     ASSERT_NE(end, std::string::npos);
     // Every line parses — a torn write would throw here.
-    const auto rec = obs::parse_flat_object(out.substr(pos, end - pos));
+    const auto rec = util::parse_flat_object(out.substr(pos, end - pos));
     EXPECT_EQ(rec.at("level").string, "info");
     pos = end + 1;
     ++lines;

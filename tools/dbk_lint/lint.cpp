@@ -263,7 +263,7 @@ struct Scope {
 struct FunctionInfo {
   std::string name;
   int line = 0;                                 // definition anchor
-  std::map<std::string, int> profile_labels;    // label -> first line (R6)
+  std::map<std::string, int> span_labels;       // label -> first line (R6)
   std::vector<std::string> unordered_vars;      // declared names (R4/R12)
   std::vector<CallSite> calls;                  // for the call graph
   int nondet_line = 0;                          // R12 taints
@@ -590,8 +590,8 @@ FileModel analyze_source(const std::string& relpath,
       R"(unordered_(map|set)\s*<.*>\s*&?\s*([A-Za-z_]\w*))");
   static const std::regex kRangeForUnordered(
       R"(for\s*\([^)]*:[^)]*unordered_(map|set))");
-  static const std::regex kProfileScope(
-      R"rx(DROPBACK_PROFILE_SCOPE\s*\(\s*"([^"]*)"\s*\))rx");
+  static const std::regex kTraceSpan(
+      R"rx(DROPBACK_TRACE_SPAN\s*\(\s*"([^"]*)"\s*\))rx");
   static const std::regex kQuotedTarget(R"rx(#\s*include\s*"([^"]+)")rx");
   static const std::regex kIdentCall(R"(([A-Za-z_]\w*)\s*\()");
 
@@ -689,16 +689,16 @@ FileModel analyze_source(const std::string& relpath,
         }
       }
 
-      // R6: duplicate profile-scope labels within one function.
-      if (line.find("DROPBACK_PROFILE_SCOPE") != std::string::npos) {
+      // R6: duplicate span labels within one function.
+      if (line.find("DROPBACK_TRACE_SPAN") != std::string::npos) {
         const std::string& raw = raw_lines[i];
         std::smatch pm;
-        if (std::regex_search(raw, pm, kProfileScope)) {
+        if (std::regex_search(raw, pm, kTraceSpan)) {
           const std::string label = pm[1].str();
-          auto [it, inserted] = fn.profile_labels.emplace(label, line_no);
+          auto [it, inserted] = fn.span_labels.emplace(label, line_no);
           if (!inserted) {
             emit_line(&findings, relpath, "R6", line_no,
-                      "duplicate DROPBACK_PROFILE_SCOPE label \"" + label +
+                      "duplicate DROPBACK_TRACE_SPAN label \"" + label +
                           "\" in function '" + fn.name + "' (first at line " +
                           std::to_string(it->second) +
                           ") — labels must be unique per function so "

@@ -27,7 +27,7 @@
 //   R5  no floating-point ==/!= against float literals outside tests
 //       (bitwise-equivalence assertions live in tests/). Intentional exact
 //       compares (sparsity sentinels) carry an inline suppression.
-//   R6  every DROPBACK_PROFILE_SCOPE label is unique within its function,
+//   R6  every DROPBACK_TRACE_SPAN label is unique within its function,
 //       and every .cpp under src/ is registered in src/CMakeLists.txt.
 //   R7  vendor SIMD intrinsics (immintrin.h/arm_neon.h includes, _mm*/
 //       __m128/__m256/__m512/vld1/vst1 identifiers) only under src/simd/ —

@@ -12,8 +12,7 @@
 // are re-parsed with a small standalone JSON reader (the util flat-object
 // parser cannot read nested documents) and the per-rule result counts are
 // compared against the findings that were serialized. A mismatch is a
-// serializer bug, reported with per-rule counts and a nonzero exit
-// (bench_compare discipline).
+// serializer bug, reported with per-rule counts and a nonzero exit.
 #pragma once
 
 #include <map>

@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
   std::printf("\nweight-fetch traffic for materializing the model:\n%s\n",
               weight_fetch.report().c_str());
 
-  // Streaming engine: weights are produced inside the MAC loop; the only
-  // weight storage the engine holds is the tracked entries themselves.
+  // Streaming engine: weights are regenerated one panel at a time right
+  // before the GEMM that consumes them; the only weight storage the engine
+  // holds is the tracked entries themselves.
   inference::RegenMlp engine(loaded);
   energy::TrafficCounter streaming_traffic;
   std::int64_t correct = 0, seen = 0;

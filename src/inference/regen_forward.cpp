@@ -1,5 +1,10 @@
 #include "inference/regen_forward.hpp"
 
+#include <algorithm>
+
+#include "simd/dispatch.hpp"
+#include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace dropback::inference {
@@ -41,13 +46,9 @@ void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
   *regens += static_cast<std::uint64_t>(count) - tracked;
 }
 
-float bias_value(const core::SparseParamRecord* bias, std::int64_t o,
-                 std::uint64_t* reads, std::uint64_t* regens) {
-  if (!bias) return 0.0F;
-  float value = 0.0F;
-  materialize_range(*bias, o, 1, &value, reads, regens);
-  return value;
-}
+/// Output rows (Linear) or channels (conv) materialized at a time: two
+/// kPackWidth groups, one whole AVX-512 gemm_nt tile.
+constexpr std::int64_t kPanelRows = 2 * simd::kPackWidth;
 
 }  // namespace
 
@@ -74,30 +75,33 @@ tensor::Tensor RegenLinear::forward(const tensor::Tensor& x,
   const float* px = x.data();
   float* py = y.data();
   std::uint64_t reads = 0, regens = 0;
-  // Row o of W is the contiguous flat range [o*in, (o+1)*in): regenerate it
-  // blockwise on the SIMD regen kernel, then apply it to every batch row.
-  // Only one row buffer of weights is ever live — the paper's budget is
-  // about persistent weight storage, not transient working memory. The MAC
-  // itself stays scalar: its double accumulation is order-sensitive
-  // (docs/SIMD.md), so the i-ascending loop is the reference order.
-  std::vector<double> acc(static_cast<std::size_t>(m));
-  std::vector<float> wrow(static_cast<std::size_t>(in_));
-  for (std::int64_t o = 0; o < out_; ++o) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    materialize_range(*weight_, o * in_, in_, wrow.data(), &reads, &regens);
-    for (std::int64_t i = 0; i < in_; ++i) {
-      const float w = wrow[static_cast<std::size_t>(i)];
-      // dbk-lint: allow(R5): pruned weights are exactly zero
-      if (w == 0.0F) continue;
-      for (std::int64_t b = 0; b < m; ++b) {
-        acc[static_cast<std::size_t>(b)] +=
-            static_cast<double>(px[b * in_ + i]) * w;
-      }
-    }
-    const float bias = bias_value(bias_, o, &reads, &regens);
+  // Rows [o0, o0+n) of W are the contiguous flat range [o0*in, (o0+n)*in):
+  // regenerate them on the SIMD regen kernel, pack them and run the batch
+  // through gemm_nt. Only one panel of weights is ever live — the paper's
+  // budget is about persistent weight storage, not working memory. Each
+  // output is gemm_nt's double chain plus one float bias add, i.e. bitwise
+  // matmul_nt + add_row_vector.
+  std::vector<float> bias;
+  if (bias_) {
+    bias.resize(static_cast<std::size_t>(out_));
+    materialize_range(*bias_, 0, out_, bias.data(), &reads, &regens);
+  }
+  std::vector<float> rows(static_cast<std::size_t>(kPanelRows * in_));
+  std::vector<float> packed(rows.size());
+  std::vector<float> c(static_cast<std::size_t>(m * kPanelRows));
+  const simd::Kernels& kernels = simd::kernels();
+  for (std::int64_t o0 = 0; o0 < out_; o0 += kPanelRows) {
+    const std::int64_t n = std::min(kPanelRows, out_ - o0);
+    materialize_range(*weight_, o0 * in_, n * in_, rows.data(), &reads,
+                      &regens);
+    tensor::pack_nt(rows.data(), n, in_, packed.data());
+    kernels.gemm_nt(px, m, packed.data(), in_, n, c.data());
     for (std::int64_t b = 0; b < m; ++b) {
-      py[b * out_ + o] =
-          static_cast<float>(acc[static_cast<std::size_t>(b)]) + bias;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float v = c[static_cast<std::size_t>(b * n + j)];
+        py[b * out_ + o0 + j] =
+            bias.empty() ? v : v + bias[static_cast<std::size_t>(o0 + j)];
+      }
     }
   }
   if (traffic) {
@@ -137,37 +141,34 @@ tensor::Tensor RegenConv2d::forward(const tensor::Tensor& x,
       weight_->shape[1] * spec_.kernel_h * spec_.kernel_w;
   const std::int64_t oh = spec_.out_h(x.size(2));
   const std::int64_t ow = spec_.out_w(x.size(3));
-  // Activations (the im2col buffer) are legitimate working memory — the
-  // paper's budget is about *weights*. Only one filter row of weights is
-  // ever live, in `filter` below.
-  const tensor::Tensor cols = tensor::im2col(x, spec_);
-  const std::int64_t rows = cols.size(0);
-  const float* pc = cols.data();
+  const std::int64_t plane = oh * ow;
+  // Each panel of output channels' filters is materialized and run through
+  // tensor::conv2d; every output is its own chain there, so the result is
+  // bitwise conv2d's with only one panel of weights live.
   tensor::Tensor y({n, cout, oh, ow});
   float* py = y.data();
   std::uint64_t reads = 0, regens = 0;
-  std::vector<float> filter(static_cast<std::size_t>(patch));
-  for (std::int64_t oc = 0; oc < cout; ++oc) {
-    materialize_range(*weight_, oc * patch, patch, filter.data(), &reads,
-                      &regens);
-    const float bias = bias_value(bias_, oc, &reads, &regens);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* col = pc + r * patch;
-      double acc = bias;
-      for (std::int64_t i = 0; i < patch; ++i) {
-        acc += static_cast<double>(col[i]) * filter[static_cast<std::size_t>(i)];
-      }
-      // Row r corresponds to (batch, oy, ox) in row-major [n, oh, ow].
-      const std::int64_t b = r / (oh * ow);
-      const std::int64_t rem = r % (oh * ow);
-      py[((b * cout + oc) * oh + rem / ow) * ow + rem % ow] =
-          static_cast<float>(acc);
+  for (std::int64_t o0 = 0; o0 < cout; o0 += kPanelRows) {
+    const std::int64_t oc = std::min(kPanelRows, cout - o0);
+    tensor::Tensor filters({oc, weight_->shape[1], spec_.kernel_h,
+                            spec_.kernel_w});
+    materialize_range(*weight_, o0 * patch, oc * patch, filters.data(),
+                      &reads, &regens);
+    tensor::Tensor panel_bias;
+    if (bias_) {
+      panel_bias = tensor::Tensor({oc});
+      materialize_range(*bias_, o0, oc, panel_bias.data(), &reads, &regens);
+    }
+    const tensor::Tensor part = tensor::conv2d(x, filters, panel_bias, spec_);
+    for (std::int64_t b = 0; b < n; ++b) {
+      std::copy_n(part.data() + b * oc * plane, oc * plane,
+                  py + (b * cout + o0) * plane);
     }
   }
   if (traffic) {
     traffic->dram_reads += reads;
     traffic->regens += regens;
-    traffic->float_ops += static_cast<std::uint64_t>(rows) *
+    traffic->float_ops += static_cast<std::uint64_t>(n * plane) *
                           static_cast<std::uint64_t>(cout) *
                           static_cast<std::uint64_t>(patch) * 2;
   }
@@ -205,12 +206,7 @@ tensor::Tensor RegenMlp::forward(const tensor::Tensor& x,
       x.ndim() == 2 ? x : x.reshape({x.size(0), -1});
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     h = layers_[l].forward(h, traffic);
-    if (l + 1 < layers_.size()) {
-      float* p = h.data();
-      for (std::int64_t i = 0; i < h.numel(); ++i) {
-        if (p[i] < 0.0F) p[i] = 0.0F;
-      }
-    }
+    if (l + 1 < layers_.size()) h = tensor::relu(h);
   }
   return h;
 }

@@ -2,15 +2,17 @@
 //
 // The paper's deployment claim (§1, §6) is that a DropBack-trained model
 // needs only k weights' worth of memory *at inference time*: untracked
-// weights are recomputed from (seed, index) at the moment the MAC that
-// consumes them executes, so no dense weight tensor ever exists. The
+// weights are recomputed from (seed, index) when the layer that consumes
+// them runs, so no dense weight tensor ever exists. The
 // SparseWeightStore::materialize() path demonstrates the storage win but
-// still allocates dense tensors transiently; this module is the real
-// streaming engine — each weight value is produced on the fly (merge-joined
-// with the sorted tracked-entry overlay) inside the matmul/conv inner loop.
+// still allocates dense tensors transiently; this module is the streaming
+// engine — one panel of output rows (or channels) at a time is regenerated,
+// merge-joined with the sorted tracked-entry overlay, and run through the
+// same SIMD GEMM as the dense layers.
 //
-// RegenMlp / RegenConvNet mirror the library's Mlp and Conv2d stacks and
-// are verified bit-exact against dense forward passes in the tests.
+// Outputs are bitwise the dense forward's, NaN and ±inf inputs included
+// (memcmp in tests/inference_test.cpp): RegenLinear = matmul_nt +
+// add_row_vector, RegenConv2d = conv2d, RegenMlp = nn::models::Mlp (eval).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +52,7 @@ class RegenLinear {
 };
 
 /// A 2-D convolution evaluated from a SparseParamRecord without a dense
-/// kernel tensor: one filter row (C_in*KH*KW floats) is streamed at a time.
+/// kernel tensor: one panel of output channels' filters is live at a time.
 class RegenConv2d {
  public:
   RegenConv2d(const core::SparseParamRecord* weight,

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "autograd/ops.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
 #include "nn/models/lenet.hpp"
 #include "rng/xorshift.hpp"
 #include "tensor/conv.hpp"
@@ -22,6 +26,15 @@ T::Tensor random_tensor(T::Shape shape, std::uint64_t seed) {
   T::Tensor t(std::move(shape));
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform(-1, 1);
   return t;
+}
+
+/// Same shape and the same bits in every float (memcmp, so NaN payloads and
+/// the sign of zero count).
+void expect_bitwise(const T::Tensor& got, const T::Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<std::size_t>(got.numel())),
+            0);
 }
 
 /// Trains a small MLP briefly with DropBack and returns its store.
@@ -50,11 +63,54 @@ TEST(RegenLinear, MatchesDenseMaterializedForward) {
   const T::Tensor b = store.materialize(1);
   const T::Tensor dense =
       T::add_row_vector(T::matmul_nt(x, w.reshape({8, 12})), b);
-  ASSERT_EQ(streamed.shape(), dense.shape());
-  for (std::int64_t i = 0; i < dense.numel(); ++i) {
-    EXPECT_NEAR(streamed[i], dense[i], 1e-5F) << i;
-  }
+  expect_bitwise(streamed, dense);
 }
+
+struct LinearShape {
+  std::int64_t in;
+  std::int64_t out;
+  std::int64_t batch;
+};
+
+/// Output widths around the 16-row weight panel, batches that are not
+/// multiples of the 4-row GEMM tile, and a single input feature.
+class RegenLinearShapes : public ::testing::TestWithParam<LinearShape> {};
+
+TEST_P(RegenLinearShapes, EqualsDenseLinearBitwise) {
+  const LinearShape shape = GetParam();
+  nn::Linear linear(shape.in, shape.out, /*seed=*/17);
+  // Track the last weight of every 16-row panel and the first of the next,
+  // so the tracked-entry overlay straddles each panel boundary.
+  float* w = linear.weight().var.value().data();
+  std::size_t tracked = 0;
+  for (std::int64_t row = 15; row + 1 < shape.out; row += 16) {
+    w[row * shape.in + shape.in - 1] += 0.5F;
+    w[(row + 1) * shape.in] -= 0.25F;
+    tracked += 2;
+  }
+  linear.bias()->var.value()[shape.out - 1] = 0.125F;
+  auto store = core::SparseWeightStore::from_params(
+      {&linear.weight(), linear.bias()});
+  ASSERT_EQ(store.record(0).entries.size(), tracked);
+  RegenLinear layer(&store.record(0), &store.record(1));
+  const T::Tensor x = random_tensor({shape.batch, shape.in}, 31);
+  energy::TrafficCounter traffic;
+  const T::Tensor streamed = layer.forward(x, &traffic);
+  autograd::NoGradGuard no_grad;
+  expect_bitwise(streamed, linear.forward(ag::Variable(x)).value());
+  // Every weight and bias is touched once per call, whatever the panels.
+  EXPECT_EQ(traffic.dram_reads, tracked + 1);
+  EXPECT_EQ(traffic.dram_reads + traffic.regens,
+            static_cast<std::uint64_t>(shape.in * shape.out + shape.out));
+  EXPECT_EQ(traffic.float_ops,
+            static_cast<std::uint64_t>(2 * shape.batch * shape.out * shape.in));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RegenLinearShapes,
+    ::testing::Values(LinearShape{12, 13, 1}, LinearShape{12, 17, 3},
+                      LinearShape{1, 17, 5}, LinearShape{1, 1, 1},
+                      LinearShape{33, 40, 5}, LinearShape{100, 100, 8}));
 
 TEST(RegenLinear, TrafficSplitsTrackedVsRegenerated) {
   auto store = small_trained_store(30);
@@ -112,10 +168,27 @@ TEST(RegenMlp, EndToEndMatchesMaterializedModel) {
   autograd::NoGradGuard no_grad;
   model->set_training(false);
   const T::Tensor dense = model->forward(ag::Variable(x)).value();
-  ASSERT_EQ(streamed.shape(), dense.shape());
-  for (std::int64_t i = 0; i < dense.numel(); ++i) {
-    EXPECT_NEAR(streamed[i], dense[i], 1e-3F) << i;
-  }
+  expect_bitwise(streamed, dense);
+}
+
+TEST(RegenMlp, NonFiniteInputsMatchModelBitwise) {
+  // NaN and ±inf flow through the GEMM chains; the hidden ReLU must map a
+  // NaN (and −0) to +0 exactly as the model's does.
+  nn::models::Mlp model(12, {20}, 13, /*seed=*/3);
+  model.layer(0).weight().var.value()[7] += 0.5F;
+  model.layer(1).bias()->var.value()[2] = -0.75F;
+  auto store = core::SparseWeightStore::from_params(model.collect_parameters());
+  RegenMlp engine(store);
+  T::Tensor x = random_tensor({5, 12}, 41);
+  x[0] = std::numeric_limits<float>::quiet_NaN();
+  x[13] = std::numeric_limits<float>::infinity();
+  x[26] = -std::numeric_limits<float>::infinity();
+  x[38] = std::numeric_limits<float>::infinity();
+  x[39] = -std::numeric_limits<float>::infinity();
+  x[50] = -0.0F;
+  autograd::NoGradGuard no_grad;
+  model.set_training(false);
+  expect_bitwise(engine.forward(x), model.forward(ag::Variable(x)).value());
 }
 
 TEST(RegenMlp, RejectsOddRecordCounts) {
@@ -138,10 +211,24 @@ TEST(RegenConv2d, MatchesDenseConvolution) {
   const T::Tensor streamed = streaming.forward(x);
   const T::Tensor dense = T::conv2d(x, store.materialize(0),
                                     store.materialize(1), conv.spec());
-  ASSERT_EQ(streamed.shape(), dense.shape());
-  for (std::int64_t i = 0; i < dense.numel(); ++i) {
-    EXPECT_NEAR(streamed[i], dense[i], 1e-4F) << i;
-  }
+  expect_bitwise(streamed, dense);
+}
+
+TEST(RegenConv2d, MatchesDenseConvolutionAcrossChannelPanels) {
+  // 20 output channels: one full 16-channel panel and a ragged one, with
+  // tracked filter weights on both sides of the boundary.
+  nn::Conv2d conv(3, 20, 3, 1, 1, /*seed=*/23);
+  const std::int64_t patch = 3 * 3 * 3;
+  conv.weight().var.value()[16 * patch - 1] += 0.5F;
+  conv.weight().var.value()[16 * patch] -= 0.5F;
+  conv.bias()->var.value()[17] = 0.25F;
+  auto store = core::SparseWeightStore::from_params(
+      {&conv.weight(), conv.bias()});
+  RegenConv2d streaming(&store.record(0), &store.record(1), conv.spec());
+  const T::Tensor x = random_tensor({3, 3, 5, 5}, 29);
+  expect_bitwise(streaming.forward(x),
+                 T::conv2d(x, store.materialize(0), store.materialize(1),
+                           conv.spec()));
 }
 
 TEST(RegenConv2d, TrafficCoversEveryWeightOnce) {
@@ -174,9 +261,7 @@ TEST_P(RegenBudgetSweep, StreamedEqualsMaterialized) {
         store.materialize(p + 1));
     if (p + 2 < store.num_params()) h = T::relu(h);
   }
-  for (std::int64_t i = 0; i < h.numel(); ++i) {
-    ASSERT_NEAR(streamed[i], h[i], 1e-4F);
-  }
+  expect_bitwise(streamed, h);
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, RegenBudgetSweep,

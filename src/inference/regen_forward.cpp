@@ -4,7 +4,6 @@
 
 #include "simd/dispatch.hpp"
 #include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace dropback::inference {
@@ -12,16 +11,16 @@ namespace dropback::inference {
 namespace {
 
 /// Materializes one contiguous flat range [first, first+count) of a record
-/// into `buf`: regenerate the whole block on the SIMD regen kernel
-/// (InitSpec::fill_range is bitwise value_at per index), then overwrite the
-/// tracked positions from the sorted entry list with one advancing cursor.
-/// Counts one read per tracked entry and one regen per untracked slot, like
-/// the paper's regenerative traffic model.
+/// into `buf`: regenerate the whole block on the SIMD regen kernel, on the
+/// calling thread (InitSpec::fill_range_inline is bitwise value_at per
+/// index), then overwrite the tracked positions from the sorted entry list
+/// with one advancing cursor. Counts one read per tracked entry and one
+/// regen per untracked slot, like the paper's regenerative traffic model.
 void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
                        std::int64_t count, float* buf, std::uint64_t* reads,
                        std::uint64_t* regens) {
-  rec.init.fill_range(static_cast<std::uint64_t>(first), buf,
-                      static_cast<std::size_t>(count));
+  rec.init.fill_range_inline(static_cast<std::uint64_t>(first), buf,
+                             static_cast<std::size_t>(count));
   const auto& entries = rec.entries;
   // Binary search for the first tracked entry >= first.
   std::size_t lo = 0, hi = entries.size();
@@ -80,7 +79,8 @@ tensor::Tensor RegenLinear::forward(const tensor::Tensor& x,
   // through gemm_nt. Only one panel of weights is ever live — the paper's
   // budget is about persistent weight storage, not working memory. Each
   // output is gemm_nt's double chain plus one float bias add, i.e. bitwise
-  // matmul_nt + add_row_vector.
+  // matmul_nt + add_row_vector. Nothing here dispatches to the global pool:
+  // server workers call this concurrently (regen_forward.hpp).
   std::vector<float> bias;
   if (bias_) {
     bias.resize(static_cast<std::size_t>(out_));
@@ -206,7 +206,14 @@ tensor::Tensor RegenMlp::forward(const tensor::Tensor& x,
       x.ndim() == 2 ? x : x.reshape({x.size(0), -1});
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     h = layers_[l].forward(h, traffic);
-    if (l + 1 < layers_.size()) h = tensor::relu(h);
+    if (l + 1 < layers_.size()) {
+      // tensor::relu's map (NaN and -0 go to +0), in place on the fresh
+      // layer output and on the calling thread.
+      float* p = h.data();
+      for (std::int64_t i = 0; i < h.numel(); ++i) {
+        p[i] = p[i] > 0.0F ? p[i] : 0.0F;
+      }
+    }
   }
   return h;
 }

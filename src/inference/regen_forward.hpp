@@ -13,6 +13,12 @@
 // Outputs are bitwise the dense forward's, NaN and ±inf inputs included
 // (memcmp in tests/inference_test.cpp): RegenLinear = matmul_nt +
 // add_row_vector, RegenConv2d = conv2d, RegenMlp = nn::models::Mlp (eval).
+//
+// RegenLinear and RegenMlp run entirely on the calling thread, so any
+// number of threads may call forward at once (the server's workers do).
+// RegenConv2d runs tensor::conv2d, which dispatches to the global pool:
+// util::ThreadPool::run takes one dispatching caller at a time, so call it
+// from one thread at a time.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +59,8 @@ class RegenLinear {
 
 /// A 2-D convolution evaluated from a SparseParamRecord without a dense
 /// kernel tensor: one panel of output channels' filters is live at a time.
+/// Each panel is one tensor::conv2d call, which gathers the input again and
+/// dispatches to the global pool: not safe to call from concurrent threads.
 class RegenConv2d {
  public:
   RegenConv2d(const core::SparseParamRecord* weight,

@@ -79,16 +79,20 @@ void InitSpec::fill(float* data, std::size_t n) const { fill_range(0, data, n); 
 
 void InitSpec::fill_range(std::uint64_t first, float* data,
                           std::size_t n) const {
-  const simd::RegenSpec spec = to_regen_spec(kind_, scale_, seed_);
-  const simd::Kernels& kernels = simd::kernels();
   // Pure per-index map: shards write disjoint ranges, so parallelism and
   // lane width are both invisible in the output bits.
   util::parallel_for(kFillGrain, static_cast<std::int64_t>(n),
                      [&](std::int64_t begin, std::int64_t end) {
-                       kernels.regen_fill(
-                           spec, first + static_cast<std::uint64_t>(begin),
-                           end - begin, data + begin);
+                       fill_range_inline(
+                           first + static_cast<std::uint64_t>(begin),
+                           data + begin, static_cast<std::size_t>(end - begin));
                      });
+}
+
+void InitSpec::fill_range_inline(std::uint64_t first, float* data,
+                                 std::size_t n) const {
+  simd::kernels().regen_fill(to_regen_spec(kind_, scale_, seed_), first,
+                             static_cast<std::int64_t>(n), data);
 }
 
 std::string InitSpec::describe() const {

@@ -19,6 +19,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,17 +38,19 @@ namespace {
 
 namespace T = dropback::tensor;
 
-T::Tensor random_input(std::uint64_t seed) {
+T::Tensor random_input(std::uint64_t seed, std::int64_t width = 12) {
   rng::Xorshift128 rng(seed);
-  T::Tensor t({1, 12});
+  T::Tensor t({1, width});
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform(-1, 1);
   return t;
 }
 
 /// A small MLP store with nontrivial tracked entries: perturb a few weights
 /// away from their init so from_params records them (no training needed).
-core::SparseWeightStore small_store(std::uint64_t seed) {
-  nn::models::Mlp model(12, {8}, 4, seed);
+core::SparseWeightStore small_store(std::uint64_t seed, std::int64_t in = 12,
+                                    std::int64_t hidden = 8,
+                                    std::int64_t classes = 4) {
+  nn::models::Mlp model(in, {hidden}, classes, seed);
   auto params = model.collect_parameters();
   rng::Xorshift128 rng(seed ^ 0x5eedF00dULL);
   for (nn::Parameter* p : params) {
@@ -357,6 +360,62 @@ TEST(ServeServer, ServesAndMatchesEmbeddedForwardBitwise) {
     }
     server.stop();
   }
+}
+
+// The server's workers call RegenMlp::forward concurrently, and
+// util::ThreadPool::run takes one dispatching caller at a time, so the
+// forward must never reach the global pool. A 784-wide first layer makes
+// each 16-row weight panel (16 * 784 floats) big enough that a pool-backed
+// regen fill would dispatch on a 4-thread pool; with several workers and
+// the test thread running the engine at once, any pool use shows up as
+// wrong logits here (or as a race under TSan).
+TEST(ServeServer, WideModelServesBitwiseWhileWorkersShareThePool) {
+  obs::MetricsRegistry::global().reset();
+  const int pool_threads = util::num_threads();
+  util::set_num_threads(4);
+  const std::string dir = variant_dir();
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  constexpr std::int64_t kIn = 784;
+  small_store(20, kIn, 32, 10).save_file(dir + "/wide.dbsw");
+  const auto store = core::SparseWeightStore::load_file(dir + "/wide.dbsw");
+  const inference::RegenMlp embedded(store);
+
+  constexpr int kRequests = 48;
+  std::vector<T::Tensor> expect;
+  for (int i = 0; i < kRequests; ++i) {
+    expect.push_back(embedded.forward(random_input(500 + i, kIn)));
+  }
+  ServerConfig config = small_server_config(dir);
+  config.threads = 3;
+  config.batch.max_batch = 2;
+  InferenceServer server(config);
+  std::vector<std::shared_ptr<ResponseSlot>> slots;
+  for (int i = 0; i < kRequests; ++i) {
+    slots.push_back(server.submit("wide", random_input(500 + i, kIn)));
+  }
+  // The test thread runs the engine too, alongside the workers.
+  for (int i = 0; i < kRequests; ++i) {
+    const T::Tensor again = embedded.forward(random_input(500 + i, kIn));
+    EXPECT_EQ(std::memcmp(again.data(), expect[i].data(),
+                          static_cast<std::size_t>(again.numel()) *
+                              sizeof(float)),
+              0)
+        << "direct forward " << i;
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(slots[i]->wait_us(10'000'000)) << "request " << i;
+    ASSERT_EQ(slots[i]->outcome(), Outcome::kOk)
+        << "request " << i << ": " << slots[i]->error();
+    const T::Tensor& got = slots[i]->output();
+    ASSERT_EQ(got.shape(), expect[i].shape());
+    EXPECT_EQ(std::memcmp(got.data(), expect[i].data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "served request " << i;
+  }
+  server.stop();
+  util::set_num_threads(pool_threads);
 }
 
 TEST(ServeServer, ConcurrentSubmittersAllResolve) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -202,8 +203,17 @@ bool operator==(const SparseWeightStore& a, const SparseWeightStore& b) {
     const auto& ra = a.records_[p];
     const auto& rb = b.records_[p];
     if (ra.name != rb.name || ra.shape != rb.shape ||
-        !(ra.init == rb.init) || ra.entries != rb.entries) {
+        !(ra.init == rb.init) || ra.entries.size() != rb.entries.size()) {
       return false;
+    }
+    // Entry values compare by their bits, as the saved bytes do: NaN
+    // equals itself, -0 differs from +0.
+    for (std::size_t e = 0; e < ra.entries.size(); ++e) {
+      if (ra.entries[e].first != rb.entries[e].first ||
+          std::memcmp(&ra.entries[e].second, &rb.entries[e].second,
+                      sizeof(float)) != 0) {
+        return false;
+      }
     }
   }
   return true;

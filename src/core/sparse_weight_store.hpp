@@ -125,6 +125,9 @@ class SparseWeightStore {
   void save_file(const std::string& path) const;
   static SparseWeightStore load_file(const std::string& path);
 
+  /// Same records (name, shape, init spec, entries), entry values compared
+  /// by their bits: equal stores save equal bytes, and a store with a NaN
+  /// weight equals its own reload.
   friend bool operator==(const SparseWeightStore& a,
                          const SparseWeightStore& b);
 

@@ -15,6 +15,9 @@ namespace {
 /// element, so this matches the score-sweep grain (4096 elements).
 constexpr std::int64_t kFillGrain = 4096;
 
+/// The scaled-normal kind byte of the splitmix64 + xorshift regen hash.
+constexpr std::uint8_t kRetiredScaledNormal = 0;
+
 simd::RegenSpec to_regen_spec(InitSpec::Kind kind, float scale,
                               std::uint64_t seed) {
   return simd::RegenSpec{kind == InitSpec::Kind::kConstant ? 0 : 1, scale,
@@ -61,6 +64,13 @@ InitSpec InitSpec::decode(util::ByteReader& r) {
         r.fail("constant InitSpec with seed " + std::to_string(seed));
       }
       return constant(scale);
+  }
+  if (kind == kRetiredScaledNormal) {
+    r.fail("scaled-normal InitSpec kind 0 was written with the retired "
+           "splitmix64 + xorshift regen hash, which this build replaced with "
+           "the 32-bit counter hash (kind " +
+           std::to_string(static_cast<int>(Kind::kScaledNormal)) +
+           "); its untracked weights cannot be regenerated");
   }
   r.fail("unknown InitSpec kind " + std::to_string(kind));
 }

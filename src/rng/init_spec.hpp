@@ -25,9 +25,14 @@ namespace dropback::rng {
 /// A deterministic, index-addressable initializer for one parameter tensor.
 class InitSpec {
  public:
-  enum class Kind {
-    kScaledNormal,  ///< N(0, sigma) regenerated by xorshift from (seed, index).
-    kConstant,      ///< The same value at every index (BN gamma=1, bias=0, ...).
+  /// The value is the persisted kind byte. A scaled-normal byte names the
+  /// regen hash too: a hash change takes a new byte, and decode rejects the
+  /// retired ones, so a store can never regenerate weights it was not
+  /// trained with.
+  enum class Kind : std::uint8_t {
+    kConstant = 1,  ///< The same value at every index (BN gamma=1, bias=0, ...).
+    kScaledNormal = 2,  ///< N(0, sigma) regenerated from (seed, index) by the
+                        ///< 32-bit counter hash (rng::indexed_u32).
   };
 
   InitSpec() : kind_(Kind::kConstant), scale_(0.0F), seed_(0) {}
@@ -78,9 +83,10 @@ class InitSpec {
   /// The persisted triple: u8 kind, f32 scale, u64 seed. Every format that
   /// stores a spec (DBSW, DBQS, the DBTS inits section) goes through these.
   void encode(util::ByteWriter& w) const;
-  /// Rejects, with util::IoError, a kind this build does not know and a
-  /// constant spec with a nonzero seed: a spec that decodes must regenerate
-  /// exactly the weights it was saved with.
+  /// Rejects, with util::IoError, a kind this build does not know (byte 0,
+  /// the scaled normal of the retired splitmix64 + xorshift hash, included)
+  /// and a constant spec with a nonzero seed: a spec that decodes must
+  /// regenerate exactly the weights it was saved with.
   static InitSpec decode(util::ByteReader& r);
 
   std::string describe() const;

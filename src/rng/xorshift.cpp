@@ -89,16 +89,17 @@ void Xorshift128::set_state(const State& s) {
   cached_normal_ = s.cached_normal;
 }
 
+std::uint32_t indexed_key(std::uint64_t seed, std::uint64_t index) {
+  return static_cast<std::uint32_t>(
+      splitmix64(seed ^ ((index >> 32) * 0x9E3779B97F4A7C15ULL)));
+}
+
 std::uint32_t indexed_u32(std::uint64_t seed, std::uint64_t index) {
-  // Mix seed and index into one word, then apply xorshift-style diffusion.
-  // The whole pipeline is a handful of integer ops and no memory traffic —
-  // this is the property the paper's energy argument rests on.
-  std::uint64_t s = splitmix64(seed ^ (index * 0x9E3779B97F4A7C15ULL));
-  std::uint32_t v = static_cast<std::uint32_t>(s ^ (s >> 32));
-  v ^= v << 13;
-  v ^= v >> 17;
-  v ^= v << 5;
-  return v;
+  // A keyed Weyl sequence through a 32-bit finalizer: a handful of integer
+  // ops and no memory traffic, the property the paper's energy argument
+  // rests on. The SIMD regen kernels run the same steps on u32 lanes.
+  return indexed_mix(static_cast<std::uint32_t>(index) * kIndexWeyl ^
+                     indexed_key(seed, index));
 }
 
 float indexed_normal_fast(std::uint64_t seed, std::uint64_t index) {

@@ -6,12 +6,18 @@
 //    shuffling, dropout masks, and synthetic dataset generation.
 //
 //  * Stateless *indexed* (counter-based) generation — `indexed_u32(seed, i)`
-//    deterministically maps (seed, index) to a draw with a handful of integer
-//    operations. This is the mechanism DropBack uses to *regenerate* untracked
-//    weight initialization values on every access instead of storing them:
-//    the value depends only on the seed and the weight's flat index, so it
-//    never has to touch off-chip memory (paper §2.1: six 32-bit integer ops +
-//    one float op ≈ 1.5 pJ vs 640 pJ for a DRAM access, a 427x saving).
+//    deterministically maps (seed, index) to a draw with a handful of 32-bit
+//    integer operations. This is the mechanism DropBack uses to *regenerate*
+//    untracked weight initialization values on every access instead of
+//    storing them: the value depends only on the seed and the weight's flat
+//    index, so it never has to touch off-chip memory (paper §2.1: six 32-bit
+//    integer ops + one float op ≈ 1.5 pJ vs 640 pJ for a DRAM access, a 427x
+//    saving).
+//
+// The indexed stream is a persistence format: a stored model keeps only
+// (kind, scale, seed) for its untracked weights. It is versioned by the
+// rng::InitSpec kind byte, so a store written with an earlier hash fails to
+// load instead of regenerating different weights (docs/ALGORITHM.md).
 #pragma once
 
 #include <cstdint>
@@ -66,17 +72,41 @@ class Xorshift128 {
 /// splitmix64 finalizer — used to expand seeds and mix (seed, index) pairs.
 std::uint64_t splitmix64(std::uint64_t x);
 
+/// The key of `index`'s 2^32-index segment: the low word of
+/// splitmix64(seed ^ hi32(index) * 0x9E3779B97F4A7C15). Every draw of one
+/// segment shares it, so batched regeneration computes it once per segment.
+std::uint32_t indexed_key(std::uint64_t seed, std::uint64_t index);
+
+/// Weyl step applied to the low index word (2^32 / golden ratio, odd).
+inline constexpr std::uint32_t kIndexWeyl = 0x9E3779B9U;
+/// The two multipliers of the lowbias32 finalizer (C. Wellons).
+inline constexpr std::uint32_t kMixMul1 = 0x7FEB352DU;
+inline constexpr std::uint32_t kMixMul2 = 0x846CA68BU;
+
+/// The per-index half of indexed_u32: lowbias32 applied to
+/// `lo32(index) * kIndexWeyl ^ key` — two 32-bit multiplies and three
+/// xorshifts, a bijection of u32.
+constexpr std::uint32_t indexed_mix(std::uint32_t x) {
+  x ^= x >> 16;
+  x *= kMixMul1;
+  x ^= x >> 15;
+  x *= kMixMul2;
+  x ^= x >> 16;
+  return x;
+}
+
 /// Stateless counter-based draw: deterministically maps (seed, index) to a
-/// 32-bit value using xorshift-style mixing. Same (seed, index) always gives
-/// the same value, in any order, with no stored state.
+/// 32-bit value, indexed_mix(lo32(index) * kIndexWeyl ^ indexed_key(seed,
+/// index)). Same (seed, index) always gives the same value, in any order,
+/// with no stored state; within one segment distinct indices never collide.
 std::uint32_t indexed_u32(std::uint64_t seed, std::uint64_t index);
 
 /// Fast approximate standard-normal regeneration from (seed, index).
 ///
 /// Uses the central-limit trick: the four bytes of one indexed_u32 draw are
 /// summed (mean 510, stddev ~147.8) and affinely mapped to ~N(0,1). This is
-/// the "six integer ops + one float op" recompute path the paper costs at
-/// 1.5 pJ. The CLT(n=4) approximation is smooth within ~±3.45 sigma, which is
+/// the recompute path the paper costs at 1.5 pJ (kRegenIntOps below). The
+/// CLT(n=4) approximation is smooth within ~±3.45 sigma, which is
 /// ample scaffolding for weight initialization.
 float indexed_normal_fast(std::uint64_t seed, std::uint64_t index);
 
@@ -87,8 +117,9 @@ float indexed_normal_boxmuller(std::uint64_t seed, std::uint64_t index);
 /// Uniform [0,1) regeneration from (seed, index).
 float indexed_uniform(std::uint64_t seed, std::uint64_t index);
 
-/// Operation costs of one indexed_normal_fast regeneration, used by the
-/// energy model to reproduce the paper's 427x claim.
+/// Operation costs of one regeneration as the paper prices it (§2.1), used
+/// by the energy model to reproduce the paper's 427x claim. The implemented
+/// indexed_normal_fast spends more per lane; docs/ALGORITHM.md counts them.
 inline constexpr int kRegenIntOps = 6;
 inline constexpr int kRegenFloatOps = 1;
 

@@ -45,9 +45,9 @@ bool cpu_supports(Target t) {
     case Target::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case Target::kAvx512:
-      // The kernels use both foundation and DQ (64-bit mullo) instructions.
+      // The kernels use foundation and BW (the regen byte sum) instructions.
       return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0;
+             __builtin_cpu_supports("avx512bw") != 0;
 #endif
 #if defined(__aarch64__)
     case Target::kNeon:

@@ -6,9 +6,9 @@
 //            conv2d forward) and the float-chain accumulate C += A·B with
 //            its exact zero skip (matmul, matmul_tn and both conv2d
 //            backward products);
-//   regen  — batched counter-based xorshift regeneration (2/4/8 64-bit
-//            lanes per register, 4/8/16 values per step) behind
-//            rng::InitSpec and the sparse-store/inference regen paths;
+//   regen  — batched counter-hash regeneration (rng::indexed_u32 on
+//            4/8/16 u32 lanes) behind rng::InitSpec and the
+//            sparse-store/inference regen paths;
 //   score  — fused regen + |w - lr*g - w0| scoring, the masked
 //            update/regenerate sweep of the DropBack step and the
 //            tracked-only update;
@@ -78,9 +78,6 @@ struct Kernels {
                    std::int64_t ldc);
 
   // --- regen family ------------------------------------------------------
-  /// out[i] = rng::indexed_u32(seed, first + i).
-  void (*regen_u32)(std::uint64_t seed, std::uint64_t first, std::int64_t n,
-                    std::uint32_t* out);
   /// out[i] = InitSpec{spec}.value_at(first + i): spec.scale for constant
   /// specs, spec.scale * indexed_normal_fast(seed, first+i) otherwise.
   void (*regen_fill)(RegenSpec spec, std::uint64_t first, std::int64_t n,
@@ -139,8 +136,6 @@ void gemm_nt(const float* a, std::int64_t rows, const float* packed,
 void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
               std::int64_t a_rs, std::int64_t a_cs, const float* b,
               std::int64_t ldb, float* c, std::int64_t ldc);
-void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,
-               std::uint32_t* out);
 void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
                 float* out);
 void score(const float* w, const float* g, float lr, RegenSpec spec,

@@ -1,4 +1,4 @@
-// AVX2 backend: 8 float / 4 u64 lanes. Compiled with -mavx2
+// AVX2 backend: 8 float / 8 u32 lanes. Compiled with -mavx2
 // -ffp-contract=off (src/CMakeLists.txt) — contract=off matters here
 // because -mavx2 makes FMA contraction possible and FMA skips the
 // per-element rounding step the scalar reference performs.
@@ -17,7 +17,6 @@ const Kernels kAvx2Kernels = {
     "avx2",
     &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
-    &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,

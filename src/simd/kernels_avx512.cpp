@@ -1,5 +1,5 @@
-// AVX-512 backend: 16 float / 8 u64 lanes, native 64-bit mullo (DQ).
-// Compiled with -mavx512f -mavx512dq -ffp-contract=off
+// AVX-512 backend: 16 float / 16 u32 lanes; the regen byte sum's 512-bit
+// maddubs/madd are BW. Compiled with -mavx512f -mavx512bw -ffp-contract=off
 // (src/CMakeLists.txt); dispatch requires both CPUID features.
 #include "simd/kernels.hpp"
 #include "simd/kernels_impl.hpp"
@@ -16,7 +16,6 @@ const Kernels kAvx512Kernels = {
     "avx512",
     &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
-    &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,

@@ -14,15 +14,12 @@
 
 #include <cstdint>
 
+#include "rng/xorshift.hpp"
 #include "simd/kernels.hpp"
 #include "simd/vec.hpp"
 
 namespace dropback::simd::impl {
 
-/// splitmix64 / xorshift golden constants (rng/xorshift.cpp).
-inline constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
-inline constexpr std::uint64_t kMix1 = 0xBF58476D1CE4E5B9ULL;
-inline constexpr std::uint64_t kMix2 = 0x94D049BB133111EBULL;
 /// 1/stddev of the 4-byte CLT sum (rng::indexed_normal_fast).
 inline constexpr float kInvStddev = 1.0F / 147.8005413F;
 
@@ -35,53 +32,43 @@ void fill(float* dst, float value, std::int64_t n) {
   for (; i < n; ++i) dst[i] = value;
 }
 
-/// The full indexed_u32 pipeline on u64 lanes: splitmix64(seed ^ idx*phi)
-/// folded to 32 bits, then three masked xorshift rounds. Bit-exact per lane
-/// with rng::indexed_u32 — pure integer ops, so lane packing is free.
+/// Lanes [start + 0*step, start + 1*step, ...), wrapping mod 2^32.
 template <class B>
-inline typename B::VU mix_to_u32(typename B::VU idx, typename B::VU seedv) {
-  using VU = typename B::VU;
-  const VU phi = B::uset1(kGolden);
-  VU x = B::uxor(seedv, B::umul(idx, phi));
-  x = B::uadd(x, phi);
-  x = B::umul(B::uxor(x, B::template usrl<30>(x)), B::uset1(kMix1));
-  x = B::umul(B::uxor(x, B::template usrl<27>(x)), B::uset1(kMix2));
-  x = B::uxor(x, B::template usrl<31>(x));
-  const VU m32 = B::uset1(0xFFFFFFFFULL);
-  VU v = B::uand(B::uxor(x, B::template usrl<32>(x)), m32);
-  v = B::uand(B::uxor(v, B::template usll<13>(v)), m32);
-  v = B::uxor(v, B::template usrl<17>(v));
-  v = B::uand(B::uxor(v, B::template usll<5>(v)), m32);
-  return v;
-}
-
-/// Sum of the 4 bytes of each lane's low 32-bit value (CLT normal input).
-template <class B>
-inline typename B::VU byte_sum(typename B::VU v) {
-  using VU = typename B::VU;
-  const VU m = B::uset1(0xFFULL);
-  const VU s01 = B::uadd(B::uand(v, m), B::uand(B::template usrl<8>(v), m));
-  const VU s23 = B::uadd(B::uand(B::template usrl<16>(v), m),
-                         B::uand(B::template usrl<24>(v), m));
-  return B::uadd(s01, s23);
-}
-
-template <class B>
-void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,
-               std::uint32_t* out) {
-  using VU = typename B::VU;
-  const VU seedv = B::uset1(seed);
-  const VU step = B::uset1(static_cast<std::uint64_t>(B::kF32));
-  VU idx_a = B::uramp(first);
-  VU idx_b = B::uramp(first + B::kU64);
-  std::int64_t i = 0;
-  for (; i + B::kF32 <= n; i += B::kF32) {
-    B::store_u32(mix_to_u32<B>(idx_a, seedv), mix_to_u32<B>(idx_b, seedv),
-                 out + i);
-    idx_a = B::uadd(idx_a, step);
-    idx_b = B::uadd(idx_b, step);
+inline typename B::VI iramp(std::uint32_t start, std::uint32_t step) {
+  std::uint32_t lanes[B::kF32];
+  for (int t = 0; t < B::kF32; ++t) {
+    lanes[t] = start + static_cast<std::uint32_t>(t) * step;
   }
-  if (i < n) detail::regen_u32(seed, first + i, n - i, out + i);
+  return B::iload(lanes);
+}
+
+/// rng::indexed_u32 on u32 lanes, given each lane's Weyl term
+/// lo32(index) * rng::kIndexWeyl and its segment's key: rng::indexed_mix
+/// step for step, so every lane is bitwise the scalar draw.
+template <class B>
+inline typename B::VI mix(typename B::VI weyl, typename B::VI key) {
+  using VI = typename B::VI;
+  VI x = B::ixor(weyl, key);
+  x = B::ixor(x, B::template isrl<16>(x));
+  x = B::imul(x, B::iset1(rng::kMixMul1));
+  x = B::ixor(x, B::template isrl<15>(x));
+  x = B::imul(x, B::iset1(rng::kMixMul2));
+  return B::ixor(x, B::template isrl<16>(x));
+}
+
+/// scale * indexed_normal_fast for hash lanes h: exactly
+/// scale * ((sum - 510) * kInvStddev), two separate multiplies, matching
+/// InitSpec::value_at's rounding.
+template <class B>
+inline typename B::VF normal(typename B::VI h, typename B::VF scale) {
+  const typename B::VF t = B::fmul(
+      B::fsub(B::byte_sum(h), B::fset1(510.0F)), B::fset1(kInvStddev));
+  return B::fmul(scale, t);
+}
+
+/// Indices left in `index`'s 2^32-index segment, the span one key covers.
+inline std::uint64_t segment_left(std::uint64_t index) {
+  return (std::uint64_t{1} << 32) - (index & 0xFFFFFFFFULL);
 }
 
 template <class B>
@@ -91,27 +78,32 @@ void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
     fill<B>(out, spec.scale, n);
     return;
   }
-  using VU = typename B::VU;
-  const VU seedv = B::uset1(spec.seed);
-  const VU step = B::uset1(static_cast<std::uint64_t>(B::kF32));
-  const typename B::VF mean = B::fset1(510.0F);
-  const typename B::VF inv = B::fset1(kInvStddev);
+  using VI = typename B::VI;
   const typename B::VF scale = B::fset1(spec.scale);
-  VU idx_a = B::uramp(first);
-  VU idx_b = B::uramp(first + B::kU64);
+  const VI step = B::iset1(static_cast<std::uint32_t>(B::kF32) *
+                           rng::kIndexWeyl);
   std::int64_t i = 0;
-  for (; i + B::kF32 <= n; i += B::kF32) {
-    const VU sum_a = byte_sum<B>(mix_to_u32<B>(idx_a, seedv));
-    const VU sum_b = byte_sum<B>(mix_to_u32<B>(idx_b, seedv));
-    // Exactly scale * ((sum - 510) * kInvStddev): two separate multiplies,
-    // matching InitSpec::value_at's rounding.
-    const typename B::VF t =
-        B::fmul(B::fsub(B::f32_from_sums(sum_a, sum_b), mean), inv);
-    B::fstore(out + i, B::fmul(scale, t));
-    idx_a = B::uadd(idx_a, step);
-    idx_b = B::uadd(idx_b, step);
+  while (i < n) {
+    // One segment at a time: one key, and low index words that never wrap.
+    const std::uint64_t index = first + static_cast<std::uint64_t>(i);
+    const std::uint64_t left = segment_left(index);
+    const std::int64_t end =
+        static_cast<std::uint64_t>(n - i) <= left
+            ? n
+            : i + static_cast<std::int64_t>(left);
+    const VI key = B::iset1(rng::indexed_key(spec.seed, index));
+    VI weyl = iramp<B>(static_cast<std::uint32_t>(index) * rng::kIndexWeyl,
+                       rng::kIndexWeyl);
+    for (; i + B::kF32 <= end; i += B::kF32) {
+      B::fstore(out + i, normal<B>(mix<B>(weyl, key), scale));
+      weyl = B::iadd(weyl, step);
+    }
+    if (i < end) {
+      detail::regen_fill(spec, first + static_cast<std::uint64_t>(i), end - i,
+                         out + i);
+      i = end;
+    }
   }
-  if (i < n) detail::regen_fill(spec, first + i, n - i, out + i);
 }
 
 /// Regen block size for the fused score/apply kernels: large enough to

@@ -1,4 +1,4 @@
-// NEON backend: 4 float / 2 u64 lanes, baseline on aarch64. Compiled with
+// NEON backend: 4 float / 4 u32 lanes, baseline on aarch64. Compiled with
 // -ffp-contract=off (src/CMakeLists.txt) — aarch64 compilers contract
 // multiply-adds into fmla by default, which would break bitwise parity
 // with the x86 scalar reference.
@@ -17,7 +17,6 @@ const Kernels kNeonKernels = {
     "neon",
     &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
-    &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,

@@ -53,13 +53,6 @@ void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   }
 }
 
-void regen_u32(std::uint64_t seed, std::uint64_t first, std::int64_t n,
-               std::uint32_t* out) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = rng::indexed_u32(seed, first + static_cast<std::uint64_t>(i));
-  }
-}
-
 /// InitSpec::value_at semantics for a RegenSpec.
 static inline float regen_value(const RegenSpec& spec, std::uint64_t index) {
   if (spec.kind == 0) return spec.scale;
@@ -175,7 +168,6 @@ const Kernels kScalarKernels = {
     "scalar",
     &detail::gemm_nt,
     &detail::gemm_acc,
-    &detail::regen_u32,
     &detail::regen_fill,
     &detail::score,
     &detail::apply_masked,

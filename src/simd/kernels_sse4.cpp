@@ -1,4 +1,4 @@
-// SSE4.2 backend: 4 float / 2 u64 lanes. Compiled with -msse4.2
+// SSE4.2 backend: 4 float / 4 u32 lanes. Compiled with -msse4.2
 // -ffp-contract=off (src/CMakeLists.txt); only entered when
 // __builtin_cpu_supports("sse4.2") holds.
 #include "simd/kernels.hpp"
@@ -16,7 +16,6 @@ const Kernels kSse4Kernels = {
     "sse4",
     &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
-    &impl::regen_u32<B>,
     &impl::regen_fill<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,

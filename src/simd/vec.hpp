@@ -1,9 +1,9 @@
 // Fixed-width vector traits — the per-ISA layer under the kernel templates.
 //
 // Each struct below exposes the same tiny vocabulary (float lanes with
-// partial loads/stores, u64 lanes, masked select, 64-bit xorshift
-// arithmetic, and double lanes fed by widened float products for the
-// NT-GEMM tile) over one instruction set.
+// partial loads/stores, masked select, u32 lanes for the regen hash, and
+// double lanes fed by widened float products for the NT-GEMM tile) over
+// one instruction set.
 // simd/kernels_impl.hpp instantiates the kernel bodies once per trait; a
 // backend TU is just `using B = vec::Avx2;` plus a table of those
 // instantiations.
@@ -13,23 +13,23 @@
 //     -ffp-contract=off on the simd TUs this forbids FMA contraction, so
 //     each lane performs exactly the scalar code's multiply-then-add
 //     rounding steps;
-//   * shifts are template-immediate (`usrl<13>`) because NEON requires
+//   * the u32 lanes are kF32 wide, one lane per float they produce, so the
+//     regen hash needs no interleave: lane i of a hash vector is the value
+//     stored to float lane i. `imul` is the low 32 bits of the product
+//     (pmulld / vmulq_u32), exactly the scalar `x *= c` on a uint32_t;
+//   * shifts are template-immediate (`isrl<16>`) because NEON requires
 //     compile-time shift counts — generic code writes
-//     `B::template usrl<13>(x)`;
-//   * `umul` is a full 64-bit low multiply: emulated from 32x32->64
-//     halves on SSE4/AVX2, native on AVX-512DQ (_mm512_mullo_epi64) and
-//     NEON (vmull/vmlal_u32 decomposition);
+//     `B::template isrl<16>(x)`;
+//   * `byte_sum` adds the four bytes of each u32 lane and converts the sum
+//     (at most 1020, exact in float) — maddubs then madd against all-ones
+//     on x86, two pairwise widening adds (vpaddl) on NEON;
 //   * `fload_part`/`fstore_part` touch only the first `cnt` lanes (1..kF32)
 //     — masked loads/stores on AVX2/AVX-512, a small copy elsewhere — so a
 //     ragged column tail needs no scalar loop; loaded lanes past `cnt` are
 //     zero and never stored;
 //   * `wmul` multiplies in float and only then widens to double, and
 //     `dstore_f32` rounds each double lane once to float — the scalar
-//     `acc += a[l] * b[l]` (float product, double sum) lane by lane;
-//   * `low32_pair`/`store_u32`/`f32_from_sums` interleave two u64-lane
-//     registers back into index order (values 0..k-1 from `a`, k..2k-1
-//     from `b`), which is what makes the 64-bit-laned regen pipeline
-//     produce the exact scalar stream order.
+//     `acc += a[l] * b[l]` (float product, double sum) lane by lane.
 //
 // Only simd/ TUs may include this header (lint rule R7 enforces that
 // vendor intrinsics never leak elsewhere).
@@ -53,9 +53,8 @@ namespace dropback::simd::vec {
 
 struct Sse4 {
   static constexpr int kF32 = 4;  ///< float lanes per step
-  static constexpr int kU64 = 2;  ///< u64 lanes per register
   using VF = __m128;
-  using VU = __m128i;
+  using VI = __m128i;  ///< kF32 u32 lanes
   using VM = __m128;  ///< all-ones/all-zeros float lane mask
 
   // --- float lanes --------------------------------------------------------
@@ -107,45 +106,25 @@ struct Sse4 {
     std::memcpy(p, tmp, static_cast<std::size_t>(cnt) * sizeof(float));
   }
 
-  // --- u64 lanes (xorshift pipeline) --------------------------------------
-  static VU uset1(std::uint64_t v) {
-    return _mm_set1_epi64x(static_cast<long long>(v));
+  // --- u32 lanes (the regen hash) -----------------------------------------
+  static VI iset1(std::uint32_t v) {
+    return _mm_set1_epi32(static_cast<int>(v));
   }
-  static VU uramp(std::uint64_t first) {
-    return _mm_set_epi64x(static_cast<long long>(first + 1),
-                          static_cast<long long>(first));
+  static VI iload(const std::uint32_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
-  static VU uadd(VU a, VU b) { return _mm_add_epi64(a, b); }
-  static VU uxor(VU a, VU b) { return _mm_xor_si128(a, b); }
-  static VU uand(VU a, VU b) { return _mm_and_si128(a, b); }
+  static VI iadd(VI a, VI b) { return _mm_add_epi32(a, b); }
+  static VI ixor(VI a, VI b) { return _mm_xor_si128(a, b); }
   template <int S>
-  static VU usrl(VU a) {
-    return _mm_srli_epi64(a, S);
+  static VI isrl(VI a) {
+    return _mm_srli_epi32(a, S);
   }
-  template <int S>
-  static VU usll(VU a) {
-    return _mm_slli_epi64(a, S);
-  }
-  /// Full 64-bit low product from 32x32->64 halves:
-  /// lo*lo + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32).
-  static VU umul(VU a, VU b) {
-    const VU lo = _mm_mul_epu32(a, b);
-    const VU cross = _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-                                   _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-    return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-  }
-  /// [a0.lo32, a1.lo32, b0.lo32, b1.lo32] as one u32 register.
-  static VU low32_pair(VU a, VU b) {
-    return _mm_castps_si128(
-        _mm_shuffle_ps(_mm_castsi128_ps(a), _mm_castsi128_ps(b),
-                       _MM_SHUFFLE(2, 0, 2, 0)));
-  }
-  static void store_u32(VU a, VU b, std::uint32_t* out) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), low32_pair(a, b));
-  }
-  /// i32 -> f32 conversion of the interleaved low words (byte sums < 2^31).
-  static VF f32_from_sums(VU a, VU b) {
-    return _mm_cvtepi32_ps(low32_pair(a, b));
+  static VI imul(VI a, VI b) { return _mm_mullo_epi32(a, b); }
+  /// Sum of each lane's four bytes, as float: unsigned bytes times 1 into
+  /// i16 pairs (at most 510), then i16 pairs times 1 into i32.
+  static VF byte_sum(VI a) {
+    const __m128i pairs = _mm_maddubs_epi16(a, _mm_set1_epi8(1));
+    return _mm_cvtepi32_ps(_mm_madd_epi16(pairs, _mm_set1_epi16(1)));
   }
 
   // --- double lanes (NT-GEMM accumulation) --------------------------------
@@ -171,9 +150,8 @@ struct Sse4 {
 
 struct Avx2 {
   static constexpr int kF32 = 8;
-  static constexpr int kU64 = 4;
   using VF = __m256;
-  using VU = __m256i;
+  using VI = __m256i;  ///< kF32 u32 lanes
   using VM = __m256;
 
   static VF fload(const float* p) { return _mm256_loadu_ps(p); }
@@ -223,47 +201,22 @@ struct Avx2 {
     _mm256_maskstore_ps(p, part_mask(cnt), v);
   }
 
-  static VU uset1(std::uint64_t v) {
-    return _mm256_set1_epi64x(static_cast<long long>(v));
+  static VI iset1(std::uint32_t v) {
+    return _mm256_set1_epi32(static_cast<int>(v));
   }
-  static VU uramp(std::uint64_t first) {
-    return _mm256_setr_epi64x(static_cast<long long>(first),
-                              static_cast<long long>(first + 1),
-                              static_cast<long long>(first + 2),
-                              static_cast<long long>(first + 3));
+  static VI iload(const std::uint32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-  static VU uadd(VU a, VU b) { return _mm256_add_epi64(a, b); }
-  static VU uxor(VU a, VU b) { return _mm256_xor_si256(a, b); }
-  static VU uand(VU a, VU b) { return _mm256_and_si256(a, b); }
+  static VI iadd(VI a, VI b) { return _mm256_add_epi32(a, b); }
+  static VI ixor(VI a, VI b) { return _mm256_xor_si256(a, b); }
   template <int S>
-  static VU usrl(VU a) {
-    return _mm256_srli_epi64(a, S);
+  static VI isrl(VI a) {
+    return _mm256_srli_epi32(a, S);
   }
-  template <int S>
-  static VU usll(VU a) {
-    return _mm256_slli_epi64(a, S);
-  }
-  static VU umul(VU a, VU b) {
-    const VU lo = _mm256_mul_epu32(a, b);
-    const VU cross =
-        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                         _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-  }
-  /// Low 32-bit words of a then b, in u64-lane order: blend b's lows into
-  /// a's odd 32-bit slots, then permute [0,2,4,6 | 1,3,5,7] so lanes read
-  /// [a0..a3, b0..b3].
-  static VU low32_pair(VU a, VU b) {
-    const VU mixed = _mm256_blend_epi32(a, _mm256_slli_epi64(b, 32),
-                                        0b10101010);
-    return _mm256_permutevar8x32_epi32(
-        mixed, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
-  }
-  static void store_u32(VU a, VU b, std::uint32_t* out) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), low32_pair(a, b));
-  }
-  static VF f32_from_sums(VU a, VU b) {
-    return _mm256_cvtepi32_ps(low32_pair(a, b));
+  static VI imul(VI a, VI b) { return _mm256_mullo_epi32(a, b); }
+  static VF byte_sum(VI a) {
+    const __m256i pairs = _mm256_maddubs_epi16(a, _mm256_set1_epi8(1));
+    return _mm256_cvtepi32_ps(_mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
   }
 
   static constexpr int kF64 = 4;
@@ -279,13 +232,12 @@ struct Avx2 {
 
 #endif  // __AVX2__
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#if defined(__AVX512F__) && defined(__AVX512BW__)
 
 struct Avx512 {
   static constexpr int kF32 = 16;
-  static constexpr int kU64 = 8;
   using VF = __m512;
-  using VU = __m512i;
+  using VI = __m512i;
   using VM = __mmask16;
 
   static VF fload(const float* p) { return _mm512_loadu_ps(p); }
@@ -328,40 +280,21 @@ struct Avx512 {
     _mm512_mask_storeu_ps(p, part_mask(cnt), v);
   }
 
-  static VU uset1(std::uint64_t v) {
-    return _mm512_set1_epi64(static_cast<long long>(v));
+  static VI iset1(std::uint32_t v) {
+    return _mm512_set1_epi32(static_cast<int>(v));
   }
-  static VU uramp(std::uint64_t first) {
-    return _mm512_setr_epi64(
-        static_cast<long long>(first), static_cast<long long>(first + 1),
-        static_cast<long long>(first + 2), static_cast<long long>(first + 3),
-        static_cast<long long>(first + 4), static_cast<long long>(first + 5),
-        static_cast<long long>(first + 6), static_cast<long long>(first + 7));
-  }
-  static VU uadd(VU a, VU b) { return _mm512_add_epi64(a, b); }
-  static VU uxor(VU a, VU b) { return _mm512_xor_si512(a, b); }
-  static VU uand(VU a, VU b) { return _mm512_and_si512(a, b); }
+  static VI iload(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
+  static VI iadd(VI a, VI b) { return _mm512_add_epi32(a, b); }
+  static VI ixor(VI a, VI b) { return _mm512_xor_si512(a, b); }
   template <int S>
-  static VU usrl(VU a) {
-    return _mm512_srli_epi64(a, S);
+  static VI isrl(VI a) {
+    return _mm512_srli_epi32(a, S);
   }
-  template <int S>
-  static VU usll(VU a) {
-    return _mm512_slli_epi64(a, S);
-  }
-  static VU umul(VU a, VU b) { return _mm512_mullo_epi64(a, b); }
-  /// Even 32-bit words of a (its u64 lows) then of b, index order.
-  static VU low32_pair(VU a, VU b) {
-    const __m512i idx =
-        _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26,
-                          28, 30);
-    return _mm512_permutex2var_epi32(a, idx, b);
-  }
-  static void store_u32(VU a, VU b, std::uint32_t* out) {
-    _mm512_storeu_si512(out, low32_pair(a, b));
-  }
-  static VF f32_from_sums(VU a, VU b) {
-    return _mm512_cvtepi32_ps(low32_pair(a, b));
+  static VI imul(VI a, VI b) { return _mm512_mullo_epi32(a, b); }
+  /// maddubs/madd on 512 bits are AVX-512BW.
+  static VF byte_sum(VI a) {
+    const __m512i pairs = _mm512_maddubs_epi16(a, _mm512_set1_epi8(1));
+    return _mm512_cvtepi32_ps(_mm512_madd_epi16(pairs, _mm512_set1_epi16(1)));
   }
 
   /// One VD holds a whole kPackWidth group: 8 floats -> 8 doubles.
@@ -377,15 +310,14 @@ struct Avx512 {
   }
 };
 
-#endif  // __AVX512F__ && __AVX512DQ__
+#endif  // __AVX512F__ && __AVX512BW__
 
 #if defined(__ARM_NEON) && defined(__aarch64__)
 
 struct Neon {
   static constexpr int kF32 = 4;
-  static constexpr int kU64 = 2;
   using VF = float32x4_t;
-  using VU = uint64x2_t;
+  using VI = uint32x4_t;
   using VM = uint32x4_t;
 
   static VF fload(const float* p) { return vld1q_f32(p); }
@@ -432,40 +364,18 @@ struct Neon {
     std::memcpy(p, tmp, static_cast<std::size_t>(cnt) * sizeof(float));
   }
 
-  static VU uset1(std::uint64_t v) { return vdupq_n_u64(v); }
-  static VU uramp(std::uint64_t first) {
-    const std::uint64_t vals[2] = {first, first + 1};
-    return vld1q_u64(vals);
-  }
-  static VU uadd(VU a, VU b) { return vaddq_u64(a, b); }
-  static VU uxor(VU a, VU b) { return veorq_u64(a, b); }
-  static VU uand(VU a, VU b) { return vandq_u64(a, b); }
+  static VI iset1(std::uint32_t v) { return vdupq_n_u32(v); }
+  static VI iload(const std::uint32_t* p) { return vld1q_u32(p); }
+  static VI iadd(VI a, VI b) { return vaddq_u32(a, b); }
+  static VI ixor(VI a, VI b) { return veorq_u32(a, b); }
   template <int S>
-  static VU usrl(VU a) {
-    return vshrq_n_u64(a, S);
+  static VI isrl(VI a) {
+    return vshrq_n_u32(a, S);
   }
-  template <int S>
-  static VU usll(VU a) {
-    return vshlq_n_u64(a, S);
-  }
-  /// 64-bit low product via 32x32->64 decomposition (no 64-bit NEON mul).
-  static VU umul(VU a, VU b) {
-    const uint32x2_t a_lo = vmovn_u64(a);
-    const uint32x2_t b_lo = vmovn_u64(b);
-    const uint32x2_t a_hi = vshrn_n_u64(a, 32);
-    const uint32x2_t b_hi = vshrn_n_u64(b, 32);
-    uint64x2_t cross = vmull_u32(a_hi, b_lo);
-    cross = vmlal_u32(cross, a_lo, b_hi);
-    return vaddq_u64(vmull_u32(a_lo, b_lo), vshlq_n_u64(cross, 32));
-  }
-  static VM low32_pair(VU a, VU b) {
-    return vcombine_u32(vmovn_u64(a), vmovn_u64(b));
-  }
-  static void store_u32(VU a, VU b, std::uint32_t* out) {
-    vst1q_u32(out, low32_pair(a, b));
-  }
-  static VF f32_from_sums(VU a, VU b) {
-    return vcvtq_f32_u32(low32_pair(a, b));
+  static VI imul(VI a, VI b) { return vmulq_u32(a, b); }
+  /// Bytes to u16 pair sums to u32 lane sums (vpaddl twice), then convert.
+  static VF byte_sum(VI a) {
+    return vcvtq_f32_u32(vpaddlq_u16(vpaddlq_u8(vreinterpretq_u8_u32(a))));
   }
 
   static constexpr int kF64 = 2;

@@ -169,7 +169,7 @@ std::uint32_t vgg_weights_after_three_steps() {
 }
 
 TEST(ConvPin, VggSWeightsAfterThreeDropBackSteps) {
-  constexpr std::uint32_t kPinned = 0x4c7f09bc;
+  constexpr std::uint32_t kPinned = 0x72d53448;
   for (const int threads : {1, 3}) {
     util::set_num_threads(threads);
     EXPECT_EQ(vgg_weights_after_three_steps(), kPinned)

@@ -1,11 +1,13 @@
 // Golden-value regression tests for the regeneration functions.
 //
-// The indexed xorshift draws are not merely a convenience RNG: they ARE the
+// The indexed draws are not merely a convenience RNG: they ARE the
 // persistence format. Every SparseWeightStore on disk encodes its untracked
 // weights as "whatever indexed_normal_fast(seed, i) returns", so any change
 // to these functions silently corrupts every stored model and breaks
-// training/deployment agreement. These tests pin the exact current outputs;
-// if one fails, either revert the RNG change or version the store format.
+// training/deployment agreement. These tests pin the exact current outputs.
+// The stream is versioned by the rng::InitSpec kind byte: if one fails,
+// either revert the hash change or give the scaled-normal kind a new byte
+// (so decode rejects stores of the old stream) and re-pin here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,27 +21,28 @@ namespace dropback::rng {
 namespace {
 
 TEST(GoldenRng, IndexedU32PinnedValues) {
-  // Values captured from the initial release; format-stability contract.
-  EXPECT_EQ(indexed_u32(0, 0), 2222478705U);
-  EXPECT_EQ(indexed_u32(1, 0), 3549863259U);
-  EXPECT_EQ(indexed_u32(1, 1), 3131716144U);
-  EXPECT_EQ(indexed_u32(42, 1337), 3622382452U);
-  EXPECT_EQ(indexed_u32(0xDEADBEEF, 0xCAFE), 102503971U);
+  // Values of the 32-bit counter hash (scaled-normal kind byte 2);
+  // format-stability contract.
+  EXPECT_EQ(indexed_u32(0, 0), 2351335141U);
+  EXPECT_EQ(indexed_u32(1, 0), 3967562512U);
+  EXPECT_EQ(indexed_u32(1, 1), 3312722384U);
+  EXPECT_EQ(indexed_u32(42, 1337), 144398728U);
+  EXPECT_EQ(indexed_u32(0xDEADBEEF, 0xCAFE), 2617317671U);
 }
 
 TEST(GoldenRng, IndexedNormalPinnedValues) {
-  EXPECT_FLOAT_EQ(indexed_normal_fast(0, 0), -0.405952543F);
-  EXPECT_FLOAT_EQ(indexed_normal_fast(1, 0), 0.66982168F);
-  EXPECT_FLOAT_EQ(indexed_normal_fast(42, 1337), 0.656289935F);
+  EXPECT_FLOAT_EQ(indexed_normal_fast(0, 0), 0.209742144F);
+  EXPECT_FLOAT_EQ(indexed_normal_fast(1, 0), -0.561567664F);
+  EXPECT_FLOAT_EQ(indexed_normal_fast(42, 1337), -0.825436831F);
 }
 
 TEST(GoldenRng, InitSpecPinnedValues) {
   // LeCun init of a 784-fan-in layer with seed 7 — the exact values every
   // MNIST model in this repo regenerates for its untracked weights.
   const InitSpec spec = InitSpec::lecun(784, 7);
-  EXPECT_FLOAT_EQ(spec.value_at(0), 0.000483276846F);
-  EXPECT_FLOAT_EQ(spec.value_at(1), -0.059926331F);
-  EXPECT_FLOAT_EQ(spec.value_at(99999), -0.0744246393F);
+  EXPECT_FLOAT_EQ(spec.value_at(0), 0.0434949175F);
+  EXPECT_FLOAT_EQ(spec.value_at(1), 0.000241638423F);
+  EXPECT_FLOAT_EQ(spec.value_at(99999), -0.0166730508F);
 }
 
 TEST(GoldenRng, StreamGeneratorPinnedValues) {
@@ -70,7 +73,7 @@ TEST(GoldenRng, IndexedDrawsAreStableAcrossCalls) {
 
 TEST(GoldenRng, LargeIndicesDoNotCollide) {
   // Indices beyond 2^32 (future big models) must keep producing distinct,
-  // well-mixed values — the mixing is 64-bit.
+  // well-mixed values — the high index word selects the segment's key.
   const std::uint64_t base = 1ULL << 40;
   std::uint32_t prev = indexed_u32(7, base);
   int same = 0;
@@ -84,12 +87,12 @@ TEST(GoldenRng, LargeIndicesDoNotCollide) {
 
 // --- batched multi-lane stream pins (docs/SIMD.md) ------------------------
 //
-// The SIMD regen kernels compute 4/8/16 indices per vector, interleaving
-// two 64-bit lanes into one 32-bit result vector. A lane-interleave bug
-// would pass a "matches value_at" test on some indices and scramble others,
-// so pin literal values at lane-boundary indices (0/1, 7/8, 15/16, 31/32,
-// 47/48, 63) for EVERY runtime-available dispatch target. The pins are the
-// published scalar sequence: indexed_u32 / value_at captured at seed time.
+// The SIMD regen kernels compute 4/8/16 indices per vector, one u32 lane
+// per float lane, and advance each lane's Weyl term by addition. A lane
+// ramp bug would pass a "matches value_at" test on some indices and
+// scramble others, so pin literal values at lane-boundary indices (0/1,
+// 7/8, 15/16, 31/32, 47/48, 63) of the scalar hash, and hold EVERY
+// runtime-available dispatch target's regen_fill to value_at there.
 
 TEST(GoldenRng, BatchedU32StreamPinnedOnEveryTarget) {
   constexpr std::uint64_t kSeed = 42;
@@ -97,22 +100,24 @@ TEST(GoldenRng, BatchedU32StreamPinnedOnEveryTarget) {
     std::uint64_t index;
     std::uint32_t value;
   } kPins[] = {
-      {0, 753679526U},   {1, 2703656119U},  {2, 2140888734U},
-      {3, 1310057932U},  {7, 3431375581U},  {8, 3896359838U},
-      {15, 1159260377U}, {16, 3410775163U}, {31, 1010425660U},
-      {32, 4089440273U}, {47, 2555010046U}, {48, 2880683505U},
-      {63, 3934107756U},
+      {0, 1402771223U},  {1, 2289806413U},  {2, 4019021495U},
+      {3, 919817095U},   {7, 3156983230U},  {8, 327028630U},
+      {15, 3595240953U}, {16, 1544124243U}, {31, 170370999U},
+      {32, 2542340545U}, {47, 1175894970U}, {48, 2335480811U},
+      {63, 518713686U},
   };
   for (const auto& pin : kPins) {
     ASSERT_EQ(indexed_u32(kSeed, pin.index), pin.value)
         << "scalar reference drifted at index " << pin.index;
   }
+  const InitSpec spec = InitSpec::scaled_normal(1.0F, kSeed);
+  const simd::RegenSpec rspec{1, spec.scale(), spec.seed()};
   for (const simd::Target t : simd::available_targets()) {
     const simd::Kernels& kernels = simd::kernels_for(t);
-    std::uint32_t out[64] = {};
-    kernels.regen_u32(kSeed, 0, 64, out);
+    float out[64] = {};
+    kernels.regen_fill(rspec, 0, 64, out);
     for (const auto& pin : kPins) {
-      EXPECT_EQ(out[pin.index], pin.value)
+      EXPECT_EQ(out[pin.index], spec.value_at(pin.index))
           << simd::target_name(t) << " lane stream at index " << pin.index;
     }
   }
@@ -124,10 +129,10 @@ TEST(GoldenRng, BatchedNormalStreamPinnedOnEveryTarget) {
     std::uint64_t index;
     float value;
   } kPins[] = {
-      {0, 1.39377034F},    {1, 1.4749608F},    {3, -0.169146881F},
-      {4, -0.913393199F},  {7, 0.649524033F},  {8, -0.148849264F},
-      {15, -0.690119326F}, {16, -1.00811541F}, {31, -1.16373062F},
-      {32, -0.3044644F},   {63, 0.250337392F},
+      {0, 0.148849264F},   {1, 1.58321488F},    {3, 0.845734417F},
+      {4, 0.0676587522F},  {7, 0.805139184F},   {8, 0.216508016F},
+      {15, 0.690119326F},  {16, -1.56291723F},  {31, -0.933690846F},
+      {32, -0.290932655F}, {63, 1.29228222F},
   };
   for (const auto& pin : kPins) {
     ASSERT_FLOAT_EQ(spec.value_at(pin.index), pin.value)
@@ -147,8 +152,8 @@ TEST(GoldenRng, BatchedNormalStreamPinnedOnEveryTarget) {
 }
 
 TEST(GoldenRng, SeedZeroAndIndexZeroWellDefined) {
-  // The all-zero corner must not degenerate (xorshift of 0 stays 0 without
-  // the splitmix pre-mix).
+  // The all-zero corner must not degenerate (the finalizer maps 0 to 0, so
+  // the splitmix64 key is what keeps index 0 of seed 0 off zero).
   EXPECT_NE(indexed_u32(0, 0), 0U);
   EXPECT_NE(indexed_normal_fast(0, 0), indexed_normal_fast(0, 1));
 }

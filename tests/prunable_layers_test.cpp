@@ -91,38 +91,48 @@ TEST(PrunableLayers, UntrackedBnGammaRegeneratesToOne) {
 
 TEST(PrunableLayers, NetworkWithBnPreluTrainsUnderTightBudget) {
   // End-to-end: a net containing BN and PReLU must still fit a synthetic
-  // separable task with most parameters forgotten.
-  auto net = bn_prelu_net(9);
-  auto params = net->collect_parameters();
-  const std::int64_t total = net->num_params();
-  core::DropBackConfig config;
-  config.schedule = optim::constant_budget(total / 4);
-  core::DropBackOptimizer opt(params, 0.05F, config);
-  // Class = mean level of the inputs; average early vs late loss windows
-  // (single-batch losses are too noisy for a point comparison).
-  rng::Xorshift128 rng(5);
-  double early_loss = 0.0, late_loss = 0.0;
-  const int iters = 150;
-  for (int iter = 0; iter < iters; ++iter) {
-    T::Tensor x({8, 6});
-    std::vector<std::int64_t> labels;
-    for (std::int64_t b = 0; b < 8; ++b) {
-      const std::int64_t cls = rng.uniform_int(3);
-      labels.push_back(cls);
-      for (std::int64_t f = 0; f < 6; ++f) {
-        x.at({b, f}) = rng.normal(static_cast<float>(cls) - 1.0F, 0.3F);
+  // separable task with most parameters forgotten. One init draw decides
+  // little (single 150-step runs land anywhere in ~0.4-0.7 of their early
+  // loss), so the claim is about the mean over several inits.
+  const auto late_over_early = [](std::uint64_t seed) {
+    auto net = bn_prelu_net(seed);
+    auto params = net->collect_parameters();
+    const std::int64_t total = net->num_params();
+    core::DropBackConfig config;
+    config.schedule = optim::constant_budget(total / 4);
+    core::DropBackOptimizer opt(params, 0.05F, config);
+    // Class = mean level of the inputs; average early vs late loss windows
+    // (single-batch losses are too noisy for a point comparison).
+    rng::Xorshift128 rng(5);
+    double early_loss = 0.0, late_loss = 0.0;
+    const int iters = 150;
+    for (int iter = 0; iter < iters; ++iter) {
+      T::Tensor x({8, 6});
+      std::vector<std::int64_t> labels;
+      for (std::int64_t b = 0; b < 8; ++b) {
+        const std::int64_t cls = rng.uniform_int(3);
+        labels.push_back(cls);
+        for (std::int64_t f = 0; f < 6; ++f) {
+          x.at({b, f}) = rng.normal(static_cast<float>(cls) - 1.0F, 0.3F);
+        }
       }
+      net->zero_grad();
+      ag::Variable input(x);
+      ag::Variable loss =
+          ag::softmax_cross_entropy(net->forward(input), labels);
+      if (iter < 20) early_loss += loss.value()[0];
+      if (iter >= iters - 20) late_loss += loss.value()[0];
+      ag::backward(loss);
+      opt.step();
     }
-    net->zero_grad();
-    ag::Variable input(x);
-    ag::Variable loss =
-        ag::softmax_cross_entropy(net->forward(input), labels);
-    if (iter < 20) early_loss += loss.value()[0];
-    if (iter >= iters - 20) late_loss += loss.value()[0];
-    ag::backward(loss);
-    opt.step();
+    return late_loss / early_loss;
+  };
+  constexpr int kInits = 8;
+  double ratio_sum = 0.0;
+  for (int seed = 1; seed <= kInits; ++seed) {
+    ratio_sum += late_over_early(static_cast<std::uint64_t>(seed));
   }
-  EXPECT_LT(late_loss, early_loss * 0.6)
+  EXPECT_LT(ratio_sum / kInits, 0.6)
       << "BN+PReLU net failed to train under DropBack";
 }
 

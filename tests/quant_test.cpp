@@ -8,6 +8,7 @@
 #include "autograd/ops.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "rng/init_spec.hpp"
 #include "rng/xorshift.hpp"
 #include "util/io_error.hpp"
 
@@ -155,7 +156,7 @@ std::string single_record_bytes(const T::Shape& shape,
   out.write("w", 1);
   put(static_cast<std::uint8_t>(shape.size()));
   for (std::int64_t d : shape) put(d);
-  put(std::uint8_t{0});   // init kind
+  put(static_cast<std::uint8_t>(rng::InitSpec::Kind::kScaledNormal));
   put(0.5F);              // init scale
   put(std::uint64_t{7});  // init seed
   put(1.0F);              // quant scale

@@ -304,17 +304,16 @@ TEST_P(SimdConformanceTest, GemmMicrokernelBitwiseEqual) {
   }
 }
 
-TEST_P(SimdConformanceTest, RegenBitwiseEqual) {
-  for (std::uint64_t seed : {0ULL, 42ULL, 0xDEADBEEFULL}) {
-    for (std::uint64_t first : kFirsts) {
-      for (std::int64_t n : kSizes) {
-        std::vector<std::uint32_t> got_u(static_cast<std::size_t>(n));
-        std::vector<std::uint32_t> want_u(static_cast<std::size_t>(n));
-        k().regen_u32(seed, first, n, got_u.data());
-        ref().regen_u32(seed, first, n, want_u.data());
-        EXPECT_EQ(got_u, want_u)
-            << "regen_u32 seed=" << seed << " first=" << first << " n=" << n;
+/// A first index whose ranges straddle the 2^32-index segment boundary,
+/// where the regen hash changes key, 5 indices before it (off the lanes).
+constexpr std::uint64_t kStraddle = (1ULL << 32) - 5ULL;
 
+TEST_P(SimdConformanceTest, RegenBitwiseEqual) {
+  std::vector<std::uint64_t> firsts(std::begin(kFirsts), std::end(kFirsts));
+  firsts.push_back(kStraddle);
+  for (std::uint64_t seed : {0ULL, 42ULL, 0xDEADBEEFULL}) {
+    for (std::uint64_t first : firsts) {
+      for (std::int64_t n : kSizes) {
         const RegenSpec normal{1, 0.05F, seed};
         std::vector<float> got(static_cast<std::size_t>(n));
         std::vector<float> want(static_cast<std::size_t>(n));

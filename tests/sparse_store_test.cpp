@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "autograd/ops.hpp"
@@ -281,6 +282,80 @@ TEST(SparseWeightStore, LegacyFlatFormatIsRejected) {
   EXPECT_THROW(SparseWeightStore::load(legacy), util::IoError);
 }
 
+/// The persisted kind byte of a scaled-normal InitSpec.
+constexpr auto kScaledNormalByte =
+    static_cast<std::uint8_t>(rng::InitSpec::Kind::kScaledNormal);
+
+/// A one-record DBSW of shape {2, 3}, built byte by byte, whose InitSpec
+/// is (kind, scale, seed), with at most one tracked entry.
+std::string one_record_store(std::uint8_t kind, float scale,
+                             std::uint64_t seed,
+                             const SparseEntries<float>& entries = {}) {
+  util::ContainerWriter writer("DBSW");
+  std::ostream& out = writer.add_section("w");
+  const auto put = [&out](const auto& v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint16_t{1});
+  out.write("w", 1);
+  put(std::uint8_t{2});  // ndim
+  put(std::int64_t{2});
+  put(std::int64_t{3});
+  put(kind);
+  put(scale);
+  put(seed);
+  put(static_cast<std::uint64_t>(entries.size()));
+  for (const auto& [index, value] : entries) {
+    put(index);
+    put(value);
+  }
+  std::stringstream crafted;
+  writer.write_to(crafted);
+  return crafted.str();
+}
+
+SparseWeightStore load_bytes(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return SparseWeightStore::load(in);
+}
+
+TEST(SparseWeightStore, StoreOfTheRetiredRegenHashIsRejected) {
+  // Kind byte 0 was the scaled normal of the splitmix64 + xorshift hash.
+  // Its untracked weights cannot be regenerated by this build, so loading
+  // fails with the typed error and says why.
+  try {
+    load_bytes(one_record_store(0, 0.5F, 7));
+    FAIL() << "a store of the retired regen hash loaded";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("regen hash"), std::string::npos)
+        << e.what();
+  }
+  // The current scaled-normal byte loads and regenerates its spec.
+  EXPECT_EQ(load_bytes(one_record_store(kScaledNormalByte, 0.5F, 7))
+                .record(0)
+                .init,
+            rng::InitSpec::scaled_normal(0.5F, 7));
+  // Constant specs kept their byte: they regenerate no hash.
+  const auto constant =
+      static_cast<std::uint8_t>(rng::InitSpec::Kind::kConstant);
+  EXPECT_EQ(load_bytes(one_record_store(constant, 1.0F, 0)).record(0).init,
+            rng::InitSpec::constant(1.0F));
+}
+
+TEST(SparseWeightStore, EqualityComparesEntryBits) {
+  // Equal stores are the ones whose saved bytes are equal: a NaN weight (a
+  // diverged run) equals itself after a round trip, and -0 is not +0.
+  const auto store = [](float value) {
+    return load_bytes(one_record_store(kScaledNormalByte, 0.5F, 7,
+                                       {{4U, value}}));
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(store(nan) == store(nan));
+  EXPECT_FALSE(store(0.0F) == store(-0.0F));
+  EXPECT_FALSE(store(1.0F) == store(nan));
+  EXPECT_TRUE(store(1.0F) == store(1.0F));
+}
+
 TEST(SparseWeightStore, ShapeWhoseElementCountOverflowsIsRejected) {
   // Regression: a container with valid CRCs holding one record of shape
   // {2^32, 2^32} and no entries used to load, its element count wrapped by
@@ -295,7 +370,7 @@ TEST(SparseWeightStore, ShapeWhoseElementCountOverflowsIsRejected) {
   put(std::uint8_t{2});                // ndim
   put(std::int64_t{1} << 32);
   put(std::int64_t{1} << 32);
-  put(std::uint8_t{0});                // init kind
+  put(kScaledNormalByte);              // init kind
   put(0.5F);                           // init scale
   put(std::uint64_t{7});               // init seed
   put(std::uint64_t{0});               // entry count
@@ -319,7 +394,7 @@ TEST(SparseWeightStore, LyingEntryCountFailsAsTruncationNotAllocation) {
   put(std::uint8_t{2});                // ndim
   put(std::int64_t{1} << 20);
   put(std::int64_t{1} << 14);
-  put(std::uint8_t{0});                // init kind
+  put(kScaledNormalByte);              // init kind
   put(0.5F);                           // init scale
   put(std::uint64_t{7});               // init seed
   put(std::uint64_t{1} << 34);         // entry count

@@ -55,9 +55,7 @@ void compute_scores(const ParamIndex& index, float lr,
     // Fused regen + |w - lr*g - w0| on the SIMD score kernel. The kernel is
     // a pure per-index map (docs/SIMD.md), so sharding it keeps the output
     // thread-count-invariant bit for bit.
-    const simd::RegenSpec spec{
-        init.kind() == rng::InitSpec::Kind::kConstant ? 0 : 1, init.scale(),
-        init.seed()};
+    const simd::RegenSpec spec = init.regen_spec();
     const simd::Kernels& kernels = simd::kernels();
     util::parallel_for(
         kScoreGrain, n, [=, &kernels](std::int64_t b, std::int64_t e) {

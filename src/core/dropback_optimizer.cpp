@@ -120,9 +120,7 @@ void DropBackOptimizer::apply_update_and_mask(bool selected) {
     // sum, reduced per shard.
     std::atomic<std::int64_t> tracked_atomic{0};
     const float lr = lr_;
-    const simd::RegenSpec spec{
-        init.kind() == rng::InitSpec::Kind::kConstant ? 0 : 1, init.scale(),
-        init.seed()};
+    const simd::RegenSpec spec = init.regen_spec();
     util::parallel_for(4096, n, [&, g, w, mask, regen, lr,
                                  spec](std::int64_t b, std::int64_t e) {
       const float* gb = g != nullptr ? g + b : nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "simd/dispatch.hpp"
-#include "tensor/matmul.hpp"
 #include "util/check.hpp"
 
 namespace dropback::inference {
@@ -49,6 +48,31 @@ void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
 /// kPackWidth groups, one whole AVX-512 gemm_nt tile.
 constexpr std::int64_t kPanelRows = 2 * simd::kPackWidth;
 
+/// Writes the tracked entries of weight rows [o0, o0 + n) (row length k)
+/// over their regenerated values in the panel's packed layout, row r at
+/// packed[r / W * W * k + l * W + r % W]. Entries are sorted, so one cursor
+/// `e` walks them across all panels and a row cursor replaces a division
+/// per entry. Returns how many entries it wrote.
+std::uint64_t overlay_packed(const core::SparseEntries<float>& entries,
+                             std::size_t& e, std::int64_t o0, std::int64_t n,
+                             std::int64_t k, float* packed) {
+  constexpr std::int64_t W = simd::kPackWidth;
+  const std::size_t begin = e;
+  const auto panel_end = static_cast<std::uint64_t>((o0 + n) * k);
+  std::int64_t r = 0;
+  auto row_first = static_cast<std::uint64_t>(o0 * k);
+  for (; e < entries.size() && entries[e].first < panel_end; ++e) {
+    const std::uint64_t index = entries[e].first;
+    while (index >= row_first + static_cast<std::uint64_t>(k)) {
+      ++r;
+      row_first += static_cast<std::uint64_t>(k);
+    }
+    const auto l = static_cast<std::int64_t>(index - row_first);
+    packed[r / W * W * k + l * W + r % W] = entries[e].second;
+  }
+  return e - begin;
+}
+
 }  // namespace
 
 RegenLinear::RegenLinear(const core::SparseParamRecord* weight,
@@ -75,26 +99,29 @@ tensor::Tensor RegenLinear::forward(const tensor::Tensor& x,
   float* py = y.data();
   std::uint64_t reads = 0, regens = 0;
   // Rows [o0, o0+n) of W are the contiguous flat range [o0*in, (o0+n)*in):
-  // regenerate them on the SIMD regen kernel, pack them and run the batch
-  // through gemm_nt. Only one panel of weights is ever live — the paper's
-  // budget is about persistent weight storage, not working memory. Each
-  // output is gemm_nt's double chain plus one float bias add, i.e. bitwise
-  // matmul_nt + add_row_vector. Nothing here dispatches to the global pool:
-  // server workers call this concurrently (regen_forward.hpp).
+  // regenerate them straight into gemm_nt's packed layout, overlay the
+  // tracked entries there and run the batch through gemm_nt. Only one panel
+  // of weights is ever live — the paper's budget is about persistent weight
+  // storage, not working memory. Each output is gemm_nt's double chain plus
+  // one float bias add, i.e. bitwise matmul_nt + add_row_vector.
   std::vector<float> bias;
   if (bias_) {
     bias.resize(static_cast<std::size_t>(out_));
     materialize_range(*bias_, 0, out_, bias.data(), &reads, &regens);
   }
-  std::vector<float> rows(static_cast<std::size_t>(kPanelRows * in_));
-  std::vector<float> packed(rows.size());
+  std::vector<float> packed(static_cast<std::size_t>(kPanelRows * in_));
   std::vector<float> c(static_cast<std::size_t>(m * kPanelRows));
   const simd::Kernels& kernels = simd::kernels();
+  const simd::RegenSpec spec = weight_->init.regen_spec();
+  std::size_t entry = 0;
   for (std::int64_t o0 = 0; o0 < out_; o0 += kPanelRows) {
     const std::int64_t n = std::min(kPanelRows, out_ - o0);
-    materialize_range(*weight_, o0 * in_, n * in_, rows.data(), &reads,
-                      &regens);
-    tensor::pack_nt(rows.data(), n, in_, packed.data());
+    kernels.regen_pack(spec, static_cast<std::uint64_t>(o0 * in_), n, in_,
+                       packed.data());
+    const std::uint64_t tracked =
+        overlay_packed(weight_->entries, entry, o0, n, in_, packed.data());
+    reads += tracked;
+    regens += static_cast<std::uint64_t>(n * in_) - tracked;
     kernels.gemm_nt(px, m, packed.data(), in_, n, c.data());
     for (std::int64_t b = 0; b < m; ++b) {
       for (std::int64_t j = 0; j < n; ++j) {

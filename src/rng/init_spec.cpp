@@ -18,13 +18,11 @@ constexpr std::int64_t kFillGrain = 4096;
 /// The scaled-normal kind byte of the splitmix64 + xorshift regen hash.
 constexpr std::uint8_t kRetiredScaledNormal = 0;
 
-simd::RegenSpec to_regen_spec(InitSpec::Kind kind, float scale,
-                              std::uint64_t seed) {
-  return simd::RegenSpec{kind == InitSpec::Kind::kConstant ? 0 : 1, scale,
-                         seed};
-}
-
 }  // namespace
+
+simd::RegenSpec InitSpec::regen_spec() const {
+  return simd::RegenSpec{kind_ == Kind::kConstant ? 0 : 1, scale_, seed_};
+}
 
 InitSpec InitSpec::scaled_normal(float sigma, std::uint64_t seed) {
   return InitSpec(Kind::kScaledNormal, sigma, seed);
@@ -101,7 +99,7 @@ void InitSpec::fill_range(std::uint64_t first, float* data,
 
 void InitSpec::fill_range_inline(std::uint64_t first, float* data,
                                  std::size_t n) const {
-  simd::kernels().regen_fill(to_regen_spec(kind_, scale_, seed_), first,
+  simd::kernels().regen_fill(regen_spec(), first,
                              static_cast<std::int64_t>(n), data);
 }
 

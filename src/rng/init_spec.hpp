@@ -15,6 +15,9 @@
 #include <cstdint>
 #include <string>
 
+namespace dropback::simd {
+struct RegenSpec;
+}  // namespace dropback::simd
 namespace dropback::util {
 class ByteReader;
 class ByteWriter;
@@ -55,6 +58,9 @@ class InitSpec {
   float scale() const { return scale_; }
 
   std::uint64_t seed() const { return seed_; }
+
+  /// This spec as the SIMD regen kernels take it (simd/kernels.hpp).
+  simd::RegenSpec regen_spec() const;
 
   /// Regenerate the initialization value of element `index`.
   /// Pure function of (spec, index): same result in any order, any time.

@@ -82,6 +82,14 @@ struct Kernels {
   /// specs, spec.scale * indexed_normal_fast(seed, first+i) otherwise.
   void (*regen_fill)(RegenSpec spec, std::uint64_t first, std::int64_t n,
                      float* out);
+  /// Rows [0, n) of the row-major [n, k] block that starts at flat index
+  /// `first`, regenerated straight into gemm_nt's packed layout (W =
+  /// kPackWidth): packed[g*W*k + l*W + t] = value_at(first + (g*W + t)*k +
+  /// l) for g*W + t < n, and 0 in the padded lanes of the last group. Writes
+  /// ceil(n / W) * W * k floats — the bytes regen_fill + tensor::pack_nt
+  /// produce.
+  void (*regen_pack)(RegenSpec spec, std::uint64_t first, std::int64_t n,
+                     std::int64_t k, float* packed);
 
   // --- score / apply family ----------------------------------------------
   /// out[i] = |(g ? w[i] - lr*g[i] : w[i]) - regen(first + i)| — the fused
@@ -138,6 +146,8 @@ void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
               std::int64_t ldb, float* c, std::int64_t ldc);
 void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
                 float* out);
+void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
+                std::int64_t k, float* packed);
 void score(const float* w, const float* g, float lr, RegenSpec spec,
            std::uint64_t first, std::int64_t n, float* out);
 std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,

@@ -106,6 +106,79 @@ void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
   }
 }
 
+/// regen_fill straight into gemm_nt's packed layout, one kPackWidth-row
+/// group at a time. A step covers S = max(W, kF32) packed floats, i.e.
+/// V = S / kF32 vectors and L = S / W values of l; lane j of vector v
+/// holds row t = (v*kF32 + j) % W at l + (v*kF32 + j) / W, so its index
+/// advances by L per step and its Weyl term by L * kIndexWeyl. Padded rows
+/// are computed and then zeroed by a lane mask.
+template <class B>
+void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
+                std::int64_t k, float* packed) {
+  constexpr std::int64_t W = kPackWidth;
+  constexpr std::int64_t S = B::kF32 > W ? B::kF32 : W;
+  constexpr int V = static_cast<int>(S / B::kF32);
+  constexpr std::int64_t L = S / W;
+  using VI = typename B::VI;
+  using VF = typename B::VF;
+  if (spec.kind == 0 || k == 0) {
+    detail::regen_pack(spec, first, n, k, packed);
+    return;
+  }
+  const VF scale = B::fset1(spec.scale);
+  const VF zero = B::fset1(0.0F);
+  const VI step =
+      B::iset1(static_cast<std::uint32_t>(L) * rng::kIndexWeyl);
+  for (std::int64_t g = 0; g * W < n; ++g) {
+    const std::int64_t rows = n - g * W < W ? n - g * W : W;
+    const std::uint64_t group_first =
+        first + static_cast<std::uint64_t>(g * W * k);
+    float* group = packed + g * W * k;
+    if (segment_left(group_first) < static_cast<std::uint64_t>(rows * k)) {
+      // The group's indices cross a 2^32 boundary, where the key changes.
+      detail::regen_pack(spec, group_first, rows, k, group);
+      continue;
+    }
+    const VI key = B::iset1(rng::indexed_key(spec.seed, group_first));
+    VI weyl[V];
+    typename B::VM live[V];
+    for (int v = 0; v < V; ++v) {
+      std::uint32_t lanes[B::kF32];
+      float row_of[B::kF32];
+      for (int j = 0; j < B::kF32; ++j) {
+        const std::int64_t p = v * B::kF32 + j;
+        lanes[j] = static_cast<std::uint32_t>(
+                       group_first +
+                       static_cast<std::uint64_t>(p % W * k + p / W)) *
+                   rng::kIndexWeyl;
+        row_of[j] = static_cast<float>(p % W);
+      }
+      weyl[v] = B::iload(lanes);
+      live[v] = B::cmp(B::fset1(static_cast<float>(rows)), B::fload(row_of),
+                       Cmp::kGt);
+    }
+    std::int64_t l = 0;
+    for (; l + L <= k; l += L) {
+      for (int v = 0; v < V; ++v) {
+        const VF value = normal<B>(mix<B>(weyl[v], key), scale);
+        B::fstore(group + l * W + v * B::kF32, B::select(live[v], value, zero));
+        weyl[v] = B::iadd(weyl[v], step);
+      }
+    }
+    for (; l < k; ++l) {  // the last l when L does not divide k
+      for (std::int64_t t = 0; t < W; ++t) {
+        float* out = group + l * W + t;
+        *out = 0.0F;
+        if (t < rows) {
+          detail::regen_fill(spec, group_first + static_cast<std::uint64_t>(
+                                                     t * k + l),
+                             1, out);
+        }
+      }
+    }
+  }
+}
+
 /// Regen block size for the fused score/apply kernels: large enough to
 /// amortize the regen setup, small enough to stay in L1.
 inline constexpr std::int64_t kRegenBlock = 256;

@@ -66,6 +66,22 @@ void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
   }
 }
 
+void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
+                std::int64_t k, float* packed) {
+  for (std::int64_t g = 0; g * kPackWidth < n; ++g) {
+    float* group = packed + g * kPackWidth * k;
+    for (std::int64_t l = 0; l < k; ++l) {
+      for (std::int64_t t = 0; t < kPackWidth; ++t) {
+        const std::int64_t row = g * kPackWidth + t;
+        group[l * kPackWidth + t] =
+            row < n ? regen_value(spec, first + static_cast<std::uint64_t>(
+                                                    row * k + l))
+                    : 0.0F;
+      }
+    }
+  }
+}
+
 void score(const float* w, const float* g, float lr, RegenSpec spec,
            std::uint64_t first, std::int64_t n, float* out) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -169,6 +185,7 @@ const Kernels kScalarKernels = {
     &detail::gemm_nt,
     &detail::gemm_acc,
     &detail::regen_fill,
+    &detail::regen_pack,
     &detail::score,
     &detail::apply_masked,
     &detail::update_tracked,

@@ -17,6 +17,7 @@ const Kernels kSse4Kernels = {
     &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
     &impl::regen_fill<B>,
+    &impl::regen_pack<B>,
     &impl::score<B>,
     &impl::apply_masked<B>,
     &impl::update_tracked<B>,

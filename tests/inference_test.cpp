@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "autograd/ops.hpp"
@@ -111,6 +112,31 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LinearShape{12, 13, 1}, LinearShape{12, 17, 3},
                       LinearShape{1, 17, 5}, LinearShape{1, 1, 1},
                       LinearShape{33, 40, 5}, LinearShape{100, 100, 8}));
+
+TEST(RegenLinear, TrackedEntriesInTheRaggedLastGroupLandBitwise) {
+  // out = 13: the panel's second 8-row group holds rows 8..12 and three
+  // padded lanes. Tracked entries sit in that ragged group, at l = 0 and
+  // l = k - 1 (the last packed row; in = 21 is odd, so AVX-512 packs it
+  // in a half step), and on the last row of the full group.
+  constexpr std::int64_t kIn = 21, kOut = 13;
+  nn::Linear linear(kIn, kOut, /*seed=*/23);
+  float* w = linear.weight().var.value().data();
+  const std::int64_t tracked[][2] = {
+      {0, kIn - 1}, {7, kIn - 1}, {8, 0}, {10, 5}, {12, kIn - 1}};
+  for (const auto& rc : tracked) w[rc[0] * kIn + rc[1]] += 0.75F;
+  auto store = core::SparseWeightStore::from_params(
+      {&linear.weight(), linear.bias()});
+  ASSERT_EQ(store.record(0).entries.size(), std::size(tracked));
+  RegenLinear layer(&store.record(0), &store.record(1));
+  const T::Tensor x = random_tensor({3, kIn}, 37);
+  energy::TrafficCounter traffic;
+  const T::Tensor streamed = layer.forward(x, &traffic);
+  autograd::NoGradGuard no_grad;
+  expect_bitwise(streamed, linear.forward(ag::Variable(x)).value());
+  EXPECT_EQ(traffic.dram_reads, std::size(tracked));
+  EXPECT_EQ(traffic.dram_reads + traffic.regens,
+            static_cast<std::uint64_t>(kIn * kOut + kOut));
+}
 
 TEST(RegenLinear, TrafficSplitsTrackedVsRegenerated) {
   auto store = small_trained_store(30);

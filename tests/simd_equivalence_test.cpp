@@ -334,6 +334,38 @@ TEST_P(SimdConformanceTest, RegenBitwiseEqual) {
   EXPECT_TRUE(bitwise_equal(got, want, "regen_fill constant"));
 }
 
+TEST_P(SimdConformanceTest, RegenPackEqualsRegenFillThenPack) {
+  // regen_pack against the scalar regen_fill + tensor::pack_nt it replaces
+  // on the serving path: rows around the 8-row groups (ragged last groups
+  // included), k = 1 and odd k (AVX-512 packs two l per vector), and first
+  // indices whose panels straddle 2^32, where the hash changes key. A
+  // sentinel past the panel shows any write beyond it.
+  std::vector<std::uint64_t> firsts(std::begin(kFirsts), std::end(kFirsts));
+  firsts.push_back(kStraddle);
+  constexpr float kSentinel = -7.25F;
+  for (const RegenSpec spec :
+       {RegenSpec{1, 0.05F, 42ULL}, RegenSpec{0, 1.5F, 0ULL}}) {
+    for (const std::uint64_t first : firsts) {
+      for (const std::int64_t n : {1, 7, 8, 9, 13, 16, 17}) {
+        for (const std::int64_t kdim : {1, 2, 3, 17, 784}) {
+          std::vector<float> rows(static_cast<std::size_t>(n * kdim));
+          ref().regen_fill(spec, first, n * kdim, rows.data());
+          const std::vector<float> want = T::pack_nt(rows.data(), n, kdim);
+          std::vector<float> got(want.size() + 1, kSentinel);
+          k().regen_pack(spec, first, n, kdim, got.data());
+          EXPECT_EQ(got.back(), kSentinel) << "regen_pack wrote past the panel";
+          got.pop_back();
+          EXPECT_TRUE(bitwise_equal(
+              got, want,
+              "regen_pack kind=" + std::to_string(spec.kind) +
+                  " first=" + std::to_string(first) +
+                  " n=" + std::to_string(n) + " k=" + std::to_string(kdim)));
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SimdConformanceTest, ScoreAndApplyBitwiseEqual) {
   for (const RegenSpec spec :
        {RegenSpec{1, 0.05F, 7ULL}, RegenSpec{0, 1.0F, 0ULL}}) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "simd/dispatch.hpp"
+#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace dropback::inference {
@@ -10,16 +11,15 @@ namespace dropback::inference {
 namespace {
 
 /// Materializes one contiguous flat range [first, first+count) of a record
-/// into `buf`: regenerate the whole block on the SIMD regen kernel, on the
-/// calling thread (InitSpec::fill_range_inline is bitwise value_at per
-/// index), then overwrite the tracked positions from the sorted entry list
-/// with one advancing cursor. Counts one read per tracked entry and one
+/// into `buf`: regenerate the whole block on the SIMD regen kernel
+/// (InitSpec::fill_range is bitwise value_at per index), then overwrite the
+/// tracked positions from the sorted entry list with one advancing cursor. Counts one read per tracked entry and one
 /// regen per untracked slot, like the paper's regenerative traffic model.
 void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
                        std::int64_t count, float* buf, std::uint64_t* reads,
                        std::uint64_t* regens) {
-  rec.init.fill_range_inline(static_cast<std::uint64_t>(first), buf,
-                             static_cast<std::size_t>(count));
+  rec.init.fill_range(static_cast<std::uint64_t>(first), buf,
+                      static_cast<std::size_t>(count));
   const auto& entries = rec.entries;
   // Binary search for the first tracked entry >= first.
   std::size_t lo = 0, hi = entries.size();
@@ -233,14 +233,7 @@ tensor::Tensor RegenMlp::forward(const tensor::Tensor& x,
       x.ndim() == 2 ? x : x.reshape({x.size(0), -1});
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     h = layers_[l].forward(h, traffic);
-    if (l + 1 < layers_.size()) {
-      // tensor::relu's map (NaN and -0 go to +0), in place on the fresh
-      // layer output and on the calling thread.
-      float* p = h.data();
-      for (std::int64_t i = 0; i < h.numel(); ++i) {
-        p[i] = p[i] > 0.0F ? p[i] : 0.0F;
-      }
-    }
+    if (l + 1 < layers_.size()) h = tensor::relu(h);
   }
   return h;
 }

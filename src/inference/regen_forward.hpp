@@ -13,12 +13,7 @@
 // Outputs are bitwise the dense forward's, NaN and ±inf inputs included
 // (memcmp in tests/inference_test.cpp): RegenLinear = matmul_nt +
 // add_row_vector, RegenConv2d = conv2d, RegenMlp = nn::models::Mlp (eval).
-//
-// RegenLinear and RegenMlp run entirely on the calling thread, so any
-// number of threads may call forward at once (the server's workers do).
-// RegenConv2d runs tensor::conv2d, which dispatches to the global pool:
-// util::ThreadPool::run takes one dispatching caller at a time, so call it
-// from one thread at a time.
+// Any number of threads may call forward at once (the server's workers do).
 #pragma once
 
 #include <cstdint>
@@ -59,8 +54,7 @@ class RegenLinear {
 
 /// A 2-D convolution evaluated from a SparseParamRecord without a dense
 /// kernel tensor: one panel of output channels' filters is live at a time.
-/// Each panel is one tensor::conv2d call, which gathers the input again and
-/// dispatches to the global pool: not safe to call from concurrent threads.
+/// Each panel is one tensor::conv2d call, which gathers the input again.
 class RegenConv2d {
  public:
   RegenConv2d(const core::SparseParamRecord* weight,

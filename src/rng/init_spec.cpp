@@ -89,18 +89,13 @@ void InitSpec::fill_range(std::uint64_t first, float* data,
                           std::size_t n) const {
   // Pure per-index map: shards write disjoint ranges, so parallelism and
   // lane width are both invisible in the output bits.
+  const simd::RegenSpec spec = regen_spec();
   util::parallel_for(kFillGrain, static_cast<std::int64_t>(n),
                      [&](std::int64_t begin, std::int64_t end) {
-                       fill_range_inline(
-                           first + static_cast<std::uint64_t>(begin),
-                           data + begin, static_cast<std::size_t>(end - begin));
+                       simd::kernels().regen_fill(
+                           spec, first + static_cast<std::uint64_t>(begin),
+                           end - begin, data + begin);
                      });
-}
-
-void InitSpec::fill_range_inline(std::uint64_t first, float* data,
-                                 std::size_t n) const {
-  simd::kernels().regen_fill(regen_spec(), first,
-                             static_cast<std::int64_t>(n), data);
 }
 
 std::string InitSpec::describe() const {

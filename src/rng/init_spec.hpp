@@ -76,12 +76,6 @@ class InitSpec {
   /// row/filter of a sparse-stored tensor.
   void fill_range(std::uint64_t first, float* data, std::size_t n) const;
 
-  /// fill_range on the calling thread, never the global pool: for callers
-  /// that may run on several threads at once (the serving forward), since
-  /// util::ThreadPool::run takes one dispatching caller at a time.
-  void fill_range_inline(std::uint64_t first, float* data,
-                         std::size_t n) const;
-
   /// Bytes needed to persist this spec (kind + scale + seed) — the entire
   /// storage cost of all untracked weights of a tensor.
   static constexpr std::size_t persisted_bytes() { return 1 + 4 + 8; }

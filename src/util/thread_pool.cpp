@@ -25,6 +25,9 @@ thread_local bool t_in_dispatch = false;
 struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
+  // Held by the thread whose dispatch owns the slot below; a caller that
+  // cannot take it runs its shards inline instead of waiting.
+  std::mutex caller_mu;
   std::mutex mu;
   std::condition_variable cv_start;
   std::condition_variable cv_done;
@@ -106,8 +109,11 @@ int ThreadPool::num_threads() const {
 void ThreadPool::run(int shards, const std::function<void(int)>& fn) {
   if (shards <= 0) return;
   const int total = num_threads();
-  if (total == 1 || shards == 1 || t_in_dispatch) {
-    // Serial fallback: same shard order a 1-thread pool would use.
+  std::unique_lock<std::mutex> caller(impl_->caller_mu, std::defer_lock);
+  if (total == 1 || shards == 1 || t_in_dispatch || !caller.try_lock()) {
+    // Serial fallback: same shard order a 1-thread pool would use. A second
+    // caller that finds a dispatch live lands here too, so any thread may
+    // call run(): shards write disjoint outputs, so serial = parallel.
     for (int s = 0; s < shards; ++s) fn(s);
     return;
   }

@@ -13,6 +13,9 @@
 //   * With 1 thread (--threads 1 / DROPBACK_THREADS=1) nothing is spawned
 //     and every dispatch runs inline on the caller: exactly the pre-pool
 //     serial behaviour.
+//   * Any number of threads may call run() at once. The pool serves one
+//     dispatch at a time; a caller that finds it busy runs its own shards
+//     inline, in serial order, which by the rule above gives the same bits.
 //
 // Exceptions thrown inside a shard are caught, the remaining shards of that
 // participant are skipped, and the first captured exception is rethrown on
@@ -44,7 +47,8 @@ class ThreadPool {
   /// Executes fn(s) for every shard s in [0, shards), statically
   /// round-robined across participants, and blocks until all shards have
   /// finished. Rethrows the first exception a shard raised. Calls from
-  /// inside a pool worker (nested parallelism) run serially on that worker.
+  /// inside a pool worker (nested parallelism), and calls made while another
+  /// thread's dispatch is live, run serially on the calling thread.
   void run(int shards, const std::function<void(int)>& fn);
 
  private:

@@ -362,13 +362,11 @@ TEST(ServeServer, ServesAndMatchesEmbeddedForwardBitwise) {
   }
 }
 
-// The server's workers call RegenMlp::forward concurrently, and
-// util::ThreadPool::run takes one dispatching caller at a time, so the
-// forward must never reach the global pool. A 784-wide first layer makes
-// each 16-row weight panel (16 * 784 floats) big enough that a pool-backed
-// regen fill would dispatch on a 4-thread pool; with several workers and
-// the test thread running the engine at once, any pool use shows up as
-// wrong logits here (or as a race under TSan).
+// The server's workers call RegenMlp::forward concurrently, on the same
+// global pool the test thread uses. A 784-wide first layer gives the
+// forward real work; with several workers and the test thread running the
+// engine at once, any cross-talk between callers shows up as wrong logits
+// here (or as a race under TSan).
 TEST(ServeServer, WideModelServesBitwiseWhileWorkersShareThePool) {
   obs::MetricsRegistry::global().reset();
   const int pool_threads = util::num_threads();

@@ -1,18 +1,25 @@
 // Unit tests for the fixed-partition thread pool itself: shard coverage,
-// degenerate ranges, exception propagation, and heavy reuse. The kernels'
-// bitwise parallel-vs-serial guarantees live in parallel_equivalence_test.
+// degenerate ranges, exception propagation, heavy reuse, and concurrent
+// callers. The kernels' bitwise parallel-vs-serial guarantees live in
+// parallel_equivalence_test.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/sparse_weight_store.hpp"
+#include "inference/regen_forward.hpp"
+#include "nn/models/lenet.hpp"
+#include "rng/xorshift.hpp"
+#include "tensor/conv.hpp"
 #include "util/flags.hpp"
 
 namespace dropback::util {
@@ -157,6 +164,56 @@ TEST_F(ThreadPoolTest, ConfigureThreadsReadsFlag) {
   Flags flags(3, const_cast<char**>(argv));
   configure_threads(flags);
   EXPECT_EQ(num_threads(), 3);
+}
+
+tensor::Tensor uniform_tensor(tensor::Shape shape, std::uint64_t seed) {
+  rng::Xorshift128 rng(seed);
+  tensor::Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform(-1, 1);
+  return t;
+}
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+TEST_F(ThreadPoolTest, ConcurrentCallersShareOnePoolBitwise) {
+  // Two threads dispatch onto one 4-thread pool at once, each running a
+  // conv2d (batch images fan out) and a 784-wide RegenMlp forward whose
+  // 192 x 100 hidden ReLU fans out too. Whichever caller finds the pool
+  // busy runs its shards inline, so every output equals its serial
+  // reference bit for bit, and TSan sees no race.
+  const tensor::Tensor x = uniform_tensor({4, 8, 16, 16}, 1);
+  const tensor::Tensor w = uniform_tensor({16, 8, 3, 3}, 2);
+  const tensor::Tensor b = uniform_tensor({16}, 3);
+  const tensor::Conv2dSpec spec;
+  nn::models::Mlp model(784, {100}, 10, /*seed=*/4);
+  model.layer(0).weight().var.value()[5] += 0.5F;  // one tracked entry
+  const auto store =
+      core::SparseWeightStore::from_params(model.collect_parameters());
+  const inference::RegenMlp engine(store);
+  const tensor::Tensor images = uniform_tensor({192, 784}, 5);
+
+  set_num_threads(1);
+  const tensor::Tensor conv_ref = tensor::conv2d(x, w, b, spec);
+  const tensor::Tensor logits_ref = engine.forward(images);
+
+  set_num_threads(4);
+  std::atomic<int> mismatches{0};
+  const auto caller = [&] {
+    for (int iter = 0; iter < 6; ++iter) {
+      if (!same_bits(tensor::conv2d(x, w, b, spec), conv_ref)) ++mismatches;
+      if (!same_bits(engine.forward(images), logits_ref)) ++mismatches;
+    }
+  };
+  std::thread first(caller);
+  std::thread second(caller);
+  first.join();
+  second.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ThreadPoolTest, DeterministicPartitionBoundaries) {

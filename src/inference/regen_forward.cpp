@@ -13,8 +13,9 @@ namespace {
 /// Materializes one contiguous flat range [first, first+count) of a record
 /// into `buf`: regenerate the whole block on the SIMD regen kernel
 /// (InitSpec::fill_range is bitwise value_at per index), then overwrite the
-/// tracked positions from the sorted entry list with one advancing cursor. Counts one read per tracked entry and one
-/// regen per untracked slot, like the paper's regenerative traffic model.
+/// tracked positions from the sorted entry list with one advancing cursor.
+/// Counts one read per tracked entry and one regen per untracked slot, like
+/// the paper's regenerative traffic model.
 void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
                        std::int64_t count, float* buf, std::uint64_t* reads,
                        std::uint64_t* regens) {

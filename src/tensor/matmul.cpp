@@ -24,6 +24,23 @@ std::int64_t row_grain(std::int64_t flops_per_row) {
       1, kMinParallelFlops / std::max<std::int64_t>(1, flops_per_row));
 }
 
+/// pack_nt of rows [0, n) into `packed`, padding included.
+void pack_groups(const float* b, std::int64_t n, std::int64_t k,
+                 float* packed) {
+  constexpr std::int64_t W = simd::kPackWidth;
+  for (std::int64_t g = 0; g * W < n; ++g) {
+    float* group = packed + g * W * k;
+    const std::int64_t width = std::min(W, n - g * W);
+    for (std::int64_t t = 0; t < width; ++t) {
+      const float* brow = b + (g * W + t) * k;
+      for (std::int64_t l = 0; l < k; ++l) group[l * W + t] = brow[l];
+    }
+    for (std::int64_t t = width; t < W; ++t) {
+      for (std::int64_t l = 0; l < k; ++l) group[l * W + t] = 0.0F;
+    }
+  }
+}
+
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -107,24 +124,10 @@ std::vector<float> pack_nt(const float* b, std::int64_t n, std::int64_t k) {
   // Packing is a pure copy — shard-order invisible.
   util::parallel_for(row_grain(W * k), groups, [=](std::int64_t g0,
                                                    std::int64_t g1) {
-    pack_nt(b + g0 * W * k, std::min(n, g1 * W) - g0 * W, k, pp + g0 * W * k);
+    pack_groups(b + g0 * W * k, std::min(n, g1 * W) - g0 * W, k,
+                pp + g0 * W * k);
   });
   return packed;
-}
-
-void pack_nt(const float* b, std::int64_t n, std::int64_t k, float* packed) {
-  constexpr std::int64_t W = simd::kPackWidth;
-  for (std::int64_t g = 0; g * W < n; ++g) {
-    float* group = packed + g * W * k;
-    const std::int64_t width = std::min(W, n - g * W);
-    for (std::int64_t t = 0; t < width; ++t) {
-      const float* brow = b + (g * W + t) * k;
-      for (std::int64_t l = 0; l < k; ++l) group[l * W + t] = brow[l];
-    }
-    for (std::int64_t t = width; t < W; ++t) {
-      for (std::int64_t l = 0; l < k; ++l) group[l * W + t] = 0.0F;
-    }
-  }
 }
 
 }  // namespace dropback::tensor

@@ -28,9 +28,4 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// B[g*W + t][l], the last group zero-padded.
 std::vector<float> pack_nt(const float* b, std::int64_t n, std::int64_t k);
 
-/// pack_nt into a caller's buffer of ceil(n / W) * W * k floats, on the
-/// calling thread: every float of it is written, padding included, so the
-/// buffer can be reused across calls.
-void pack_nt(const float* b, std::int64_t n, std::int64_t k, float* packed);
-
 }  // namespace dropback::tensor

@@ -11,7 +11,7 @@
 namespace dropback::rng {
 namespace {
 
-/// Shard size for bulk regeneration: regen is ~6 int + 1 float ops per
+/// Shard size for bulk regeneration: regen is a dozen integer ops per
 /// element, so this matches the score-sweep grain (4096 elements).
 constexpr std::int64_t kFillGrain = 4096;
 

@@ -287,7 +287,7 @@ constexpr auto kScaledNormalByte =
     static_cast<std::uint8_t>(rng::InitSpec::Kind::kScaledNormal);
 
 /// A one-record DBSW of shape {2, 3}, built byte by byte, whose InitSpec
-/// is (kind, scale, seed), with at most one tracked entry.
+/// is (kind, scale, seed), holding `entries` as its tracked weights.
 std::string one_record_store(std::uint8_t kind, float scale,
                              std::uint64_t seed,
                              const SparseEntries<float>& entries = {}) {

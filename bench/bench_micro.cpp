@@ -474,29 +474,15 @@ void run_simd_speedup_report() {
     return;
   }
 
-  {
-    // Packed-NT GEMM: the dW = dY^T·X / backward-data shape class.
-    constexpr std::int64_t n = 256;
-    rng::Xorshift128 rng(1);
-    tensor::Tensor a({n, n}), bt({n, n});
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      a[i] = rng.uniform(-1, 1);
-      bt[i] = rng.uniform(-1, 1);
-    }
-    run_simd_case("simd/gemm-nt-256", best, [&] {
-      benchmark::DoNotOptimize(tensor::matmul_nt(a, bt).data());
-    });
-  }
-
-  // matmul_nt at the forward shapes that dominate training steps: MNIST
-  // fc1 (batch 32, 784 -> 100) and VGG-S conv1 as im2col rows x weights.
+  // matmul_nt: a square product, and MNIST fc1's forward (batch 32,
+  // 784 -> 100): gemm_acc with X as A against the transposed weights.
   struct NtShape {
     const char* name;
     std::int64_t m, k, n;
   };
   for (const NtShape& s :
-       {NtShape{"simd/gemm-nt-fc1-32x784x100", 32, 784, 100},
-        NtShape{"simd/gemm-nt-conv1-16384x72x8", 16384, 72, 8}}) {
+       {NtShape{"simd/matmul-nt-256", 256, 256, 256},
+        NtShape{"simd/matmul-nt-fc1-32x784x100", 32, 784, 100}}) {
     rng::Xorshift128 rng(1);
     tensor::Tensor a({s.m, s.k}), bt({s.n, s.k});
     for (std::int64_t i = 0; i < a.numel(); ++i) a[i] = rng.uniform(-1, 1);
@@ -579,13 +565,23 @@ void run_simd_speedup_report() {
     });
   }
 
-  {
+  // conv2d forward at batch 16: VGG-S conv2 (8 -> 8, 32x32), a wider
+  // 32x32 layer (16 -> 32) and a 2x2-stage layer (64 -> 64), whose panels
+  // hold 16 whole images.
+  struct ConvShape {
+    const char* name;
+    std::int64_t cin, cout, hw;
+  };
+  for (const ConvShape& s : {ConvShape{"simd/conv2d-16x8x32x32", 8, 8, 32},
+                             ConvShape{"simd/conv2d-16x16x32x32", 16, 32, 32},
+                             ConvShape{"simd/conv2d-16x64x2x2", 64, 64, 2}}) {
     rng::Xorshift128 rng(1);
-    tensor::Tensor x({16, 16, 32, 32}), w({32, 16, 3, 3}), b({32});
+    tensor::Tensor x({16, s.cin, s.hw, s.hw}), w({s.cout, s.cin, 3, 3}),
+        b({s.cout});
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
     for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.uniform(-1, 1);
     tensor::Conv2dSpec spec{3, 3, 1, 1};
-    run_simd_case("simd/conv2d-16x16x32x32", best, [&] {
+    run_simd_case(s.name, best, [&] {
       benchmark::DoNotOptimize(tensor::conv2d(x, w, b, spec).data());
     });
   }

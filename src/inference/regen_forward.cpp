@@ -45,19 +45,18 @@ void materialize_range(const core::SparseParamRecord& rec, std::int64_t first,
   *regens += static_cast<std::uint64_t>(count) - tracked;
 }
 
-/// Output rows (Linear) or channels (conv) materialized at a time: two
-/// kPackWidth groups, one whole AVX-512 gemm_nt tile.
-constexpr std::int64_t kPanelRows = 2 * simd::kPackWidth;
+/// Output rows (Linear) or channels (conv) materialized at a time: one
+/// full 4-vector gemm_acc tile on AVX-512.
+constexpr std::int64_t kPanelRows = 64;
 
 /// Writes the tracked entries of weight rows [o0, o0 + n) (row length k)
-/// over their regenerated values in the panel's packed layout, row r at
-/// packed[r / W * W * k + l * W + r % W]. Entries are sorted, so one cursor
-/// `e` walks them across all panels and a row cursor replaces a division
-/// per entry. Returns how many entries it wrote.
-std::uint64_t overlay_packed(const core::SparseEntries<float>& entries,
-                             std::size_t& e, std::int64_t o0, std::int64_t n,
-                             std::int64_t k, float* packed) {
-  constexpr std::int64_t W = simd::kPackWidth;
+/// over their regenerated values in the transposed panel, row r at
+/// panel[l * n + r]. Entries are sorted, so one cursor `e` walks them
+/// across all panels and a row cursor replaces a division per entry.
+/// Returns how many entries it wrote.
+std::uint64_t overlay_panel(const core::SparseEntries<float>& entries,
+                            std::size_t& e, std::int64_t o0, std::int64_t n,
+                            std::int64_t k, float* panel) {
   const std::size_t begin = e;
   const auto panel_end = static_cast<std::uint64_t>((o0 + n) * k);
   std::int64_t r = 0;
@@ -69,7 +68,7 @@ std::uint64_t overlay_packed(const core::SparseEntries<float>& entries,
       row_first += static_cast<std::uint64_t>(k);
     }
     const auto l = static_cast<std::int64_t>(index - row_first);
-    packed[r / W * W * k + l * W + r % W] = entries[e].second;
+    panel[l * n + r] = entries[e].second;
   }
   return e - begin;
 }
@@ -100,36 +99,34 @@ tensor::Tensor RegenLinear::forward(const tensor::Tensor& x,
   float* py = y.data();
   std::uint64_t reads = 0, regens = 0;
   // Rows [o0, o0+n) of W are the contiguous flat range [o0*in, (o0+n)*in):
-  // regenerate them straight into gemm_nt's packed layout, overlay the
-  // tracked entries there and run the batch through gemm_nt. Only one panel
-  // of weights is ever live — the paper's budget is about persistent weight
-  // storage, not working memory. Each output is gemm_nt's double chain plus
-  // one float bias add, i.e. bitwise matmul_nt + add_row_vector.
+  // regenerate them transposed (the [in, n] panel gemm_acc takes as B),
+  // overlay the tracked entries there and accumulate x · panel straight
+  // into y's columns [o0, o0+n). Only one panel of weights is ever live —
+  // the paper's budget is about persistent weight storage, not working
+  // memory. x is A, as in matmul_nt, so each output is the same float
+  // chain plus one float bias add: bitwise matmul_nt + add_row_vector.
   std::vector<float> bias;
   if (bias_) {
     bias.resize(static_cast<std::size_t>(out_));
     materialize_range(*bias_, 0, out_, bias.data(), &reads, &regens);
   }
-  std::vector<float> packed(static_cast<std::size_t>(kPanelRows * in_));
-  std::vector<float> c(static_cast<std::size_t>(m * kPanelRows));
+  std::vector<float> panel(static_cast<std::size_t>(kPanelRows * in_));
   const simd::Kernels& kernels = simd::kernels();
   const simd::RegenSpec spec = weight_->init.regen_spec();
   std::size_t entry = 0;
   for (std::int64_t o0 = 0; o0 < out_; o0 += kPanelRows) {
     const std::int64_t n = std::min(kPanelRows, out_ - o0);
     kernels.regen_pack(spec, static_cast<std::uint64_t>(o0 * in_), n, in_,
-                       packed.data());
+                       panel.data());
     const std::uint64_t tracked =
-        overlay_packed(weight_->entries, entry, o0, n, in_, packed.data());
+        overlay_panel(weight_->entries, entry, o0, n, in_, panel.data());
     reads += tracked;
     regens += static_cast<std::uint64_t>(n * in_) - tracked;
-    kernels.gemm_nt(px, m, packed.data(), in_, n, c.data());
-    for (std::int64_t b = 0; b < m; ++b) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float v = c[static_cast<std::size_t>(b * n + j)];
-        py[b * out_ + o0 + j] =
-            bias.empty() ? v : v + bias[static_cast<std::size_t>(o0 + j)];
-      }
+    kernels.gemm_acc(m, n, in_, px, in_, 1, panel.data(), n, py + o0, out_);
+  }
+  for (std::int64_t b = 0; b < m && !bias.empty(); ++b) {
+    for (std::int64_t j = 0; j < out_; ++j) {
+      py[b * out_ + j] += bias[static_cast<std::size_t>(j)];
     }
   }
   if (traffic) {

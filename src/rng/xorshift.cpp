@@ -103,13 +103,7 @@ std::uint32_t indexed_u32(std::uint64_t seed, std::uint64_t index) {
 }
 
 float indexed_normal_fast(std::uint64_t seed, std::uint64_t index) {
-  const std::uint32_t v = indexed_u32(seed, index);
-  // CLT over the four bytes: sum in [0, 1020], mean 510,
-  // variance 4 * (256^2 - 1)/12 = 21845 -> stddev 147.800...
-  const std::uint32_t sum = (v & 0xFFU) + ((v >> 8) & 0xFFU) +
-                            ((v >> 16) & 0xFFU) + ((v >> 24) & 0xFFU);
-  constexpr float kInvStddev = 1.0F / 147.8005413F;
-  return (static_cast<float>(sum) - 510.0F) * kInvStddev;
+  return clt_normal(indexed_u32(seed, index));
 }
 
 float indexed_normal_boxmuller(std::uint64_t seed, std::uint64_t index) {

@@ -110,6 +110,18 @@ std::uint32_t indexed_u32(std::uint64_t seed, std::uint64_t index);
 /// ample scaffolding for weight initialization.
 float indexed_normal_fast(std::uint64_t seed, std::uint64_t index);
 
+/// 1/stddev of the four-byte sum: variance 4 * (256^2 - 1)/12 = 21845.
+inline constexpr float kCltInvStddev = 1.0F / 147.8005413F;
+
+/// indexed_normal_fast's tail for the draw v: the sum of its four bytes
+/// (mean 510), centered and scaled. Batched regeneration pairs it with a
+/// key computed once per segment.
+constexpr float clt_normal(std::uint32_t v) {
+  const std::uint32_t sum = (v & 0xFFU) + ((v >> 8) & 0xFFU) +
+                            ((v >> 16) & 0xFFU) + ((v >> 24) & 0xFFU);
+  return (static_cast<float>(sum) - 510.0F) * kCltInvStddev;
+}
+
 /// Exact standard-normal regeneration from (seed, index) via Box-Muller over
 /// two indexed draws. Used where true normality matters (statistical tests).
 float indexed_normal_boxmuller(std::uint64_t seed, std::uint64_t index);

@@ -2,10 +2,9 @@
 // target (scalar / SSE4.2 / AVX2 / AVX-512 / NEON), covering the four
 // kernel families the training loop spends its time in:
 //
-//   gemm   — the register-tiled packed-NT microkernel (matmul_nt and the
-//            conv2d forward) and the float-chain accumulate C += A·B with
-//            its exact zero skip (matmul, matmul_tn and both conv2d
-//            backward products);
+//   gemm   — the float-chain accumulate C += A·B with its exact zero
+//            skip, behind every product: matmul, matmul_tn, matmul_nt, the
+//            conv2d forward and both backward products, and serving;
 //   regen  — batched counter-hash regeneration (rng::indexed_u32 on
 //            4/8/16 u32 lanes) behind rng::InitSpec and the
 //            sparse-store/inference regen paths;
@@ -18,9 +17,9 @@
 // Determinism contract (docs/SIMD.md): every entry of every target's table
 // is BITWISE IDENTICAL to the scalar reference in `detail` below, for all
 // inputs. Vectorize across outputs, never across one output's chain: each
-// output's operation order must match the scalar code exactly, so a
-// reduction (gemm_nt's double sum over l, gemm_acc's float chain over l)
-// keeps one accumulator per output and walks l ascending on every target.
+// output's operation order must match the scalar code exactly, so
+// gemm_acc's float chain over l keeps one accumulator per output and walks
+// l ascending on every target.
 // tests/simd_equivalence_test.cpp enforces this per (kernel x target x
 // thread count).
 #pragma once
@@ -47,26 +46,13 @@ struct MaskDelta {
   std::int64_t left;     ///< entries that turned untracked
 };
 
-/// Columns per packed B group of the NT-GEMM microkernel. Fixed across
-/// targets so the pack layout is target-independent; the last group is
-/// zero-padded, and its padded lanes are computed but never stored.
-inline constexpr std::int64_t kPackWidth = 8;
-/// Rows of C per register tile of the NT-GEMM microkernel; matmul_nt
-/// shards its rows in whole tiles.
+/// Rows of C per register tile of gemm_acc.
 inline constexpr std::int64_t kTileRows = 4;
 
 struct Kernels {
   const char* name;
 
   // --- gemm family -------------------------------------------------------
-  /// C = A·Bᵀ for `rows` rows of A (row stride k) against B[n, k] packed
-  /// in ceil(n / kPackWidth) column groups of width W = kPackWidth
-  /// (packed[g*W*k + l*W + t] = B[g*W + t][l]):
-  /// c[i*n + j] = (float) sum_l (double)(a[i*k + l] * B[j][l]), the float
-  /// product and l-ascending double accumulation of the scalar code. Only
-  /// columns j < n are stored; targets tile kTileRows rows at a time.
-  void (*gemm_nt)(const float* a, std::int64_t rows, const float* packed,
-                  std::int64_t k, std::int64_t n, float* c);
   /// C += A·B for an m x n block of C: with A(i, l) = a[i*a_rs + l*a_cs],
   /// each output runs the float chain c = c + A(i, l) * b[l*ldb + j] over
   /// l ascending, and a term whose A(i, l) == 0 (either sign) is skipped
@@ -83,13 +69,11 @@ struct Kernels {
   void (*regen_fill)(RegenSpec spec, std::uint64_t first, std::int64_t n,
                      float* out);
   /// Rows [0, n) of the row-major [n, k] block that starts at flat index
-  /// `first`, regenerated straight into gemm_nt's packed layout (W =
-  /// kPackWidth): packed[g*W*k + l*W + t] = value_at(first + (g*W + t)*k +
-  /// l) for g*W + t < n, and 0 in the padded lanes of the last group. Writes
-  /// ceil(n / W) * W * k floats — the bytes regen_fill + tensor::pack_nt
-  /// produce.
+  /// `first`, regenerated transposed — gemm_acc's B layout for x·Wᵀ:
+  /// panel[l*n + t] = value_at(first + t*k + l). Writes exactly n * k
+  /// floats, the bytes regen_fill + tensor::transpose2d produce.
   void (*regen_pack)(RegenSpec spec, std::uint64_t first, std::int64_t n,
-                     std::int64_t k, float* packed);
+                     std::int64_t k, float* panel);
 
   // --- score / apply family ----------------------------------------------
   /// out[i] = |(g ? w[i] - lr*g[i] : w[i]) - regen(first + i)| — the fused
@@ -139,15 +123,13 @@ namespace detail {
 // backends funnel most tails through them and must match them bitwise on
 // full vectors too. Addressable as plain functions so backend tables can
 // reference them without static-init-order concerns.
-void gemm_nt(const float* a, std::int64_t rows, const float* packed,
-             std::int64_t k, std::int64_t n, float* c);
 void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
               std::int64_t a_rs, std::int64_t a_cs, const float* b,
               std::int64_t ldb, float* c, std::int64_t ldc);
 void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
                 float* out);
 void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
-                std::int64_t k, float* packed);
+                std::int64_t k, float* panel);
 void score(const float* w, const float* g, float lr, RegenSpec spec,
            std::uint64_t first, std::int64_t n, float* out);
 std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,

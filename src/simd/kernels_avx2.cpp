@@ -15,7 +15,6 @@ using B = vec::Avx2;
 
 const Kernels kAvx2Kernels = {
     "avx2",
-    &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
     &impl::regen_fill<B>,
     &impl::regen_pack<B>,

@@ -14,7 +14,6 @@ using B = vec::Avx512;
 
 const Kernels kAvx512Kernels = {
     "avx512",
-    &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
     &impl::regen_fill<B>,
     &impl::regen_pack<B>,

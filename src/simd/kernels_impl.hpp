@@ -6,10 +6,10 @@
 // then a tail delegated to the scalar reference in simd::detail — so the
 // tail is bitwise-correct by construction and the vector loop only has to
 // match the scalar code on full vectors (the per-lane operation sequences
-// documented in vec.hpp take care of that). The two GEMMs are the
-// exception: their row tails are shorter register tiles and their column
-// tails are padded lanes that are never stored (gemm_nt's zero-padded pack
-// group, gemm_acc's partial loads/stores), so they have no scalar tail.
+// documented in vec.hpp take care of that). gemm_acc and regen_pack are
+// the exception: their row tails are shorter register tiles or vector
+// columns, and their column tails use partial loads and stores, so they
+// have no scalar tail.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +19,6 @@
 #include "simd/vec.hpp"
 
 namespace dropback::simd::impl {
-
-/// 1/stddev of the 4-byte CLT sum (rng::indexed_normal_fast).
-inline constexpr float kInvStddev = 1.0F / 147.8005413F;
 
 /// dst[i] = value — regen_fill's constant-spec path.
 template <class B>
@@ -57,12 +54,13 @@ inline typename B::VI mix(typename B::VI weyl, typename B::VI key) {
 }
 
 /// scale * indexed_normal_fast for hash lanes h: exactly
-/// scale * ((sum - 510) * kInvStddev), two separate multiplies, matching
+/// scale * rng::clt_normal(h), two separate multiplies, matching
 /// InitSpec::value_at's rounding.
 template <class B>
 inline typename B::VF normal(typename B::VI h, typename B::VF scale) {
-  const typename B::VF t = B::fmul(
-      B::fsub(B::byte_sum(h), B::fset1(510.0F)), B::fset1(kInvStddev));
+  const typename B::VF t =
+      B::fmul(B::fsub(B::byte_sum(h), B::fset1(510.0F)),
+              B::fset1(rng::kCltInvStddev));
   return B::fmul(scale, t);
 }
 
@@ -106,75 +104,40 @@ void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
   }
 }
 
-/// regen_fill straight into gemm_nt's packed layout, one kPackWidth-row
-/// group at a time. A step covers S = max(W, kF32) packed floats, i.e.
-/// V = S / kF32 vectors and L = S / W values of l; lane j of vector v
-/// holds row t = (v*kF32 + j) % W at l + (v*kF32 + j) / W, so its index
-/// advances by L per step and its Weyl term by L * kIndexWeyl. Padded rows
-/// are computed and then zeroed by a lane mask.
+/// regen_fill straight into the transposed panel: panel[l*n + t] =
+/// value_at(first + t*k + l). A vector holds kF32 consecutive rows t of one
+/// l, so its lanes are an index ramp of stride k, and each step in l adds
+/// one to every index — kIndexWeyl to every Weyl term. Lanes past n are
+/// computed and never stored.
 template <class B>
 void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
-                std::int64_t k, float* packed) {
-  constexpr std::int64_t W = kPackWidth;
-  constexpr std::int64_t S = B::kF32 > W ? B::kF32 : W;
-  constexpr int V = static_cast<int>(S / B::kF32);
-  constexpr std::int64_t L = S / W;
-  using VI = typename B::VI;
-  using VF = typename B::VF;
-  if (spec.kind == 0 || k == 0) {
-    detail::regen_pack(spec, first, n, k, packed);
+                std::int64_t k, float* panel) {
+  if (spec.kind == 0 || n == 0 || k == 0 ||
+      segment_left(first) < static_cast<std::uint64_t>(n * k)) {
+    // Constant specs, and panels whose indices cross a 2^32 boundary,
+    // where the key changes.
+    detail::regen_pack(spec, first, n, k, panel);
     return;
   }
-  const VF scale = B::fset1(spec.scale);
-  const VF zero = B::fset1(0.0F);
-  const VI step =
-      B::iset1(static_cast<std::uint32_t>(L) * rng::kIndexWeyl);
-  for (std::int64_t g = 0; g * W < n; ++g) {
-    const std::int64_t rows = n - g * W < W ? n - g * W : W;
-    const std::uint64_t group_first =
-        first + static_cast<std::uint64_t>(g * W * k);
-    float* group = packed + g * W * k;
-    if (segment_left(group_first) < static_cast<std::uint64_t>(rows * k)) {
-      // The group's indices cross a 2^32 boundary, where the key changes.
-      detail::regen_pack(spec, group_first, rows, k, group);
-      continue;
-    }
-    const VI key = B::iset1(rng::indexed_key(spec.seed, group_first));
-    VI weyl[V];
-    typename B::VM live[V];
-    for (int v = 0; v < V; ++v) {
-      std::uint32_t lanes[B::kF32];
-      float row_of[B::kF32];
-      for (int j = 0; j < B::kF32; ++j) {
-        const std::int64_t p = v * B::kF32 + j;
-        lanes[j] = static_cast<std::uint32_t>(
-                       group_first +
-                       static_cast<std::uint64_t>(p % W * k + p / W)) *
-                   rng::kIndexWeyl;
-        row_of[j] = static_cast<float>(p % W);
+  using VI = typename B::VI;
+  const typename B::VF scale = B::fset1(spec.scale);
+  const VI key = B::iset1(rng::indexed_key(spec.seed, first));
+  const VI step = B::iset1(rng::kIndexWeyl);
+  for (std::int64_t t = 0; t < n; t += B::kF32) {
+    const int cnt = static_cast<int>(n - t < B::kF32 ? n - t : B::kF32);
+    VI weyl = iramp<B>(static_cast<std::uint32_t>(
+                           first + static_cast<std::uint64_t>(t * k)) *
+                           rng::kIndexWeyl,
+                       static_cast<std::uint32_t>(k) * rng::kIndexWeyl);
+    float* out = panel + t;
+    for (std::int64_t l = 0; l < k; ++l, out += n) {
+      const typename B::VF value = normal<B>(mix<B>(weyl, key), scale);
+      if (cnt == B::kF32) {
+        B::fstore(out, value);
+      } else {
+        B::fstore_part(out, value, cnt);
       }
-      weyl[v] = B::iload(lanes);
-      live[v] = B::cmp(B::fset1(static_cast<float>(rows)), B::fload(row_of),
-                       Cmp::kGt);
-    }
-    std::int64_t l = 0;
-    for (; l + L <= k; l += L) {
-      for (int v = 0; v < V; ++v) {
-        const VF value = normal<B>(mix<B>(weyl[v], key), scale);
-        B::fstore(group + l * W + v * B::kF32, B::select(live[v], value, zero));
-        weyl[v] = B::iadd(weyl[v], step);
-      }
-    }
-    for (; l < k; ++l) {  // the last l when L does not divide k
-      for (std::int64_t t = 0; t < W; ++t) {
-        float* out = group + l * W + t;
-        *out = 0.0F;
-        if (t < rows) {
-          detail::regen_fill(spec, group_first + static_cast<std::uint64_t>(
-                                                     t * k + l),
-                             1, out);
-        }
-      }
+      weyl = B::iadd(weyl, step);
     }
   }
 }
@@ -356,74 +319,6 @@ MaskDelta remask(const float* s, std::int64_t n, float threshold,
     delta.left += tail.left;
   }
   return delta;
-}
-
-/// One R-row x G-group register tile of gemm_nt: R*G*kPackWidth outputs in
-/// R*G*kPackWidth/kF64 independent double vectors. Each lane is one output's
-/// own chain — float product widened to double, l ascending — so the tile
-/// sets how many chains are in flight, never an output's sequence. Stores
-/// the first `cols` columns of each row; the rest are padded lanes.
-template <class B, int R, int G>
-inline void gemm_nt_tile(const float* a, const float* packed, std::int64_t k,
-                         float* c, std::int64_t n, std::int64_t cols) {
-  static_assert(kPackWidth % B::kF64 == 0, "a vector never spans groups");
-  constexpr int kV = G * static_cast<int>(kPackWidth) / B::kF64;
-  // Fully unrolled loops make every acc index a constant, which is what
-  // keeps the whole tile in registers.
-  typename B::VD acc[R][kV] = {};
-  for (std::int64_t l = 0; l < k; ++l) {
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 16
-      for (int v = 0; v < kV; ++v) {
-        // Vector v holds tile columns [v*kF64, (v+1)*kF64), inside one
-        // group.
-        const std::int64_t col = v * B::kF64;
-        const float* q = packed + col / kPackWidth * kPackWidth * k +
-                         l * kPackWidth + col % kPackWidth;
-        acc[r][v] = B::dadd(acc[r][v], B::wmul(a[r * k + l], q));
-      }
-    }
-  }
-#pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-    float tmp[G * kPackWidth];
-    float* out = cols == G * kPackWidth ? c + r * n : tmp;
-#pragma GCC unroll 16
-    for (int v = 0; v < kV; ++v) B::dstore_f32(out + v * B::kF64, acc[r][v]);
-    for (std::int64_t j = 0; out == tmp && j < cols; ++j) c[r * n + j] = tmp[j];
-  }
-}
-
-/// R rows of gemm_nt: G-group tiles across the columns, then one-group
-/// tiles for the rest, the last of them ragged. G = 2 when one vector holds
-/// a whole group (AVX-512: 8 accumulators at R = 4), else 1.
-template <class B, int R>
-void gemm_nt_rows(const float* a, const float* packed, std::int64_t k,
-                  std::int64_t n, float* c) {
-  constexpr int G = B::kF64 == kPackWidth ? 2 : 1;
-  std::int64_t j = 0;
-  for (; j + G * kPackWidth <= n; j += G * kPackWidth) {
-    gemm_nt_tile<B, R, G>(a, packed + j * k, k, c + j, n, G * kPackWidth);
-  }
-  for (; j < n; j += kPackWidth) {
-    const std::int64_t cols = n - j < kPackWidth ? n - j : kPackWidth;
-    gemm_nt_tile<B, R, 1>(a, packed + j * k, k, c + j, n, cols);
-  }
-}
-
-template <class B>
-void gemm_nt(const float* a, std::int64_t rows, const float* packed,
-             std::int64_t k, std::int64_t n, float* c) {
-  static_assert(kTileRows == 4, "one gemm_nt_rows instance per tile height");
-  using Rows = void (*)(const float*, const float*, std::int64_t,
-                        std::int64_t, float*);
-  constexpr Rows kRows[] = {nullptr, &gemm_nt_rows<B, 1>, &gemm_nt_rows<B, 2>,
-                            &gemm_nt_rows<B, 3>, &gemm_nt_rows<B, 4>};
-  for (std::int64_t i = 0; i < rows; i += kTileRows) {
-    const std::int64_t r = rows - i < kTileRows ? rows - i : kTileRows;
-    kRows[r](a + i * k, packed, k, n, c + i * n);
-  }
 }
 
 /// Terms per gemm_acc chunk: the span of l one row tile's term lists

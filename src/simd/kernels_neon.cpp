@@ -15,7 +15,6 @@ using B = vec::Neon;
 
 const Kernels kNeonKernels = {
     "neon",
-    &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
     &impl::regen_fill<B>,
     &impl::regen_pack<B>,

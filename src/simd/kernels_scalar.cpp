@@ -17,27 +17,6 @@
 namespace dropback::simd {
 namespace detail {
 
-void gemm_nt(const float* a, std::int64_t rows, const float* packed,
-             std::int64_t k, std::int64_t n, float* c) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const float* arow = a + i * k;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kPackWidth) {
-      const float* group = packed + j0 * k;
-      double acc[kPackWidth] = {};
-      for (std::int64_t l = 0; l < k; ++l) {
-        // Float product, double accumulation — matmul_nt's exact sequence.
-#pragma GCC unroll 8
-        for (std::int64_t t = 0; t < kPackWidth; ++t) {
-          acc[t] += arow[l] * group[l * kPackWidth + t];
-        }
-      }
-      for (std::int64_t t = 0; t < kPackWidth && j0 + t < n; ++t) {
-        c[i * n + j0 + t] = static_cast<float>(acc[t]);
-      }
-    }
-  }
-}
-
 void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
               std::int64_t a_rs, std::int64_t a_cs, const float* b,
               std::int64_t ldb, float* c, std::int64_t ldc) {
@@ -53,40 +32,62 @@ void gemm_acc(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   }
 }
 
-/// InitSpec::value_at semantics for a RegenSpec.
-static inline float regen_value(const RegenSpec& spec, std::uint64_t index) {
-  if (spec.kind == 0) return spec.scale;
-  return spec.scale * rng::indexed_normal_fast(spec.seed, index);
-}
+namespace {
+
+/// InitSpec::value_at semantics for a RegenSpec, for indices in any order:
+/// the segment key (rng::indexed_key, a splitmix64) is computed once per
+/// 2^32-index segment and reused while the indices stay in it, which is
+/// bitwise rng::indexed_normal_fast.
+class Regen {
+ public:
+  explicit Regen(const RegenSpec& spec) : spec_(spec) {}
+
+  float at(std::uint64_t index) {
+    if (spec_.kind == 0) return spec_.scale;
+    if (!keyed_ || index >> 32 != segment_) {
+      key_ = rng::indexed_key(spec_.seed, index);
+      segment_ = index >> 32;
+      keyed_ = true;
+    }
+    return spec_.scale *
+           rng::clt_normal(rng::indexed_mix(
+               static_cast<std::uint32_t>(index) * rng::kIndexWeyl ^ key_));
+  }
+
+ private:
+  RegenSpec spec_;
+  bool keyed_ = false;
+  std::uint64_t segment_ = 0;
+  std::uint32_t key_ = 0;
+};
+
+}  // namespace
 
 void regen_fill(RegenSpec spec, std::uint64_t first, std::int64_t n,
                 float* out) {
+  Regen regen(spec);
   for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = regen_value(spec, first + static_cast<std::uint64_t>(i));
+    out[i] = regen.at(first + static_cast<std::uint64_t>(i));
   }
 }
 
 void regen_pack(RegenSpec spec, std::uint64_t first, std::int64_t n,
-                std::int64_t k, float* packed) {
-  for (std::int64_t g = 0; g * kPackWidth < n; ++g) {
-    float* group = packed + g * kPackWidth * k;
+                std::int64_t k, float* panel) {
+  Regen regen(spec);
+  for (std::int64_t t = 0; t < n; ++t) {
     for (std::int64_t l = 0; l < k; ++l) {
-      for (std::int64_t t = 0; t < kPackWidth; ++t) {
-        const std::int64_t row = g * kPackWidth + t;
-        group[l * kPackWidth + t] =
-            row < n ? regen_value(spec, first + static_cast<std::uint64_t>(
-                                                    row * k + l))
-                    : 0.0F;
-      }
+      panel[l * n + t] =
+          regen.at(first + static_cast<std::uint64_t>(t * k + l));
     }
   }
 }
 
 void score(const float* w, const float* g, float lr, RegenSpec spec,
            std::uint64_t first, std::int64_t n, float* out) {
+  Regen regen(spec);
   for (std::int64_t i = 0; i < n; ++i) {
     const float updated = g != nullptr ? w[i] - lr * g[i] : w[i];
-    const float ref = regen_value(spec, first + static_cast<std::uint64_t>(i));
+    const float ref = regen.at(first + static_cast<std::uint64_t>(i));
     out[i] = std::fabs(updated - ref);
   }
 }
@@ -94,13 +95,14 @@ void score(const float* w, const float* g, float lr, RegenSpec spec,
 std::int64_t apply_masked(float* w, const float* g, const std::uint8_t* mask,
                           float lr, RegenSpec spec, bool regen,
                           std::uint64_t first, std::int64_t n) {
+  Regen replacement(spec);
   std::int64_t tracked = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     if (mask[i] != 0U) {
       if (g != nullptr) w[i] -= lr * g[i];
       ++tracked;
     } else if (regen) {
-      w[i] = regen_value(spec, first + static_cast<std::uint64_t>(i));
+      w[i] = replacement.at(first + static_cast<std::uint64_t>(i));
     } else {
       w[i] = 0.0F;
     }
@@ -182,7 +184,6 @@ MaskDelta remask(const float* s, std::int64_t n, float threshold,
 
 const Kernels kScalarKernels = {
     "scalar",
-    &detail::gemm_nt,
     &detail::gemm_acc,
     &detail::regen_fill,
     &detail::regen_pack,

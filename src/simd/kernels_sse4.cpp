@@ -14,7 +14,6 @@ using B = vec::Sse4;
 
 const Kernels kSse4Kernels = {
     "sse4",
-    &impl::gemm_nt<B>,
     &impl::gemm_acc<B>,
     &impl::regen_fill<B>,
     &impl::regen_pack<B>,

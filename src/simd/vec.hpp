@@ -1,9 +1,8 @@
 // Fixed-width vector traits — the per-ISA layer under the kernel templates.
 //
 // Each struct below exposes the same tiny vocabulary (float lanes with
-// partial loads/stores, masked select, u32 lanes for the regen hash, and
-// double lanes fed by widened float products for the NT-GEMM tile) over
-// one instruction set.
+// partial loads/stores, masked select, and u32 lanes for the regen hash)
+// over one instruction set.
 // simd/kernels_impl.hpp instantiates the kernel bodies once per trait; a
 // backend TU is just `using B = vec::Avx2;` plus a table of those
 // instantiations.
@@ -26,10 +25,7 @@
 //   * `fload_part`/`fstore_part` touch only the first `cnt` lanes (1..kF32)
 //     — masked loads/stores on AVX2/AVX-512, a small copy elsewhere — so a
 //     ragged column tail needs no scalar loop; loaded lanes past `cnt` are
-//     zero and never stored;
-//   * `wmul` multiplies in float and only then widens to double, and
-//     `dstore_f32` rounds each double lane once to float — the scalar
-//     `acc += a[l] * b[l]` (float product, double sum) lane by lane.
+//     zero and never stored.
 //
 // Only simd/ TUs may include this header (lint rule R7 enforces that
 // vendor intrinsics never leak elsewhere).
@@ -126,22 +122,6 @@ struct Sse4 {
     const __m128i pairs = _mm_maddubs_epi16(a, _mm_set1_epi8(1));
     return _mm_cvtepi32_ps(_mm_madd_epi16(pairs, _mm_set1_epi16(1)));
   }
-
-  // --- double lanes (NT-GEMM accumulation) --------------------------------
-  static constexpr int kF64 = 2;  ///< double lanes per VD
-  using VD = __m128d;
-  /// (double)(a * p[t]) for t < kF64: float product (mulps), exact widening.
-  static VD wmul(float a, const float* p) {
-    const __m128 b = _mm_castsi128_ps(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-    return _mm_cvtps_pd(_mm_mul_ps(_mm_set1_ps(a), b));
-  }
-  static VD dadd(VD a, VD b) { return _mm_add_pd(a, b); }
-  /// Rounds the kF64 lanes to float and stores them at p.
-  static void dstore_f32(float* p, VD v) {
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
-                     _mm_castps_si128(_mm_cvtpd_ps(v)));
-  }
 };
 
 #endif  // __SSE4_2__
@@ -218,16 +198,6 @@ struct Avx2 {
     const __m256i pairs = _mm256_maddubs_epi16(a, _mm256_set1_epi8(1));
     return _mm256_cvtepi32_ps(_mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
   }
-
-  static constexpr int kF64 = 4;
-  using VD = __m256d;
-  static VD wmul(float a, const float* p) {
-    return _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(a), _mm_loadu_ps(p)));
-  }
-  static VD dadd(VD a, VD b) { return _mm256_add_pd(a, b); }
-  static void dstore_f32(float* p, VD v) {
-    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
-  }
 };
 
 #endif  // __AVX2__
@@ -295,18 +265,6 @@ struct Avx512 {
   static VF byte_sum(VI a) {
     const __m512i pairs = _mm512_maddubs_epi16(a, _mm512_set1_epi8(1));
     return _mm512_cvtepi32_ps(_mm512_madd_epi16(pairs, _mm512_set1_epi16(1)));
-  }
-
-  /// One VD holds a whole kPackWidth group: 8 floats -> 8 doubles.
-  static constexpr int kF64 = 8;
-  using VD = __m512d;
-  static VD wmul(float a, const float* p) {
-    return _mm512_cvtps_pd(
-        _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(p)));
-  }
-  static VD dadd(VD a, VD b) { return _mm512_add_pd(a, b); }
-  static void dstore_f32(float* p, VD v) {
-    _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
   }
 };
 
@@ -377,14 +335,6 @@ struct Neon {
   static VF byte_sum(VI a) {
     return vcvtq_f32_u32(vpaddlq_u16(vpaddlq_u8(vreinterpretq_u8_u32(a))));
   }
-
-  static constexpr int kF64 = 2;
-  using VD = float64x2_t;
-  static VD wmul(float a, const float* p) {
-    return vcvt_f64_f32(vmul_n_f32(vld1_f32(p), a));
-  }
-  static VD dadd(VD a, VD b) { return vaddq_f64(a, b); }
-  static void dstore_f32(float* p, VD v) { vst1_f32(p, vcvt_f32_f64(v)); }
 };
 
 #endif  // __ARM_NEON && __aarch64__

@@ -6,7 +6,6 @@
 
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
-#include "tensor/matmul.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -34,6 +33,14 @@ std::int64_t panel_rows(std::int64_t width) {
   return std::max<std::int64_t>(1, kPanelBytes / row_bytes);
 }
 
+/// Taps from which the forward gather copies a stride-1 run with
+/// std::copy; shorter runs (small images) are cheaper as a plain loop.
+constexpr std::int64_t kLongRun = 16;
+
+/// Fewest output positions in a forward panel: one full gemm_acc tile row
+/// on AVX-512 (4 vectors of 16). Images smaller than this share a panel.
+constexpr std::int64_t kMinPanelPositions = 64;
+
 /// The patch geometry of one image restricted to input channels [c0, c1):
 /// output row r = oy·OW + ox, patch column l = ((ch - c0)·KH + ky)·KW + kx.
 /// A row is (c1 - c0)·KH runs of KW taps, each contiguous in the image.
@@ -43,7 +50,8 @@ class Patches {
  public:
   Patches(const Shape& x_shape, const Conv2dSpec& spec, std::int64_t c0,
           std::int64_t c1)
-      : c0_(c0), h_(x_shape[2]), w_(x_shape[3]), spec_(spec),
+      : c0_(c0), h_(x_shape[2]), w_(x_shape[3]),
+        image_(x_shape[1] * h_ * w_), spec_(spec),
         oh_(spec.out_h(h_)), ow_(spec.out_w(w_)) {
     runs_.reserve(static_cast<std::size_t>((c1 - c0) * spec.kernel_h));
     for (std::int64_t ch = 0; ch < c1 - c0; ++ch) {
@@ -72,6 +80,54 @@ class Patches {
         [=](std::int64_t i, std::int64_t len) {
           for (std::int64_t k = 0; k < len; ++k) dst[i + k] = 0.0F;
         });
+  }
+
+  /// The transposed gather of rows [r0, r1) of `count` consecutive
+  /// images starting at `x`, im2col's classic layout: dst[l·ld + j·(r1 -
+  /// r0) + r - r0] = tap (r, l) of image j, 0 where the tap lies in the
+  /// padding. Each patch column l = (ch, ky, kx) is a run over output
+  /// positions; within one output row its taps are pixels `stride` apart.
+  void gather_t(const float* x, std::int64_t count, std::int64_t r0,
+                std::int64_t r1, float* dst, std::int64_t ld) const {
+    const std::int64_t kh = spec_.kernel_h, kw = spec_.kernel_w;
+    const std::int64_t stride = spec_.stride, pad = spec_.padding;
+    for (std::int64_t q = 0; q < static_cast<std::int64_t>(runs_.size());
+         ++q) {
+      const std::int64_t ky = q % kh;
+      // Pixel (iy, ix) of this run's channel is at plane + iy·w + ix.
+      const std::int64_t plane = c0_ * h_ * w_ + runs_[q] - ky * w_;
+      for (std::int64_t kx = 0; kx < kw; ++kx) {
+        // Output columns [ox_lo, ox_hi) read inside the image.
+        const std::int64_t ox_lo = std::min(
+            ow_, kx >= pad ? 0 : (pad - kx + stride - 1) / stride);
+        const std::int64_t ox_hi = std::clamp(
+            w_ - 1 + pad - kx < 0 ? 0 : (w_ - 1 + pad - kx) / stride + 1,
+            ox_lo, ow_);
+        float* out = dst + (q * kw + kx) * ld;
+        for (std::int64_t j = 0; j < count; ++j) {
+          const float* img = x + j * image_;
+          std::int64_t oy = r0 / ow_, ox = r0 % ow_;
+          for (std::int64_t r = r0; r < r1; ox = 0, ++oy) {
+            const std::int64_t end = std::min(ow_, ox + r1 - r);
+            const std::int64_t iy = oy * stride - pad + ky;
+            std::int64_t t = ox;
+            if (iy >= 0 && iy < h_) {
+              // Output column t reads column t·stride - pad + kx.
+              const std::int64_t at = plane + iy * w_ - pad + kx;
+              for (; t < std::min(ox_lo, end); ++t) *out++ = 0.0F;
+              const std::int64_t hi = std::min(ox_hi, end);
+              if (stride == 1 && hi - t >= kLongRun) {
+                out = std::copy(img + at + t, img + at + hi, out);
+                t = hi;
+              }
+              for (; t < hi; ++t) *out++ = img[at + t * stride];
+            }
+            for (; t < end; ++t) *out++ = 0.0F;
+            r += end - ox;
+          }
+        }
+      }
+    }
   }
 
   /// The adjoint of gather: adds src[(r - r0)·width + l] into its pixel of
@@ -146,6 +202,7 @@ class Patches {
   }
 
   std::int64_t c0_, h_, w_;
+  std::int64_t image_;  ///< floats per NCHW image, all channels
   Conv2dSpec spec_;
   std::int64_t oh_, ow_;
   std::vector<std::int64_t> runs_;  ///< image offset of each (ch, ky) run
@@ -203,39 +260,62 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
   const Patches patches(x.shape(), spec, 0, cin);
   const std::int64_t rows = patches.rows(), width = patches.width();
   const std::int64_t image = cin * x.size(2) * x.size(3);
-  const std::int64_t panel = panel_rows(width);
-  const std::vector<float> packed = pack_nt(w.data(), cout, width);
+  // A panel holds `span` output positions of one image, or `per_panel`
+  // whole images when an image has fewer positions than a panel.
+  const std::int64_t cap = std::max(kMinPanelPositions, panel_rows(width));
+  const std::int64_t per_panel = std::max<std::int64_t>(1, cap / rows);
+  const std::int64_t span = per_panel > 1 ? rows : cap;
   Tensor y({n, cout, spec.out_h(x.size(2)), spec.out_w(x.size(3))});
   const float* px = x.data();
-  const float* pp = packed.data();
+  const float* pw = w.data();
   const float* pb = b.defined() ? b.data() : nullptr;
   float* py = y.data();
   const simd::Kernels& kernels = simd::kernels();
-  // Per panel: columns [rows, patch] · Wᵀ on the NT microkernel (each
-  // output keeps its double chain, l ascending), then the result and bias
-  // go straight into NCHW. Shards own whole images.
+  // Per panel: Y[cout, P] = W[cout, patch] · panel[patch, P] on gemm_acc,
+  // W as A — each output a float chain from +0 over l ascending that skips
+  // zero weights — then one float bias add. A one-image panel accumulates
+  // straight into NCHW; a panel of several images into a [cout, P] block
+  // that the bias pass copies out. Shards own whole images, and no chain
+  // depends on how panels are composed.
   util::parallel_for(
       conv_grain(rows * width * cout), n,
       [&](std::int64_t b0, std::int64_t b1) {
-        std::vector<float> cols(static_cast<std::size_t>(panel * width));
-        std::vector<float> out(static_cast<std::size_t>(panel * cout));
-        for (std::int64_t bn = b0; bn < b1; ++bn) {
-          float* yimg = py + bn * cout * rows;
-          for (std::int64_t r0 = 0; r0 < rows; r0 += panel) {
-            const std::int64_t r1 = std::min(rows, r0 + panel);
+        std::vector<float> panel(
+            static_cast<std::size_t>(per_panel * span * width));
+        std::vector<float> block(
+            per_panel > 1 ? static_cast<std::size_t>(cout * per_panel * span)
+                          : 0);
+        for (std::int64_t bn = b0; bn < b1; bn += per_panel) {
+          const std::int64_t images = std::min(per_panel, b1 - bn);
+          for (std::int64_t r0 = 0; r0 < rows; r0 += span) {
+            const std::int64_t len = std::min(rows, r0 + span) - r0;
+            const std::int64_t cols = images * len;
             {
               DROPBACK_TRACE_SPAN("im2col");
-              patches.gather(px + bn * image, r0, r1, cols.data());
+              patches.gather_t(px + bn * image, images, r0, r0 + len,
+                               panel.data(), cols);
             }
-            kernels.gemm_nt(cols.data(), r1 - r0, pp, width, cout,
-                            out.data());
-            for (std::int64_t o = 0; o < cout; ++o) {
-              float* dst = yimg + o * rows + r0;
-              for (std::int64_t p = 0; p < r1 - r0; ++p) {
-                dst[p] = out[static_cast<std::size_t>(p * cout + o)];
+            float* c = py + bn * cout * rows + r0;
+            std::int64_t ldc = rows;
+            if (images > 1) {
+              c = block.data();
+              ldc = cols;
+              std::fill_n(c, cout * cols, 0.0F);
+            }
+            kernels.gemm_acc(cout, cols, width, pw, width, 1, panel.data(),
+                             cols, c, ldc);
+            for (std::int64_t q = 0; q < images; ++q) {
+              for (std::int64_t o = 0; o < cout; ++o) {
+                const float* src = c + o * ldc + q * len;
+                float* dst = py + ((bn + q) * cout + o) * rows + r0;
+                if (pb != nullptr) {
+                  for (std::int64_t p = 0; p < len; ++p) {
+                    dst[p] = src[p] + pb[o];
+                  }
+                } else if (src != dst) {
+                  std::copy_n(src, len, dst);
+                }
               }
-              if (pb == nullptr) continue;
-              for (std::int64_t p = 0; p < r1 - r0; ++p) dst[p] += pb[o];
             }
           }
         }

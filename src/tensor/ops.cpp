@@ -107,11 +107,25 @@ Tensor transpose2d(const Tensor& a) {
   Tensor out({n, m});
   const float* pa = a.data();
   float* po = out.data();
-  util::parallel_for(row_grain(m), n, [=](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = j0; j < j1; ++j) po[j * m + i] = pa[i * n + j];
-    }
-  });
+  // 16 x 16 blocks, so the block's source and destination rows stay in
+  // cache; shards own 16-row blocks of the output. A pure copy.
+  constexpr std::int64_t kBlock = 16;
+  util::parallel_for(
+      row_grain(kBlock * m), (n + kBlock - 1) / kBlock,
+      [=](std::int64_t s0, std::int64_t s1) {
+        const std::int64_t j_end = std::min(n, s1 * kBlock);
+        for (std::int64_t i0 = 0; i0 < m; i0 += kBlock) {
+          const std::int64_t i1 = std::min(m, i0 + kBlock);
+          for (std::int64_t j0 = s0 * kBlock; j0 < j_end; j0 += kBlock) {
+            const std::int64_t j1 = std::min(j_end, j0 + kBlock);
+            for (std::int64_t j = j0; j < j1; ++j) {
+              for (std::int64_t i = i0; i < i1; ++i) {
+                po[j * m + i] = pa[i * n + j];
+              }
+            }
+          }
+        }
+      });
   return out;
 }
 

@@ -10,8 +10,10 @@
 // gradient products' zero skip is pinned too. Each case runs at 1 and 3
 // threads against the same constants.
 //
-// The constants were recorded from the build before the panel conv rewrite
-// and must not move: a deliberate numerics change re-pins them and says so.
+// The dX, dW and dB constants were recorded from the build before the panel
+// conv rewrite; the y constants and the three-step VGG-S CRC were re-pinned
+// when the forward moved onto gemm_acc's float chain. None may move except
+// by a deliberate numerics change that re-pins them and says so.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,23 +91,23 @@ INSTANTIATE_TEST_SUITE_P(
     VggS, ConvPinTest,
     ::testing::Values(
         ConvCase{"c3to8_32", 16, 3, 32, 32, 8, 3, 1, 1,
-                 0x2be04765, 0xe87b62ad, 0xf2949537, 0x27151b9e},
+                 0x4fe5ee79, 0xe87b62ad, 0xf2949537, 0x27151b9e},
         ConvCase{"c8to8_32", 16, 8, 32, 32, 8, 3, 1, 1,
-                 0xbed31486, 0xa4c51120, 0xc45ab05d, 0x27151b9e},
+                 0x71e3315e, 0xa4c51120, 0xc45ab05d, 0x27151b9e},
         ConvCase{"c8to16_16", 16, 8, 16, 16, 16, 3, 1, 1,
-                 0x825ba4e5, 0x1743ef2f, 0x3f6106ec, 0xad3af2c6},
+                 0x2eb54241, 0x1743ef2f, 0x3f6106ec, 0xad3af2c6},
         ConvCase{"c16to16_16", 16, 16, 16, 16, 16, 3, 1, 1,
-                 0xf5a32e0d, 0x5b81b615, 0x43b66164, 0xad3af2c6},
+                 0x138c2ad9, 0x5b81b615, 0x43b66164, 0xad3af2c6},
         ConvCase{"c16to32_8", 16, 16, 8, 8, 32, 3, 1, 1,
-                 0x7824a951, 0x353e829a, 0x7aff749c, 0xfe961562},
+                 0x0cdce9b2, 0x353e829a, 0x7aff749c, 0xfe961562},
         ConvCase{"c32to32_8", 16, 32, 8, 8, 32, 3, 1, 1,
-                 0xbc3d8515, 0x78fbc579, 0xf04413e3, 0xfe961562},
+                 0xee7791ae, 0x78fbc579, 0xf04413e3, 0xfe961562},
         ConvCase{"c32to64_4", 16, 32, 4, 4, 64, 3, 1, 1,
-                 0xe9392c06, 0x992434f7, 0xfc8e44e4, 0x3c1c0ae4},
+                 0xbcc17991, 0x992434f7, 0xfc8e44e4, 0x3c1c0ae4},
         ConvCase{"c64to64_4", 16, 64, 4, 4, 64, 3, 1, 1,
-                 0xfd1e448e, 0xf68acabb, 0x1105eab6, 0x3c1c0ae4},
+                 0xbdaaa9ab, 0xf68acabb, 0x1105eab6, 0x3c1c0ae4},
         ConvCase{"c64to64_2", 16, 64, 2, 2, 64, 3, 1, 1,
-                 0x58d6b0e2, 0x5d65af5c, 0xb73a2b19, 0x8df1df6f}),
+                 0x81216ed4, 0x5d65af5c, 0xb73a2b19, 0x8df1df6f}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
       return std::string(info.param.name);
     });
@@ -116,17 +118,17 @@ INSTANTIATE_TEST_SUITE_P(
     Geometry, ConvPinTest,
     ::testing::Values(
         ConvCase{"stride2", 3, 5, 9, 9, 4, 3, 2, 1,
-                 0x95150065, 0x71ec4c45, 0xd5b37e04, 0xccde5ef1},
+                 0x8b960a8c, 0x71ec4c45, 0xd5b37e04, 0xccde5ef1},
         ConvCase{"pad0", 2, 4, 10, 10, 6, 3, 1, 0,
-                 0x1c4be1d4, 0x34cbda13, 0x40203453, 0x4c5204a2},
+                 0x9ea28407, 0x34cbda13, 0x40203453, 0x4c5204a2},
         ConvCase{"kernel1", 2, 6, 7, 7, 5, 1, 1, 0,
-                 0xa52b7dc3, 0x855f136a, 0x35ef3b24, 0x24d6327b},
+                 0x85ea547d, 0x855f136a, 0x35ef3b24, 0x24d6327b},
         ConvCase{"kernel5", 2, 3, 12, 12, 4, 5, 1, 2,
-                 0x443c7747, 0x6b3aa543, 0xcf74e8f0, 0xbc66ebad},
+                 0x5cbc7657, 0x6b3aa543, 0xcf74e8f0, 0xbc66ebad},
         ConvCase{"ragged_ow13", 3, 5, 11, 13, 7, 3, 1, 1,
-                 0x7c46bfe9, 0xd3ff08bc, 0x8538fc86, 0x1596617d},
+                 0x9cc99ac6, 0xd3ff08bc, 0x8538fc86, 0x1596617d},
         ConvCase{"stride2_pad0_ragged", 2, 4, 10, 15, 6, 3, 2, 0,
-                 0x18d22e81, 0x11b34fe9, 0x24d5842e, 0xdc55d7ab}),
+                 0xa8fb661c, 0x11b34fe9, 0x24d5842e, 0xdc55d7ab}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
       return std::string(info.param.name);
     });
@@ -169,7 +171,7 @@ std::uint32_t vgg_weights_after_three_steps() {
 }
 
 TEST(ConvPin, VggSWeightsAfterThreeDropBackSteps) {
-  constexpr std::uint32_t kPinned = 0x72d53448;
+  constexpr std::uint32_t kPinned = 0x789f7765;
   for (const int threads : {1, 3}) {
     util::set_num_threads(threads);
     EXPECT_EQ(vgg_weights_after_three_steps(), kPinned)

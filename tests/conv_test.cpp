@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "rng/xorshift.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dropback::tensor {
 namespace {
@@ -183,6 +189,82 @@ TEST(Conv2d, EmptyBatch) {
   EXPECT_EQ(grads.grad_input.shape(), x.shape());
   for (std::int64_t i = 0; i < grads.grad_weight.numel(); ++i) {
     EXPECT_EQ(grads.grad_weight[i], 0.0F);
+  }
+}
+
+/// conv2d's exact per-output semantic: a float chain from +0 over the patch
+/// column l = (ci, ky, kx) ascending, c = c + w·tap with tap 0 in the
+/// padding, that skips every ±0 weight whatever its tap holds, then one
+/// float bias add.
+float chain_output(const Tensor& x, const Tensor& w, const Tensor& b,
+                   const Conv2dSpec& spec, std::int64_t bn, std::int64_t oc,
+                   std::int64_t oy, std::int64_t ox) {
+  float acc = 0.0F;
+  for (std::int64_t ic = 0; ic < x.size(1); ++ic) {
+    for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+      for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
+        const float wv = w.at({oc, ic, ky, kx});
+        if (wv == 0.0F) continue;
+        const std::int64_t iy = oy * spec.stride + ky - spec.padding;
+        const std::int64_t ix = ox * spec.stride + kx - spec.padding;
+        const bool inside =
+            iy >= 0 && iy < x.size(2) && ix >= 0 && ix < x.size(3);
+        acc = acc + wv * (inside ? x.at({bn, ic, iy, ix}) : 0.0F);
+      }
+    }
+  }
+  return acc + b[oc];
+}
+
+TEST(Conv2d, EveryOutputIsTheFloatChainWithZeroSkip) {
+  // Images of 1x1, 2x2, 4x4 and 5x7 are smaller than a panel, so a panel
+  // holds several whole images (113 positions at patch width 144); 12x12
+  // splits one image over two panels. Batches 1, 7 and 16 at 1 and 3
+  // threads compose the panels differently, including panels cut short by a
+  // shard boundary. A third of the weights are ±0, and input channel 0 is
+  // +inf: filters 0 and 1 have zeros across that channel, so the skip must
+  // keep their outputs finite, while the other filters turn inf or NaN.
+  const Conv2dSpec spec{3, 3, 1, 1};
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor w = rand_tensor({5, 16, 3, 3}, 61);
+  for (std::int64_t i = 0; i < w.numel(); ++i) {
+    if (i % 3 == 0) w[i] = i % 2 == 0 ? 0.0F : -0.0F;
+  }
+  for (std::int64_t oc = 0; oc < 2; ++oc) {
+    for (std::int64_t t = 0; t < 9; ++t) w.at({oc, 0, t / 3, t % 3}) = 0.0F;
+  }
+  const Tensor b = rand_tensor({5}, 62);
+  for (const auto& [h, wid] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {1, 1}, {2, 2}, {4, 4}, {5, 7}, {12, 12}}) {
+    for (const std::int64_t n : {1, 7, 16}) {
+      Tensor x = rand_tensor({n, 16, h, wid}, 63 + h);
+      for (std::int64_t bn = 0; bn < n; ++bn) {
+        for (std::int64_t p = 0; p < h * wid; ++p) x[bn * 16 * h * wid + p] = inf;
+      }
+      for (const int threads : {1, 3}) {
+        util::set_num_threads(threads);
+        const Tensor y = conv2d(x, w, b, spec);
+        util::set_num_threads(1);
+        std::int64_t i = 0;
+        for (std::int64_t bn = 0; bn < n; ++bn) {
+          for (std::int64_t oc = 0; oc < 5; ++oc) {
+            for (std::int64_t oy = 0; oy < h; ++oy) {
+              for (std::int64_t ox = 0; ox < wid; ++ox, ++i) {
+                const float want = chain_output(x, w, b, spec, bn, oc, oy, ox);
+                const float got = y[i];
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                    << h << "x" << wid << " batch " << n << " @" << threads
+                    << " threads, output " << bn << "," << oc << "," << oy
+                    << "," << ox << ": " << got << " vs " << want;
+                if (oc < 2) {
+                  ASSERT_TRUE(std::isfinite(want));
+                }
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

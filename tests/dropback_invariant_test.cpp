@@ -7,6 +7,8 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "autograd/ops.hpp"
 #include "core/dropback_optimizer.hpp"
@@ -33,12 +35,25 @@ std::unique_ptr<nn::Sequential> tiny_net(std::uint64_t seed = 1) {
   return net;
 }
 
+/// Gradients of the bounded loss sum(tanh(y)²) on a seeded batch. Its
+/// gradient in y stays below 1 in magnitude, so tiny_net's trajectories
+/// stay finite at every learning rate below for all of 200 init seeds;
+/// sum(y²) diverged to inf/NaN for about a third of them at lr 0.2.
 void make_gradients(nn::Module& net, std::uint64_t seed) {
   rng::Xorshift128 rng(seed);
   T::Tensor x({2, 4});
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
-  ag::Variable input(x);
-  ag::backward(ag::sum(ag::mul(net.forward(input), net.forward(input))));
+  const ag::Variable y = ag::tanh_op(net.forward(ag::Variable(x)));
+  ag::backward(ag::sum(ag::mul(y, y)));
+}
+
+bool all_finite(const std::vector<nn::Parameter*>& params) {
+  for (const nn::Parameter* p : params) {
+    for (std::int64_t i = 0; i < p->numel(); ++i) {
+      if (!std::isfinite(p->var.value()[i])) return false;
+    }
+  }
+  return true;
 }
 
 TEST(DropBackInvariants, WholeTrajectoryIsDeterministic) {
@@ -57,9 +72,14 @@ TEST(DropBackInvariants, WholeTrajectoryIsDeterministic) {
       make_gradients(*net, 70 + iter);
       opt->step();
     }
-    return core::SparseWeightStore::from_optimizer(*opt);
+    return std::make_pair(core::SparseWeightStore::from_optimizer(*opt),
+                          all_finite(params));
   };
-  EXPECT_TRUE(run() == run());
+  const auto [store_a, finite_a] = run();
+  const auto [store_b, finite_b] = run();
+  // Two NaN trajectories would agree bit for bit and prove nothing.
+  EXPECT_TRUE(finite_a && finite_b) << "the trajectory diverged";
+  EXPECT_TRUE(store_a == store_b);
 }
 
 TEST(DropBackInvariants, TrackedWeightsEqualCandidateUpdates) {

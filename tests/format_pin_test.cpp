@@ -54,21 +54,21 @@ TEST(FormatPin, SparseWeightStore) {
   Fixture fix(optim::constant_budget(20, 3));
   std::ostringstream out(std::ios::binary);
   fix.store().save(out);
-  expect_pinned(out.str(), {0xdd49df41, 420}, "DBSW");
+  expect_pinned(out.str(), {0xa61f2fdb, 420}, "DBSW");
 }
 
 TEST(FormatPin, QuantizedSparseStore) {
   Fixture fix(optim::constant_budget(20, 3));
   std::ostringstream out(std::ios::binary);
   quant::QuantizedSparseStore::quantize(fix.store(), 8).save(out);
-  expect_pinned(out.str(), {0x25fdf269, 289}, "DBQS");
+  expect_pinned(out.str(), {0x31e39862, 289}, "DBQS");
 }
 
 TEST(FormatPin, DenseCheckpoint) {
   Fixture fix(optim::constant_budget(20, 3));
   std::ostringstream out(std::ios::binary);
   nn::save_checkpoint(out, fix.params);
-  expect_pinned(out.str(), {0xe48c3cc1, 476}, "DBCP");
+  expect_pinned(out.str(), {0xb4f4f316, 476}, "DBCP");
 }
 
 TEST(FormatPin, DataLoaderState) {
@@ -101,7 +101,7 @@ TEST(FormatPin, TrainingSnapshot) {
   const std::string path = ::testing::TempDir() + "/format_pin.dbts";
   std::remove(path.c_str());
   train::save_training_snapshot(path, snap, fix.params, *fix.opt, loader);
-  expect_pinned(util::read_file(path), {0x23f71ef2, 978}, "DBTS");
+  expect_pinned(util::read_file(path), {0x33f7d6dd, 978}, "DBTS");
   std::remove(path.c_str());
 }
 

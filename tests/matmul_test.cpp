@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "rng/xorshift.hpp"
 #include "tensor/ops.hpp"
@@ -139,9 +143,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Edge shapes for the SIMD kernels (docs/SIMD.md): sizes below one vector
 // lane for every backend width (n in 1..3 < SSE4's 4, n in 5..7 < AVX2's 8,
 // n in 9..15 < AVX-512's 16), ragged tails just past each width, and odd
-// everything. The matmul_nt tile microkernel additionally sees m % 4
-// remainder rows (a short row tile) and n % 8 remainder columns (a
-// zero-padded last pack group whose padded lanes are never stored).
+// everything. The gemm_acc tile additionally sees m % 4 remainder rows (a
+// short row tile) and ragged last vectors (partial loads and stores).
 INSTANTIATE_TEST_SUITE_P(
     SimdEdgeShapes, MatmulSweep,
     ::testing::Values(std::make_tuple(1, 1, 2), std::make_tuple(1, 1, 3),
@@ -166,26 +169,30 @@ TEST(Matmul, ZeroSizeOperands) {
   EXPECT_EQ(matmul_tn(Tensor({3, 0}), Tensor({3, 2})).shape(), Shape({0, 2}));
 }
 
-/// The exact per-output semantic of matmul_nt: float product (rounded to
-/// float) accumulated into a double, l ascending, one final rounding to
-/// float. The register-tiled microkernel must reproduce this bit for bit —
-/// EXPECT_EQ on floats, not EXPECT_NEAR.
+/// The exact per-output semantic of matmul_nt: a float chain from +0 over l
+/// ascending, c = c + a[i][l] * b[j][l], that skips every term whose
+/// activation a[i][l] is ±0 — whatever b[j][l] holds there, inf and NaN
+/// included. The gemm_acc tile must reproduce this bit for bit — EXPECT_EQ
+/// on floats, not EXPECT_NEAR.
 float exact_nt_dot(const Tensor& a, const Tensor& b, std::int64_t i,
                    std::int64_t j) {
   const std::int64_t k = a.size(1);
-  double acc = 0.0;
+  float acc = 0.0F;
   for (std::int64_t l = 0; l < k; ++l) {
-    acc += static_cast<double>(a.at({i, l}) * b.at({j, l}));
+    if (a.at({i, l}) == 0.0F) continue;
+    acc = acc + a.at({i, l}) * b.at({j, l});
   }
-  return static_cast<float>(acc);
+  return acc;
 }
 
-TEST(MatmulNt, PackedMicrokernelIsBitwiseExact) {
-  // Every shape runs on the packed tile path: full and short row tiles
-  // (m % 4), full and zero-padded column groups (n % 8), and m < 4 (3x5x9).
-  // fc1 (32x784x100) and a VGG-S-like conv shape (257x27x8) are the hot
-  // forward shapes. All must match the reference semantic exactly on the
-  // active dispatch target.
+TEST(MatmulNt, FloatChainWithZeroSkipIsBitwiseExact) {
+  // Full and short row tiles (m % 4), full and ragged column vectors, and
+  // m < 4 (3x5x9). fc1 (32x784x100) and a VGG-S-like shape (257x27x8) are
+  // the hot forward shapes. Each shape runs dense, and zero-heavy: ~3/4 of
+  // the activations are ±0 (a ReLU output or MNIST's blank pixels), with
+  // ±inf weights behind zeros only, where the skip must hide them. All must
+  // match the reference semantic exactly on the active dispatch target.
+  const float inf = std::numeric_limits<float>::infinity();
   for (const auto& [m, k, n] :
        std::vector<std::array<std::int64_t, 3>>{{4, 4, 4},
                                                 {5, 3, 6},
@@ -195,13 +202,31 @@ TEST(MatmulNt, PackedMicrokernelIsBitwiseExact) {
                                                 {32, 784, 100},
                                                 {257, 27, 8},
                                                 {3, 5, 9}}) {
-    const Tensor a = rand_tensor({m, k}, 100 + k);
-    const Tensor b = rand_tensor({n, k}, 200 + n);
-    const Tensor c = matmul_nt(a, b);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        EXPECT_EQ(c.at({i, j}), exact_nt_dot(a, b, i, j))
-            << m << "x" << k << "x" << n << " at " << i << "," << j;
+    for (const bool sparse : {false, true}) {
+      Tensor a = rand_tensor({m, k}, 100 + k);
+      Tensor b = rand_tensor({n, k}, 200 + n);
+      if (sparse) {
+        // Column l is all zeros for l % 4 != 1; -0 on odd rows.
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t l = 0; l < k; ++l) {
+            if (l % 4 != 1) a.at({i, l}) = i % 2 == 0 ? 0.0F : -0.0F;
+          }
+        }
+        for (std::int64_t j = 0; j < n; ++j) {
+          for (std::int64_t l = 0; l < k; l += 4) {
+            b.at({j, l}) = (j + l) % 8 == 0 ? -inf : inf;
+          }
+        }
+      }
+      const Tensor c = matmul_nt(a, b);
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float want = exact_nt_dot(a, b, i, j);
+          ASSERT_FALSE(std::isinf(want) || std::isnan(want));
+          EXPECT_EQ(c.at({i, j}), want)
+              << m << "x" << k << "x" << n << (sparse ? " sparse" : "")
+              << " at " << i << "," << j;
+        }
       }
     }
   }

@@ -149,7 +149,10 @@ TEST_P(SimdConformanceTest, GemmAccBitwiseEqual) {
   // hide it; C is a strided block with sentinels around it.
   const float inf = std::numeric_limits<float>::infinity();
   volatile float zero = 0.0F;
-  const float nan = inf * zero;  // the host's own NaN, as in the gemm_nt test
+  // The NaN this host's arithmetic generates (inf * 0). Injecting that one
+  // keeps every NaN identical, so no payload depends on which NaN operand
+  // an add happens to propagate.
+  const float nan = inf * zero;
   constexpr float kSentinel = -7.25F;
   std::vector<std::int64_t> cols;
   for (std::int64_t n = 1; n <= 40; ++n) cols.push_back(n);
@@ -239,71 +242,6 @@ TEST(GemmAccReference, SkipsZeroTermsExactly) {
   }
 }
 
-/// Packs B[n, k] (row-major) into gemm_nt's kPackWidth-column groups,
-/// filling the padded lanes of the last group with `pad`.
-std::vector<float> pack_nt(const std::vector<float>& b, std::int64_t n,
-                           std::int64_t kdim, float pad) {
-  constexpr std::int64_t W = simd::kPackWidth;
-  const std::int64_t groups = (n + W - 1) / W;
-  std::vector<float> packed(static_cast<std::size_t>(groups * W * kdim), pad);
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t l = 0; l < kdim; ++l) {
-      packed[static_cast<std::size_t>(j / W * W * kdim + l * W + j % W)] =
-          b[static_cast<std::size_t>(j * kdim + l)];
-    }
-  }
-  return packed;
-}
-
-TEST_P(SimdConformanceTest, GemmMicrokernelBitwiseEqual) {
-  // Rows 1..kTileRows+1 hit every tile height plus a full tile with a
-  // remainder; 33 is many tiles. Columns are sub-group, exact and ragged for
-  // both tile widths (8 and 16). The padded lanes of the last group hold NaN
-  // and a sentinel trails C, so a padded lane that reached memory shows.
-  const float inf = std::numeric_limits<float>::infinity();
-  volatile float zero = 0.0F;
-  // The NaN this host's arithmetic generates (inf * 0). Injecting that one
-  // keeps every NaN identical, so no payload depends on which NaN operand
-  // an add happens to propagate.
-  const float nan = inf * zero;
-  constexpr float kSentinel = -7.25F;
-  const std::int64_t kRows[] = {1, 2, 3, 4, 5, 33};
-  const std::int64_t kCols[] = {1, 3, 4, 7, 8, 9, 15, 16, 17, 100};
-  const std::int64_t kDepths[] = {0, 1, 2, 7, 33, 784};
-  static_assert(simd::kTileRows + 1 == 5, "row sweep covers 1..kTileRows+1");
-  for (const std::int64_t rows : kRows) {
-    for (const std::int64_t cols : kCols) {
-      for (const std::int64_t kdim : kDepths) {
-        for (const bool special : {false, true}) {
-          auto a = random_floats(static_cast<std::size_t>(rows * kdim), 21);
-          auto b = random_floats(static_cast<std::size_t>(cols * kdim), 22);
-          if (special && kdim > 0) {
-            // +inf in row 0, NaN in the last row, -inf in column 0 and
-            // NaN in the last column of B.
-            a.front() = inf;
-            a.back() = nan;
-            b[static_cast<std::size_t>(kdim / 2)] = -inf;
-            b.back() = nan;
-          }
-          const auto packed = pack_nt(b, cols, kdim, nan);
-          std::vector<float> got(static_cast<std::size_t>(rows * cols + 1),
-                                 kSentinel);
-          auto want = got;
-          k().gemm_nt(a.data(), rows, packed.data(), kdim, cols, got.data());
-          ref().gemm_nt(a.data(), rows, packed.data(), kdim, cols,
-                        want.data());
-          EXPECT_TRUE(bitwise_equal(
-              got, want,
-              "gemm_nt rows=" + std::to_string(rows) +
-                  " cols=" + std::to_string(cols) +
-                  " k=" + std::to_string(kdim) +
-                  (special ? " inf/nan" : "")));
-        }
-      }
-    }
-  }
-}
-
 /// A first index whose ranges straddle the 2^32-index segment boundary,
 /// where the regen hash changes key, 5 indices before it (off the lanes).
 constexpr std::uint64_t kStraddle = (1ULL << 32) - 5ULL;
@@ -334,23 +272,29 @@ TEST_P(SimdConformanceTest, RegenBitwiseEqual) {
   EXPECT_TRUE(bitwise_equal(got, want, "regen_fill constant"));
 }
 
-TEST_P(SimdConformanceTest, RegenPackEqualsRegenFillThenPack) {
-  // regen_pack against the scalar regen_fill + tensor::pack_nt it replaces
-  // on the serving path: rows around the 8-row groups (ragged last groups
-  // included), k = 1 and odd k (AVX-512 packs two l per vector), and first
-  // indices whose panels straddle 2^32, where the hash changes key. A
-  // sentinel past the panel shows any write beyond it.
+TEST_P(SimdConformanceTest, RegenPackEqualsRegenFillThenTranspose) {
+  // regen_pack against the scalar regen_fill + transpose it replaces on the
+  // serving path: panel heights around every lane width and the 64-row
+  // serving panel (ragged last vectors included), k = 1 and odd k, and
+  // first indices whose panels straddle 2^32, where the hash changes key.
+  // A sentinel past the panel shows any write beyond it.
   std::vector<std::uint64_t> firsts(std::begin(kFirsts), std::end(kFirsts));
   firsts.push_back(kStraddle);
   constexpr float kSentinel = -7.25F;
   for (const RegenSpec spec :
        {RegenSpec{1, 0.05F, 42ULL}, RegenSpec{0, 1.5F, 0ULL}}) {
     for (const std::uint64_t first : firsts) {
-      for (const std::int64_t n : {1, 7, 8, 9, 13, 16, 17}) {
+      for (const std::int64_t n : {1, 7, 8, 9, 13, 16, 17, 63, 64}) {
         for (const std::int64_t kdim : {1, 2, 3, 17, 784}) {
           std::vector<float> rows(static_cast<std::size_t>(n * kdim));
           ref().regen_fill(spec, first, n * kdim, rows.data());
-          const std::vector<float> want = T::pack_nt(rows.data(), n, kdim);
+          std::vector<float> want(rows.size());
+          for (std::int64_t t = 0; t < n; ++t) {
+            for (std::int64_t l = 0; l < kdim; ++l) {
+              want[static_cast<std::size_t>(l * n + t)] =
+                  rows[static_cast<std::size_t>(t * kdim + l)];
+            }
+          }
           std::vector<float> got(want.size() + 1, kSentinel);
           k().regen_pack(spec, first, n, kdim, got.data());
           EXPECT_EQ(got.back(), kSentinel) << "regen_pack wrote past the panel";

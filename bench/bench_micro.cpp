@@ -9,7 +9,8 @@
 // pool for the google-benchmark section, `--threads 1` reproduces the
 // fully serial numbers. `--speedup` first runs a serial-vs-threaded
 // comparison over matmul, conv2d, top-k select, the frozen-phase sparse
-// backward, and batch-parallel data loading, emitting two JSONL
+// backward, and batch-parallel data loading (plus the cost of an empty
+// pool dispatch at 2 and 4 threads), emitting two JSONL
 // records per config — the serial baseline and the threaded run — in the
 // kernel-timing schema shared with the profiler dump
 // ({"name","calls","total_us","threads"}; util::kernel_timing_json), plus a
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -321,10 +323,33 @@ void emit_speedup_lines(const std::string& name, int threads,
               kSpeedupReps);
 }
 
+/// The cost of one empty ThreadPool::run with a shard per participant,
+/// at 2 and 4 threads: what every parallel op pays before its shards do any
+/// work. One record per thread count; calls counts the dispatches.
+void run_dispatch_report() {
+  constexpr int kDispatches = 10000;
+  const std::function<void(int)> noop = [](int) {};
+  for (int threads : {2, 4}) {
+    util::set_num_threads(threads);
+    util::ThreadPool& pool = util::global_pool();
+    auto body = [&] {
+      for (int i = 0; i < kDispatches; ++i) pool.run(threads, noop);
+    };
+    const TimedRun run = timed_run(threads, kSpeedupReps, body);
+    bench::print_kernel_timing("pool/dispatch_empty",
+                               kSpeedupReps * kDispatches, run.total_us,
+                               threads);
+    std::printf("# pool/dispatch_empty threads=%d %.3f us per dispatch "
+                "(best-of-%d)\n",
+                threads, run.best_ms * 1000.0 / kDispatches, kSpeedupReps);
+  }
+}
+
 void run_speedup_report(int threads) {
   std::printf("# serial-vs-threaded speedup (threads=%d, %d reps; outputs "
               "are bitwise identical across configs)\n", threads,
               kSpeedupReps);
+  run_dispatch_report();
 
   for (std::int64_t n : {std::int64_t{256}, std::int64_t{512}}) {
     rng::Xorshift128 rng(1);

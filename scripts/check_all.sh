@@ -17,7 +17,9 @@
 #                     `lint` label: dbk_lint_tree + lint_test)
 #   5. tsan_parallel  ThreadSanitizer build, ctest labels
 #                     `parallel`+`serve`+`obs` (the span-tracer rings and
-#                     metrics registry are exercised under TSan too)
+#                     metrics registry are exercised under TSan too), then
+#                     thread_pool_test 20 more times (--repeat until-fail),
+#                     so a rare race between shard claims surfaces
 #   6. asan_recovery  ASan+UBSan build, ctest label `recovery`
 #   7. ubsan_full     UBSan build, full ctest suite
 #
@@ -94,7 +96,9 @@ if [ "$FAST" -eq 0 ]; then
     "cmake -B '$ROOT/build-tsan' -S '$ROOT' -DDROPBACK_SANITIZE=thread \
      && cmake --build '$ROOT/build-tsan' -j '$JOBS' \
      && ctest --test-dir '$ROOT/build-tsan' -L 'parallel|serve|obs' -j '$JOBS' \
-        --output-on-failure"
+        --output-on-failure \
+     && ctest --test-dir '$ROOT/build-tsan' -R '^thread_pool_test\$' \
+        --repeat until-fail:20 --output-on-failure"
   run_stage asan_recovery bash -c \
     "cmake -B '$ROOT/build-asan' -S '$ROOT' -DDROPBACK_SANITIZE=address \
      && cmake --build '$ROOT/build-asan' -j '$JOBS' \

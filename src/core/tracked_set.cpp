@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -111,17 +112,35 @@ float TrackedSet::find_lambda(const float* scores, std::int64_t n,
   return lambda;
 }
 
+std::vector<std::int64_t> TrackedSet::threshold_ties(
+    const float* scores, std::int64_t begin, std::int64_t n, std::int64_t k,
+    float lambda, std::int64_t above) const {
+  // Over numbers, lambda = S_k has fewer than k scores above it and at
+  // least k at or above it. A NaN breaks nth_element's ordering, and these
+  // are the ways it shows in the search's own result.
+  const auto reject = [&] {
+    throw NanScoreError("select: NaN scores leave the k-th largest of " +
+                        std::to_string(n) + " undefined (k " +
+                        std::to_string(k) + ", lambda " +
+                        std::to_string(lambda) + ", " + std::to_string(above) +
+                        " above it)");
+  };
+  if (std::isnan(lambda) || above >= k) reject();
+  std::vector<std::int64_t> ties(static_cast<std::size_t>(k - above));
+  const std::int64_t found = simd::kernels().compact_cmp(
+      scores + begin, n, lambda, simd::Cmp::kEq, begin, k - above,
+      ties.data());
+  if (found < k - above) reject();
+  return ties;
+}
+
 simd::MaskDelta TrackedSet::write_mask(const float* scores, std::int64_t begin,
-                                       std::int64_t n, std::int64_t k,
-                                       float lambda, std::int64_t above,
+                                       std::int64_t n, float lambda,
+                                       std::int64_t above,
+                                       const std::vector<std::int64_t>& ties,
                                        bool had_selection) {
   const simd::Kernels& kernels = simd::kernels();
-  // The threshold ties that fill the last k - above slots, in index order,
-  // and their bits from before the fused pass overwrites them.
-  std::vector<std::int64_t> ties(static_cast<std::size_t>(k - above));
-  ties.resize(static_cast<std::size_t>(
-      kernels.compact_cmp(scores + begin, n, lambda, simd::Cmp::kEq, begin,
-                          k - above, ties.data())));
+  // The ties' bits from before the fused pass overwrites them.
   std::vector<std::uint8_t> tie_was(ties.size());
   for (std::size_t j = 0; j < ties.size(); ++j) {
     tie_was[j] = mask_[static_cast<std::size_t>(ties[j])];
@@ -177,8 +196,6 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
   DROPBACK_CHECK(n == index_->total(), << "select: scores size " << n
                                        << " != total " << index_->total());
   DROPBACK_CHECK(k > 0, << "select: k must be positive");
-  evicted_.clear();
-  last_readmitted_ = 0;
   if (k >= n) {
     // Budget covers everything; trivially all tracked. Churn counters stay
     // exact: everything untracked before is (re-)admitted now.
@@ -186,6 +203,8 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
     std::fill(mask_.begin(), mask_.end(), 1);
     last_churn_ = all_tracked_ ? 0 : grown;
     last_evictions_ = 0;
+    last_readmitted_ = 0;
+    evicted_.clear();
     last_lambda_ = -std::numeric_limits<float>::infinity();
     lambda_drift_ = kNoLambda;
     all_tracked_ = true;
@@ -196,8 +215,12 @@ void TrackedSet::select(const std::vector<float>& scores, std::int64_t k) {
   const float prev = last_lambda_;
   std::int64_t above = 0;
   const float lambda = find_lambda(scores.data(), n, k, &above);
+  const std::vector<std::int64_t> ties =
+      threshold_ties(scores.data(), 0, n, k, lambda, above);
+  evicted_.clear();
+  last_readmitted_ = 0;
   const simd::MaskDelta delta =
-      write_mask(scores.data(), 0, n, k, lambda, above, had_selection);
+      write_mask(scores.data(), 0, n, lambda, above, ties, had_selection);
   last_churn_ = delta.entered;
   last_evictions_ = delta.left;
   lambda_drift_ = std::isfinite(prev) ? std::abs(lambda - prev) : kNoLambda;
@@ -260,29 +283,45 @@ void TrackedSet::select_per_param(const std::vector<float>& scores,
                  << index_->num_params() << " params");
   const simd::Kernels& kernels = simd::kernels();
   const bool had_selection = !all_tracked_;
-  evicted_.clear();
 
+  // Every parameter's threshold first, so a NaN anywhere throws before any
+  // mask changes.
+  struct Threshold {
+    float lambda;
+    std::int64_t above;
+    std::vector<std::int64_t> ties;
+  };
+  std::vector<Threshold> thresholds(index_->num_params());
+  for (std::size_t p = 0; p < index_->num_params(); ++p) {
+    const std::int64_t n = index_->param(p).numel();
+    const std::int64_t k = budgets[p];
+    DROPBACK_CHECK(k > 0, << "select_per_param: budget for param " << p);
+    if (k >= n) continue;
+    const std::int64_t begin = index_->offset(p);
+    const float* slice = scores.data() + begin;
+    Threshold& t = thresholds[p];
+    t.lambda = kth_largest(slice, n, k);
+    t.above = kernels.count_cmp(slice, n, t.lambda, simd::Cmp::kGt);
+    t.ties = threshold_ties(scores.data(), begin, n, k, t.lambda, t.above);
+  }
+
+  evicted_.clear();
   std::int64_t churn = 0;
   std::int64_t evictions = 0;
   float lambda = std::numeric_limits<float>::infinity();
   bool everything_tracked = true;
   for (std::size_t p = 0; p < index_->num_params(); ++p) {
     const std::int64_t n = index_->param(p).numel();
-    const std::int64_t k = budgets[p];
-    DROPBACK_CHECK(k > 0, << "select_per_param: budget for param " << p);
-    const std::int64_t begin = index_->offset(p);
-    if (k >= n) {
+    if (budgets[p] >= n) {
       std::fill(mask_of(p), mask_of(p) + n, 1);
       continue;
     }
     everything_tracked = false;
-    const float* slice = scores.data() + begin;
-    const float lambda_p = kth_largest(slice, n, k);
-    const std::int64_t above =
-        kernels.count_cmp(slice, n, lambda_p, simd::Cmp::kGt);
-    const simd::MaskDelta delta = write_mask(scores.data(), begin, n, k,
-                                             lambda_p, above, had_selection);
-    lambda = std::min(lambda, lambda_p);
+    const Threshold& t = thresholds[p];
+    const simd::MaskDelta delta =
+        write_mask(scores.data(), index_->offset(p), n, t.lambda, t.above,
+                   t.ties, had_selection);
+    lambda = std::min(lambda, t.lambda);
     churn += delta.entered;
     evictions += delta.left;
   }

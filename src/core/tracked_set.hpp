@@ -39,12 +39,20 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/accumulated_gradients.hpp"
 #include "simd/kernels.hpp"
 
 namespace dropback::core {
+
+/// Raised by select() and select_per_param() when NaN scores leave the
+/// k-th largest undefined. The tracked set is left exactly as it was.
+class NanScoreError : public std::domain_error {
+ public:
+  using std::domain_error::domain_error;
+};
 
 /// The boolean tracked/untracked mask over all parameters, plus selection
 /// statistics (churn, per-layer counts) consumed by the paper's figures.
@@ -56,6 +64,11 @@ class TrackedSet {
   /// Re-selects the tracked set as the top-k of `scores`.
   /// Ties at the threshold are broken by lower global index, and exactly
   /// min(k, n) weights are tracked. Records churn vs the previous selection.
+  /// NaN scores are not ordered: when the search for lambda meets one (it
+  /// returns a NaN lambda, or more than k - 1 scores above lambda, or fewer
+  /// than k at or above it) select throws NanScoreError before it changes
+  /// any state. The band search never compares a NaN, so there a NaN score
+  /// ranks below every number. Detection costs no pass over the scores.
   void select(const std::vector<float>& scores, std::int64_t k);
 
   /// Per-parameter variant: selects the top budgets[p] scores *within* each
@@ -124,14 +137,21 @@ class TrackedSet {
   /// around last_lambda_ when it is finite; *above = #(scores > lambda).
   float find_lambda(const float* scores, std::int64_t n, std::int64_t k,
                     std::int64_t* above);
+  /// The first k - above threshold ties of scores[begin, begin + n), in
+  /// index order. Throws NanScoreError when lambda and above cannot come
+  /// from a NaN-free range: a NaN lambda, above >= k, or too few ties.
+  std::vector<std::int64_t> threshold_ties(const float* scores,
+                                           std::int64_t begin, std::int64_t n,
+                                           std::int64_t k, float lambda,
+                                           std::int64_t above) const;
   /// Tracks the top k of scores[begin, begin + n) given their threshold
-  /// lambda and the count above it: the fused mask pass, then the first
-  /// k - above threshold ties in index order. With a previous selection it
-  /// appends the evictions to evicted(). Returns the range's churn and
-  /// eviction counts.
+  /// lambda, the count above it and the ties: the fused mask pass, then the
+  /// ties. With a previous selection it appends the evictions to
+  /// evicted(). Returns the range's churn and eviction counts.
   simd::MaskDelta write_mask(const float* scores, std::int64_t begin,
-                             std::int64_t n, std::int64_t k, float lambda,
-                             std::int64_t above, bool had_selection);
+                             std::int64_t n, float lambda, std::int64_t above,
+                             const std::vector<std::int64_t>& ties,
+                             bool had_selection);
 
   static constexpr float kNoLambda = std::numeric_limits<float>::quiet_NaN();
 

@@ -70,4 +70,15 @@ inline const Kernels& kernels() { return kernels_for(active_target()); }
 /// No-op when the flag is absent.
 void configure_simd(const util::Flags& flags);
 
+/// The spin-wait hint (x86 `pause`, ARM `yield`) for a busy-wait loop such
+/// as the thread pool's: it lets a sibling hyperthread run and costs no
+/// memory traffic. A no-op on other targets.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace dropback::simd

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "simd/dispatch.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 
@@ -20,6 +23,31 @@ namespace {
 // Set while a pool participant (worker or caller) executes shards, so
 // nested run() calls degrade to serial instead of deadlocking on the pool.
 thread_local bool t_in_dispatch = false;
+
+// How long a waiting worker (for the next dispatch) or caller (for the
+// workers that took shards) spins before it parks on a condition variable.
+// A step dispatches every few tens of microseconds, so workers between its
+// dispatches never park; an idle pool parks within this long.
+constexpr auto kSpinBudget = std::chrono::microseconds(50);
+
+// The dispatch word: generation << 32 | shards not yet claimed.
+constexpr std::uint64_t kLeftMask = 0xFFFFFFFFULL;
+
+std::uint64_t generation_of(std::uint64_t word) { return word >> 32; }
+int left_of(std::uint64_t word) { return static_cast<int>(word & kLeftMask); }
+
+// Polls `done` for up to kSpinBudget; returns its last value.
+template <class Done>
+bool spin_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {
+      if (done()) return true;
+      simd::cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return done();
+  }
+}
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -28,59 +56,122 @@ struct ThreadPool::Impl {
   // Held by the thread whose dispatch owns the slot below; a caller that
   // cannot take it runs its shards inline instead of waiting.
   std::mutex caller_mu;
-  std::mutex mu;
-  std::condition_variable cv_start;
-  std::condition_variable cv_done;
-  std::uint64_t generation = 0;
+
+  // The live dispatch. The caller writes the payload, then publishes the
+  // word; a participant reads the payload only after it has claimed a
+  // shard, and the caller returns only once every shard is claimed and no
+  // worker is counted in `running`, so the payload never changes under a
+  // participant that reads it.
+  std::atomic<std::uint64_t> word{0};
+  std::atomic<int> running{0};  // workers counted in to claim, not yet out
   int shards = 0;
   const std::function<void(int)>* fn = nullptr;
-  int pending = 0;  // workers that have not finished the current dispatch
-  std::exception_ptr error;
-  bool stop = false;
   // The dispatching caller's trace context, handed to workers so kernel
   // work done on their behalf lands in the caller's trace (obs/trace.hpp
-  // propagation contract). Written in run() and read here under `mu`.
+  // propagation contract).
   obs::TraceContext trace_ctx;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written by the first participant to fail
 
-  void worker_loop(int participant) {
-    std::uint64_t seen = 0;
+  // Parking. A waiter registers (under `mu`) before its last check of the
+  // condition, and a waker checks the registration after changing the
+  // condition, so one of the two always sees the other: no lost wakeup.
+  std::mutex mu;
+  std::condition_variable cv_start;  // workers: a new generation or stop
+  std::condition_variable cv_done;   // caller: running fell to zero
+  std::atomic<int> sleepers{0};
+  std::atomic<bool> caller_parked{false};
+  std::atomic<bool> stop{false};
+
+  // Claims one shard of the live dispatch: returns its index, or -1 when
+  // none is left, with `seen` set to the generation whose shards are all
+  // claimed. Shards go out in ascending order, to whoever asks first.
+  int claim(std::uint64_t& seen) {
+    std::uint64_t w = word.load(std::memory_order_acquire);
+    while (left_of(w) > 0) {
+      if (word.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+        return shards - left_of(w);
+      }
+    }
+    seen = generation_of(w);
+    return -1;
+  }
+
+  // Runs shard s; on a throw records the first error and cancels every
+  // shard not yet claimed. Returns false if the shard threw.
+  bool run_shard(const std::function<void(int)>& f, int s) {
+    try {
+      f(s);
+      return true;
+    } catch (...) {
+      if (!failed.exchange(true, std::memory_order_acq_rel)) {
+        error = std::current_exception();
+      }
+      word.fetch_and(~kLeftMask, std::memory_order_acq_rel);
+      return false;
+    }
+  }
+
+  void publish(int n) {
+    const std::uint64_t next =
+        (generation_of(word.load(std::memory_order_relaxed)) + 1) << 32;
+    word.store(next | static_cast<std::uint64_t>(n));
+    if (sleepers.load() > 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      cv_start.notify_all();
+    }
+  }
+
+  // Caller side: waits until no worker is counted in.
+  void await_workers() {
+    const auto idle = [&] { return running.load() == 0; };
+    if (spin_until(idle)) return;
     std::unique_lock<std::mutex> lock(mu);
+    caller_parked.store(true);
+    cv_done.wait(lock, idle);
+    caller_parked.store(false);
+  }
+
+  void worker_loop() {
+    t_in_dispatch = true;  // a worker only ever runs shards
+    std::uint64_t seen = 0;
+    const auto fresh = [&] {
+      return stop.load() || generation_of(word.load()) != seen;
+    };
     for (;;) {
-      cv_start.wait(lock, [&] { return stop || generation != seen; });
-      if (stop) return;
-      seen = generation;
-      const int nshards = shards;
-      const int total = static_cast<int>(workers.size()) + 1;
-      const std::function<void(int)>* f = fn;
-      const obs::TraceContext ctx = trace_ctx;
-      lock.unlock();
-      t_in_dispatch = true;
-      // Adopt the caller's trace for the shard work: this worker's busy
-      // interval becomes a "pool_shards" span in the caller's span tree,
-      // and the spans its shards open nest under it. Idle time is the gap
-      // between a worker's spans. Nothing here reads or writes shared
-      // state, so dispatch order and shard math are untouched.
-      std::optional<obs::ScopedTraceContext> trace_guard;
-      std::optional<obs::TraceSpan> trace_span;
-      if (obs::tracing_enabled()) {
-        trace_guard.emplace(ctx);
-        trace_span.emplace("pool_shards");
+      if (!spin_until(fresh)) {
+        std::unique_lock<std::mutex> lock(mu);
+        sleepers.fetch_add(1);
+        cv_start.wait(lock, fresh);
+        sleepers.fetch_sub(1);
       }
-      std::exception_ptr err;
-      for (int s = participant; s < nshards; s += total) {
-        try {
-          (*f)(s);
-        } catch (...) {
-          err = std::current_exception();
-          break;
+      if (stop.load()) return;
+      // Count in before claiming, so the caller cannot finish the dispatch
+      // (and its payload) between this worker's claim and its reads.
+      running.fetch_add(1);
+      int s = claim(seen);
+      if (s >= 0) {
+        const std::function<void(int)>& f = *fn;
+        // Adopt the caller's trace for the shard work: this worker's busy
+        // interval becomes a "pool_shards" span in the caller's span tree,
+        // and the spans its shards open nest under it. Idle time is the
+        // gap between a worker's spans. Nothing here reads or writes shared
+        // state, so claims and shard math are untouched.
+        std::optional<obs::ScopedTraceContext> trace_guard;
+        std::optional<obs::TraceSpan> trace_span;
+        if (obs::tracing_enabled()) {
+          trace_guard.emplace(trace_ctx);
+          trace_span.emplace("pool_shards");
         }
+        while (s >= 0 && run_shard(f, s)) s = claim(seen);
+        // A throw cancelled the rest: this generation is done, all the same.
+        if (s >= 0) seen = generation_of(word.load());
       }
-      trace_span.reset();
-      trace_guard.reset();
-      t_in_dispatch = false;
-      lock.lock();
-      if (err && !error) error = err;
-      if (--pending == 0) cv_done.notify_all();
+      if (running.fetch_sub(1) == 1 && caller_parked.load()) {
+        std::lock_guard<std::mutex> lock(mu);
+        cv_done.notify_all();
+      }
     }
   }
 };
@@ -89,16 +180,16 @@ ThreadPool::ThreadPool(int threads) : impl_(std::make_unique<Impl>()) {
   const int extra = std::max(0, threads - 1);
   impl_->workers.reserve(static_cast<std::size_t>(extra));
   for (int w = 0; w < extra; ++w) {
-    impl_->workers.emplace_back([this, w] { impl_->worker_loop(w + 1); });
+    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
+  impl_->stop.store(true);
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stop = true;
+    impl_->cv_start.notify_all();
   }
-  impl_->cv_start.notify_all();
   for (auto& t : impl_->workers) t.join();
 }
 
@@ -108,46 +199,35 @@ int ThreadPool::num_threads() const {
 
 void ThreadPool::run(int shards, const std::function<void(int)>& fn) {
   if (shards <= 0) return;
-  const int total = num_threads();
   std::unique_lock<std::mutex> caller(impl_->caller_mu, std::defer_lock);
-  if (total == 1 || shards == 1 || t_in_dispatch || !caller.try_lock()) {
+  if (num_threads() == 1 || shards == 1 || t_in_dispatch ||
+      !caller.try_lock()) {
     // Serial fallback: same shard order a 1-thread pool would use. A second
     // caller that finds a dispatch live lands here too, so any thread may
     // call run(): shards write disjoint outputs, so serial = parallel.
     for (int s = 0; s < shards; ++s) fn(s);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->fn = &fn;
-    impl_->shards = shards;
-    impl_->pending = static_cast<int>(impl_->workers.size());
-    impl_->error = nullptr;
-    impl_->trace_ctx = obs::tracing_enabled() ? obs::current_trace_context()
-                                              : obs::TraceContext{};
-    ++impl_->generation;
-  }
-  impl_->cv_start.notify_all();
+  Impl& p = *impl_;
+  p.fn = &fn;
+  p.shards = shards;
+  p.error = nullptr;
+  p.failed.store(false, std::memory_order_relaxed);
+  p.trace_ctx = obs::tracing_enabled() ? obs::current_trace_context()
+                                       : obs::TraceContext{};
+  p.publish(shards);
 
-  // The caller is participant 0.
+  // The caller claims like any worker, so it never waits on a worker that
+  // has not woken: it runs whatever is left, then waits only for the
+  // shards workers took.
+  std::uint64_t seen = 0;
   t_in_dispatch = true;
-  std::exception_ptr caller_err;
-  for (int s = 0; s < shards; s += total) {
-    try {
-      fn(s);
-    } catch (...) {
-      caller_err = std::current_exception();
-      break;
-    }
-  }
+  int s = p.claim(seen);
+  while (s >= 0 && p.run_shard(fn, s)) s = p.claim(seen);
   t_in_dispatch = false;
-
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->cv_done.wait(lock, [&] { return impl_->pending == 0; });
-  impl_->fn = nullptr;
-  std::exception_ptr err = impl_->error ? impl_->error : caller_err;
-  lock.unlock();
-  if (err) std::rethrow_exception(err);
+  p.await_workers();
+  p.fn = nullptr;
+  if (p.error) std::rethrow_exception(p.error);
 }
 
 namespace {

@@ -326,5 +326,73 @@ TEST_F(BandSelectTest, RestoreResetsLambdaToNoSelection) {
             std::vector<std::int64_t>(b.begin(), b.end()));
 }
 
+TEST_F(BandSelectTest, NanScoreIsRejectedOrRanksLast) {
+  // One NaN score, at each position in turn, reaching a full nth_element
+  // search (the set was restored, so it has no lambda to band around). A
+  // NaN that trips the search must raise NanScoreError and leave the set
+  // exactly as it was; one the search never compares must rank below every
+  // number, so the mask equals the oracle's with the NaN read as -inf.
+  const auto net = odd_net();
+  ParamIndex index(net->collect_parameters());
+  rng::Xorshift128 rng(23);
+  const std::vector<float> base = uniform_scores(index.total(), rng);
+  TrackedSet set(index);
+  set.select(base, 900);
+  const std::vector<std::uint8_t> saved = mask_of(set);
+
+  int rejected = 0;
+  for (std::int64_t at = 0; at < index.total(); at += 7) {
+    std::vector<float> s = base;
+    s[static_cast<std::size_t>(at)] = std::nanf("");
+    std::vector<float> as_lowest = base;
+    as_lowest[static_cast<std::size_t>(at)] = -kInf;
+    set.restore(saved, false);
+    try {
+      set.select(s, 900);
+    } catch (const NanScoreError&) {
+      ++rejected;
+      ASSERT_EQ(mask_of(set), saved) << "NaN at " << at;
+      ASSERT_FALSE(set.all_tracked());
+      ASSERT_TRUE(std::isnan(set.last_lambda()));
+      continue;
+    }
+    Oracle oracle(index.total());
+    ASSERT_EQ(mask_of(set), oracle.select(as_lowest, 900).mask)
+        << "NaN at " << at;
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+TEST_F(BandSelectTest, TooFewNumbersAreRejectedWithTheMaskUnchanged) {
+  // More NaN scores than n - k: there is no k-th largest number, on the
+  // band path and the full search alike, and select_per_param checks every
+  // parameter before it writes any.
+  const auto net = odd_net();
+  ParamIndex index(net->collect_parameters());
+  rng::Xorshift128 rng(29);
+  std::vector<float> s = uniform_scores(index.total(), rng);
+  TrackedSet set(index);
+  set.select(s, 900);
+  churn(s, 0.01, rng);
+  set.select(s, 900);  // a finite lambda: the next select bands around it
+  const std::vector<std::uint8_t> saved = mask_of(set);
+  const float lambda = set.last_lambda();
+  const auto evicted = set.evicted();
+  const std::vector<std::int64_t> saved_evicted(evicted.begin(),
+                                                evicted.end());
+  for (std::size_t i = 0; i < s.size(); i += 2) s[i] = std::nanf("");
+  EXPECT_THROW(set.select(s, 3000), NanScoreError);
+  EXPECT_EQ(mask_of(set), saved);
+  EXPECT_EQ(set.last_lambda(), lambda);
+  const auto after = set.evicted();
+  EXPECT_EQ(std::vector<std::int64_t>(after.begin(), after.end()),
+            saved_evicted);
+
+  // Per parameter: the second layer's 64 weights hold 32 numbers, fewer
+  // than its budget of 40, so the call throws, and no parameter changes.
+  EXPECT_THROW(set.select_per_param(s, {1000, 10, 40, 1}), NanScoreError);
+  EXPECT_EQ(mask_of(set), saved);
+}
+
 }  // namespace
 }  // namespace dropback::core

@@ -82,6 +82,46 @@ TEST(DropBackInvariants, WholeTrajectoryIsDeterministic) {
   EXPECT_TRUE(store_a == store_b);
 }
 
+TEST(DropBackInvariants, DivergedStepRaisesNanScoreErrorWithMaskUnchanged) {
+  // tiny_net on the unbounded loss sum(y²) at lr 0.2 diverges for init seed
+  // 196: within a few steps most scores are NaN, fewer than k = 12 are
+  // numbers, and the step must fail with the typed error, not an unrelated
+  // one such as a negative tie count's std::length_error, leaving the
+  // tracked set as the last step left it.
+  auto net = tiny_net(196);
+  auto params = net->collect_parameters();
+  core::DropBackConfig config;
+  config.schedule = optim::constant_budget(12);
+  core::DropBackOptimizer opt(params, 0.2F, config);
+  const auto mask = [&] {
+    std::vector<std::uint8_t> out;
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      const std::uint8_t* m = opt.tracked().mask_of(p);
+      out.insert(out.end(), m, m + params[p]->numel());
+    }
+    return out;
+  };
+  int failed_at = -1;
+  for (int iter = 0; iter < 40 && failed_at < 0; ++iter) {
+    net->zero_grad();
+    rng::Xorshift128 rng(70 + iter);
+    T::Tensor x({2, 4});
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
+    const ag::Variable y = net->forward(ag::Variable(x));
+    ag::backward(ag::sum(ag::mul(y, y)));
+    const std::vector<std::uint8_t> before = mask();
+    const float lambda = opt.tracked().last_lambda();
+    try {
+      opt.step();
+    } catch (const core::NanScoreError&) {
+      failed_at = iter;
+      EXPECT_EQ(mask(), before);
+      EXPECT_EQ(opt.tracked().last_lambda(), lambda);
+    }
+  }
+  EXPECT_GE(failed_at, 0) << "no step met a NaN score";
+}
+
 TEST(DropBackInvariants, TrackedWeightsEqualCandidateUpdates) {
   // After a step, each tracked weight equals exactly w_prev - lr * g — the
   // masked update rule applied verbatim.

@@ -1,6 +1,6 @@
-// Unit tests for the fixed-partition thread pool itself: shard coverage,
-// degenerate ranges, exception propagation, heavy reuse, and concurrent
-// callers. The kernels' bitwise parallel-vs-serial guarantees live in
+// Unit tests for the thread pool itself: shard coverage, degenerate
+// ranges, exception propagation and cancellation, heavy reuse, spinning and
+// parked workers, teardown, and concurrent callers. The kernels' bitwise parallel-vs-serial guarantees live in
 // parallel_equivalence_test.
 #include "util/thread_pool.hpp"
 
@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -85,7 +87,8 @@ TEST_F(ThreadPoolTest, CoversEveryIndexExactlyOnceWithRaggedShards) {
 }
 
 TEST_F(ThreadPoolTest, RunCoversShardsBeyondThreadCount) {
-  // Static round-robin: 23 shards on a 3-thread pool.
+  // 23 shards on a 3-thread pool: the participants claim shards until none
+  // are left, so each runs several.
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(23);
   for (auto& h : hits) h.store(0);
@@ -114,13 +117,48 @@ TEST_F(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST_F(ThreadPoolTest, ExceptionFromWorkerShardPropagates) {
+  // Whoever claims a shard runs it, so the caller's shard holds the caller
+  // until a worker has claimed one; the worker's shard throws, and the
+  // error must cross to the calling thread.
   ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_claimed{false};
   EXPECT_THROW(pool.run(4,
-                        [&](int s) {
-                          // Shard 1 is owned by a worker, not the caller.
-                          if (s == 1) throw std::runtime_error("worker boom");
+                        [&](int) {
+                          if (std::this_thread::get_id() != caller) {
+                            worker_claimed.store(true);
+                            throw std::runtime_error("worker boom");
+                          }
+                          while (!worker_claimed.load()) {
+                            std::this_thread::yield();
+                          }
                         }),
                std::runtime_error);
+}
+
+TEST_F(ThreadPoolTest, ThrowingShardStopsFurtherClaims) {
+  // Shard 0 throws; every other shard takes a millisecond. Once the throw
+  // has cancelled the unclaimed shards, only those already claimed finish,
+  // so far fewer than all 127 others run, and the pool serves the next
+  // dispatch in full.
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.run(128,
+                        [&](int s) {
+                          if (s == 0) throw std::runtime_error("boom");
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(1));
+                          ran.fetch_add(1);
+                        }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), 64);
+
+  std::vector<std::atomic<int>> hits(128);
+  for (auto& h : hits) h.store(0);
+  pool.run(128, [&](int s) { hits[static_cast<std::size_t>(s)].fetch_add(1); });
+  for (std::size_t s = 0; s < hits.size(); ++s) {
+    ASSERT_EQ(hits[s].load(), 1) << "shard " << s;
+  }
 }
 
 TEST_F(ThreadPoolTest, ReuseAcrossManyDispatches) {
@@ -135,6 +173,66 @@ TEST_F(ThreadPoolTest, ReuseAcrossManyDispatches) {
     });
   }
   EXPECT_EQ(total.load(), expected);
+}
+
+TEST_F(ThreadPoolTest, DispatchNeverOutlivesRun) {
+  // 20,000 tiny dispatches whose fn and state live on this frame and die as
+  // soon as run() returns. A worker that touched a finished dispatch would
+  // write into a later iteration's state (a wrong count here, a race or a
+  // use after scope under the sanitizers).
+  ThreadPool pool(4);
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<int> hits(3, 0);
+    {
+      const std::function<void(int)> fn = [&hits, i](int s) {
+        hits[static_cast<std::size_t>(s)] += 1 + i;
+      };
+      pool.run(3, fn);
+    }
+    ASSERT_EQ(hits, std::vector<int>(3, 1 + i)) << "dispatch " << i;
+  }
+}
+
+TEST_F(ThreadPoolTest, DestroyWhileWorkersSpin) {
+  // Tear each pool down right after a dispatch, while its workers still
+  // spin on the generation: the destructor must stop and join them.
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    pool.run(4, [&](int) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 4) << "round " << round;
+  }
+}
+
+TEST_F(ThreadPoolTest, ParkedWorkersWakeForNextDispatch) {
+  // Sleep far past the spin budget so the workers park, then dispatch. The
+  // caller's shard waits (boundedly) for a worker to claim one, so a lost
+  // wakeup shows as no worker shard; every shard still runs exactly once.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  for (int round = 0; round < 5; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<std::atomic<int>> hits(16);
+    for (auto& h : hits) h.store(0);
+    std::atomic<bool> worker_claimed{false};
+    pool.run(16, [&](int s) {
+      hits[static_cast<std::size_t>(s)].fetch_add(1);
+      if (std::this_thread::get_id() != caller) {
+        worker_claimed.store(true);
+        return;
+      }
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!worker_claimed.load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+    EXPECT_TRUE(worker_claimed.load()) << "round " << round;
+    for (std::size_t s = 0; s < hits.size(); ++s) {
+      ASSERT_EQ(hits[s].load(), 1) << "round " << round << " shard " << s;
+    }
+  }
 }
 
 TEST_F(ThreadPoolTest, NestedParallelForRunsSeriallyWithoutDeadlock) {

@@ -8,11 +8,10 @@
 // Threading: `--threads N` (or DROPBACK_THREADS) sizes the kernel thread
 // pool for the google-benchmark section, `--threads 1` reproduces the
 // fully serial numbers. `--speedup` first runs a serial-vs-threaded
-// comparison over matmul, conv2d, top-k select, the frozen-phase sparse
-// backward, and batch-parallel data loading (plus the cost of an empty
-// pool dispatch at 2 and 4 threads), emitting two JSONL
-// records per config — the serial baseline and the threaded run — in the
-// kernel-timing schema shared with the profiler dump
+// comparison over matmul, conv2d, top-k select, and batch-parallel data
+// loading (plus the cost of an empty pool dispatch at 2 and 4 threads),
+// emitting two JSONL records per config — the serial baseline and the
+// threaded run — in the kernel-timing schema shared with the profiler dump
 // ({"name","calls","total_us","threads"}; util::kernel_timing_json), plus a
 // '#' comment line with the derived speedup, to join against --profile
 // output. It is a local tool: the tracked step and kernel numbers, with
@@ -32,7 +31,6 @@
 #include "autograd/ops.hpp"
 #include "bench_common.hpp"
 #include "core/dropback_optimizer.hpp"
-#include "core/sparse_backward.hpp"
 #include "core/sparse_weight_store.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -45,8 +43,8 @@
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "util/flags.hpp"
+#include "util/steady_clock.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -233,38 +231,6 @@ void BM_SgdStepSameModel(benchmark::State& state) {
 }
 BENCHMARK(BM_SgdStepSameModel);
 
-void BM_SparseBackwardDenseGradW(benchmark::State& state) {
-  // Dense dW for the fc1-sized layer (batch 32, 100x784).
-  rng::Xorshift128 rng(3);
-  tensor::Tensor x({32, 784}), gy({32, 100});
-  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
-  for (std::int64_t i = 0; i < gy.numel(); ++i) gy[i] = rng.uniform(-1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::dense_linear_grad_w(x, gy).data());
-  }
-}
-BENCHMARK(BM_SparseBackwardDenseGradW);
-
-void BM_SparseBackwardSparseGradW(benchmark::State& state) {
-  // Post-freeze sparse dW at a given tracked count — the paper's frozen-
-  // phase compute saving (dense is 78400 coordinates).
-  rng::Xorshift128 rng(3);
-  tensor::Tensor x({32, 784}), gy({32, 100});
-  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
-  for (std::int64_t i = 0; i < gy.numel(); ++i) gy[i] = rng.uniform(-1, 1);
-  std::vector<std::uint8_t> mask(78400, 0);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < k; ++i) {
-    mask[(i * 2654435761U) % mask.size()] = 1;  // scattered
-  }
-  const auto coords = core::tracked_coords(mask.data(), 100, 784);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::sparse_linear_grad_w(x, gy, coords).data());
-  }
-}
-BENCHMARK(BM_SparseBackwardSparseGradW)->Arg(2000)->Arg(20000);
-
 void BM_SparseStoreMaterialize(benchmark::State& state) {
   auto model = nn::models::make_mnist_100_100(7);
   auto params = model->collect_parameters();
@@ -303,11 +269,12 @@ template <typename Fn>
 TimedRun timed_run(int threads, int reps, Fn&& fn) {
   util::set_num_threads(threads);
   fn();  // warm-up (also pays the one-time pool spawn)
+  util::ClockSource& clock = util::steady_clock_source();
   TimedRun out;
   for (int r = 0; r < reps; ++r) {
-    util::Timer timer;
+    const std::int64_t start_ns = clock.now_ns();
     fn();
-    const double ms = timer.elapsed_ms();
+    const double ms = static_cast<double>(clock.now_ns() - start_ns) * 1e-6;
     out.best_ms = std::min(out.best_ms, ms);
     out.total_us += ms * 1000.0;
   }
@@ -396,37 +363,6 @@ void run_speedup_report(int threads) {
     const TimedRun serial = timed_run(1, kSpeedupReps, body);
     const TimedRun parallel = timed_run(threads, kSpeedupReps, body);
     emit_speedup_lines("select/n=1001000-k=50000", threads, serial, parallel);
-  }
-
-  {
-    // Frozen-phase sparse backward at 10x compression: a 512x1024 layer
-    // (524288 weights) tracking k=52428 scattered coordinates, batch 64.
-    // One rep = sparse dW at the tracked coordinates + the sparse update —
-    // the whole per-layer frozen-phase weight path.
-    constexpr std::int64_t kOut = 512;
-    constexpr std::int64_t kIn = 1024;
-    constexpr std::int64_t kBatch = 64;
-    rng::Xorshift128 rng(3);
-    tensor::Tensor x({kBatch, kIn}), gy({kBatch, kOut}), w({kOut, kIn});
-    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform(-1, 1);
-    for (std::int64_t i = 0; i < gy.numel(); ++i) gy[i] = rng.uniform(-1, 1);
-    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.uniform(-1, 1);
-    std::vector<std::uint8_t> mask(kOut * kIn, 0);
-    const std::size_t k = mask.size() / 10;  // 10x frozen compression
-    for (std::size_t i = 0; i < k; ++i) {
-      mask[(i * 2654435761U) % mask.size()] = 1;  // scattered
-    }
-    const auto coords =
-        core::tracked_coords(mask.data(), kOut, kIn);
-    auto body = [&] {
-      const auto grads = core::sparse_linear_grad_w(x, gy, coords);
-      core::apply_sparse_update(w, coords, grads, 1e-6F);
-      benchmark::DoNotOptimize(w.data());
-    };
-    const TimedRun serial = timed_run(1, kSpeedupReps, body);
-    const TimedRun parallel = timed_run(threads, kSpeedupReps, body);
-    emit_speedup_lines("sparse_backward/512x1024-10x-b64", threads, serial,
-                       parallel);
   }
 
   {

@@ -35,7 +35,6 @@
 #pragma once
 
 #include "core/dropback_optimizer.hpp"
-#include "core/sparse_backward.hpp"
 #include "core/sparse_weight_store.hpp"
 #include "core/tracked_set.hpp"
 #include "data/dataloader.hpp"

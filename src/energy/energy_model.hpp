@@ -4,8 +4,10 @@
 // (EIE), for a 45 nm process:
 //   * 32-bit DRAM access:        640 pJ
 //   * 32-bit float operation:    0.9 pJ   (=> DRAM / FLOP ~ 711x, "over 700x")
-//   * xorshift regeneration:     6 int ops + 1 float op ~ 1.5 pJ
-//     (=> DRAM / regen ~ 427x)
+//   * one regeneration:          6 int ops + 1 float op ~ 1.5 pJ
+//     (=> DRAM / regen ~ 427x), the paper's price for a xorshift draw; the
+//     implemented counter hash (rng::indexed_u32) spends more integer ops
+//     per weight, counted in docs/ALGORITHM.md
 //
 // TrafficCounter instances are threaded through the DropBack optimizer and
 // the sparse inference path to tally accesses; EnergyReport turns tallies
@@ -21,7 +23,7 @@ struct EnergyConstants {
   double dram_access_pj = 640.0;  ///< one 32-bit off-chip access
   double float_op_pj = 0.9;       ///< one 32-bit float operation
   double int_op_pj = 0.1;         ///< one 32-bit integer operation
-  /// Energy of one xorshift regeneration (6 int + 1 float ops).
+  /// Energy of one regeneration as the paper prices it (6 int + 1 float ops).
   double regen_pj() const { return 6.0 * int_op_pj + 1.0 * float_op_pj; }
   /// The paper's headline ratios.
   double dram_vs_flop() const { return dram_access_pj / float_op_pj; }

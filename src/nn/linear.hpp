@@ -1,8 +1,8 @@
 // Fully-connected layer: y = x · Wᵀ + b, W[out, in].
 //
-// Weights use the paper's LeCun scaled-normal init, regenerated from a
-// xorshift seed; biases are constant-zero (also regenerable, so DropBack can
-// prune them too).
+// Weights use the paper's LeCun scaled-normal init, regenerated from
+// (seed, index) by the counter hash; biases are constant-zero (also
+// regenerable, so DropBack can prune them too).
 #pragma once
 
 #include "nn/module.hpp"

@@ -40,7 +40,7 @@ class InitSpec {
 
   InitSpec() : kind_(Kind::kConstant), scale_(0.0F), seed_(0) {}
 
-  /// N(0, sigma) with per-index xorshift regeneration.
+  /// N(0, sigma) regenerated per index by the counter hash.
   static InitSpec scaled_normal(float sigma, std::uint64_t seed);
 
   /// LeCun 1998 "efficient backprop" init: sigma = 1/sqrt(fan_in).

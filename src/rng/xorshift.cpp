@@ -106,17 +106,6 @@ float indexed_normal_fast(std::uint64_t seed, std::uint64_t index) {
   return clt_normal(indexed_u32(seed, index));
 }
 
-float indexed_normal_boxmuller(std::uint64_t seed, std::uint64_t index) {
-  // Two decorrelated uniform draws per index.
-  const std::uint32_t a = indexed_u32(seed, 2 * index);
-  const std::uint32_t b = indexed_u32(seed, 2 * index + 1);
-  float u1 = static_cast<float>(a >> 8) * (1.0F / 16777216.0F);
-  const float u2 = static_cast<float>(b >> 8) * (1.0F / 16777216.0F);
-  if (u1 < 1e-12F) u1 = 1e-12F;
-  const float r = std::sqrt(-2.0F * std::log(u1));
-  return r * std::cos(6.28318530717958647692F * u2);
-}
-
 float indexed_uniform(std::uint64_t seed, std::uint64_t index) {
   return static_cast<float>(indexed_u32(seed, index) >> 8) *
          (1.0F / 16777216.0F);

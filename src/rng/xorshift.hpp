@@ -122,10 +122,6 @@ constexpr float clt_normal(std::uint32_t v) {
   return (static_cast<float>(sum) - 510.0F) * kCltInvStddev;
 }
 
-/// Exact standard-normal regeneration from (seed, index) via Box-Muller over
-/// two indexed draws. Used where true normality matters (statistical tests).
-float indexed_normal_boxmuller(std::uint64_t seed, std::uint64_t index);
-
 /// Uniform [0,1) regeneration from (seed, index).
 float indexed_uniform(std::uint64_t seed, std::uint64_t index);
 

@@ -33,7 +33,7 @@ namespace dropback::simd {
 struct RegenSpec {
   int kind;            ///< 0 = constant, 1 = scaled normal
   float scale;         ///< constant value, or normal sigma
-  std::uint64_t seed;  ///< xorshift seed (scaled normal only)
+  std::uint64_t seed;  ///< counter-hash seed (scaled normal only)
 };
 
 /// Comparison flavor for the top-k prepass kernels. Semantics are the C++

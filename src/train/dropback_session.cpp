@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "nn/checkpoint.hpp"
+#include "train/training_checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/container.hpp"
 
@@ -48,6 +49,7 @@ void DropBackSession::export_compressed(const std::string& path) const {
 void DropBackSession::save_training_state(std::ostream& out) const {
   util::ContainerWriter writer("DBSS");
   nn::save_checkpoint(writer.add_section("model"), params_);
+  write_inits_section(writer.add_section("inits"), params_);
   optimizer_->save_state(writer.add_section("optimizer"));
   writer.write_to(out);
 }
@@ -60,9 +62,11 @@ void DropBackSession::save_training_state(const std::string& path) const {
 void DropBackSession::load_training_state(std::istream& in) {
   const util::ContainerReader reader =
       util::ContainerReader::read_from(in, "DBSS");
-  reader.expect_sections({"model", "optimizer"});
+  reader.expect_sections({"model", "inits", "optimizer"});
   std::istringstream model_in = reader.section_stream("model");
   nn::load_checkpoint(model_in, params_);
+  std::istringstream inits_in = reader.section_stream("inits");
+  read_inits_section(inits_in, params_);
   std::istringstream opt_in = reader.section_stream("optimizer");
   optimizer_->load_state(opt_in);
 }

@@ -67,10 +67,11 @@ class DropBackSession {
   core::SparseWeightStore compressed() const;
   void export_compressed(const std::string& path) const;
 
-  /// Saves/restores the full training state (weights + optimizer masks) so
-  /// a run can resume exactly after a restart. Stored in the checksummed
-  /// "DBSS" container and written atomically; corrupt, truncated or
-  /// over-long input raises util::IoError on load.
+  /// Saves/restores the full training state (weights, init specs, optimizer
+  /// masks) so a run can resume exactly after a restart, even into a model
+  /// built with another seed. Stored in the checksummed "DBSS" container
+  /// and written atomically; corrupt, truncated or over-long input raises
+  /// util::IoError on load.
   void save_training_state(std::ostream& out) const;
   void save_training_state(const std::string& path) const;
   void load_training_state(std::istream& in);

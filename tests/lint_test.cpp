@@ -201,7 +201,7 @@ TEST(LintR3, SteadyClockAndXorshiftAreFine) {
   EXPECT_TRUE(findings_for(all, "R3").empty());
 }
 
-TEST(LintR3, LogAndTimerAreBuiltInWhitelisted) {
+TEST(LintR3, OnlyLogIsBuiltInWhitelisted) {
   const std::string src = "const std::time_t now = std::time(nullptr);\n";
   EXPECT_TRUE(
       findings_for(lint_source("src/util/log.cpp", src, empty_allow()), "R3")
@@ -209,6 +209,12 @@ TEST(LintR3, LogAndTimerAreBuiltInWhitelisted) {
   EXPECT_EQ(live_count(lint_source("src/core/x.cpp", src, empty_allow()),
                        "R3"),
             1);
+  // Elapsed time goes through util::ClockSource; no other util file is
+  // exempt.
+  EXPECT_EQ(
+      live_count(lint_source("src/util/stopwatch.hpp", src, empty_allow()),
+                 "R3"),
+      1);
 }
 
 TEST(LintR3, CommentOnlyDirectiveSuppressesNextLine) {

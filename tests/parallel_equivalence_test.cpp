@@ -14,7 +14,6 @@
 
 #include "core/accumulated_gradients.hpp"
 #include "core/dropback_optimizer.hpp"
-#include "core/sparse_backward.hpp"
 #include "core/tracked_set.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -36,7 +35,6 @@ namespace {
 namespace T = dropback::tensor;
 
 const int kThreadCounts[] = {2, 7};
-const float kZero = 0.0F;
 
 class ParallelEquivalenceTest : public ::testing::Test {
  protected:
@@ -321,85 +319,57 @@ std::vector<std::uint8_t> scattered_mask(std::int64_t out, std::int64_t in) {
   return mask;
 }
 
-TEST_F(ParallelEquivalenceTest, SparseBackwardKernels) {
-  // Frozen-phase sparse backward: coordinate extraction, dW gathering, and
-  // the sparse update all shard by tracked-coordinate ranges and must stay
-  // bitwise identical to serial.
-  const std::int64_t out = 300, in = 400, batch = 24;
-  const auto mask = scattered_mask(out, in);
-  const T::Tensor x = random_tensor({batch, in}, 61);
-  const T::Tensor gy = random_tensor({batch, out}, 62);
-  const T::Tensor w0 = random_tensor({out, in}, 63);
-
-  const auto ref_coords = core::tracked_coords(mask.data(), out, in);
-  ASSERT_GT(ref_coords.size(), 10000U);
-  const auto ref_grads = core::sparse_linear_grad_w(x, gy, ref_coords);
-  T::Tensor ref_w = w0;
-  core::apply_sparse_update(ref_w, ref_coords, ref_grads, 0.01F);
-
-  for (int threads : kThreadCounts) {
-    util::set_num_threads(threads);
-    const auto coords = core::tracked_coords(mask.data(), out, in);
-    ASSERT_EQ(coords.size(), ref_coords.size()) << "@" << threads;
-    EXPECT_EQ(std::memcmp(coords.data(), ref_coords.data(),
-                          coords.size() * sizeof(core::TrackedCoord)),
-              0)
-        << "tracked_coords order @" << threads;
-    const auto grads = core::sparse_linear_grad_w(x, gy, coords);
-    ASSERT_EQ(grads.size(), ref_grads.size());
-    EXPECT_EQ(std::memcmp(grads.data(), ref_grads.data(),
-                          grads.size() * sizeof(float)),
-              0)
-        << "sparse_linear_grad_w @" << threads;
-    T::Tensor w = w0;
-    core::apply_sparse_update(w, coords, grads, 0.01F);
-    EXPECT_TRUE(bitwise_equal(ref_w, w))
-        << "apply_sparse_update @" << threads;
-    util::set_num_threads(1);
-  }
-}
-
 TEST_F(ParallelEquivalenceTest, FrozenPhaseUntrackedWeightsSeeNoTraffic) {
-  // After the freeze the sparse path must not touch untracked weights at
-  // all: across a multi-step frozen loop their bits never change, and a
-  // dense scatter of the sparse gradients is exactly 0.0f off-mask.
-  const std::int64_t out = 64, in = 96, batch = 8;
+  // The frozen phase computes dense dW for every weight, but the commit
+  // must never move an untracked one: across a multi-step frozen loop their
+  // bits never change, and the whole trajectory is bitwise identical to
+  // serial. The first step's gradient is the scattered mask itself, so the
+  // frozen tracked set is exactly that mask.
+  const std::int64_t out = 64, in = 96;
   const auto mask = scattered_mask(out, in);
-  const auto coords = core::tracked_coords(mask.data(), out, in);
-  const T::Tensor w0 = random_tensor({out, in}, 71);
+  std::int64_t k = 0;
+  for (std::uint8_t m : mask) k += m;
 
-  for (int threads : {1, 2, 7}) {
+  const auto run = [&](int threads) {
     util::set_num_threads(threads);
-    T::Tensor w = w0;
-    for (int step = 0; step < 5; ++step) {
-      const T::Tensor x =
-          random_tensor({batch, in}, 80 + static_cast<unsigned>(step));
-      const T::Tensor gy =
-          random_tensor({batch, out}, 90 + static_cast<unsigned>(step));
-      const auto grads = core::sparse_linear_grad_w(x, gy, coords);
-
-      T::Tensor dense_scatter({out, in});
-      for (std::size_t c = 0; c < coords.size(); ++c) {
-        dense_scatter[coords[c].out * in + coords[c].in] = grads[c];
-      }
-      for (std::int64_t i = 0; i < out * in; ++i) {
-        if (!mask[static_cast<std::size_t>(i)]) {
-          ASSERT_EQ(std::memcmp(&dense_scatter.data()[i], &kZero,
-                                sizeof(float)),
-                    0)
-              << "gradient traffic to untracked weight " << i << " @"
-              << threads;
-        }
-      }
-      core::apply_sparse_update(w, coords, grads, 0.05F);
+    nn::Linear fc(in, out, /*seed=*/71, /*bias=*/false);
+    nn::Parameter& weight = fc.weight();
+    const T::Tensor w0 = weight.var.value().clone();
+    core::DropBackConfig config;
+    config.schedule = optim::constant_budget(k, 1);
+    core::DropBackOptimizer opt({&weight}, 0.05F, config);
+    float* g = weight.var.grad().data();
+    for (std::int64_t i = 0; i < out * in; ++i) {
+      g[i] = mask[static_cast<std::size_t>(i)] ? 1.0F : 0.0F;
     }
+    opt.step();
+    EXPECT_TRUE(opt.frozen()) << "@" << threads;
+    for (std::int64_t i = 0; i < out * in; ++i) {
+      EXPECT_EQ(opt.tracked().is_tracked(i),
+                mask[static_cast<std::size_t>(i)] != 0)
+          << "tracked set differs from the mask at " << i << " @" << threads;
+    }
+    for (int step = 0; step < 5; ++step) {
+      const T::Tensor dense_grad =
+          random_tensor({out, in}, 80 + static_cast<unsigned>(step));
+      std::memcpy(g, dense_grad.data(),
+                  static_cast<std::size_t>(out * in) * sizeof(float));
+      opt.step();
+    }
+    const T::Tensor& w = weight.var.value();
     for (std::int64_t i = 0; i < out * in; ++i) {
       if (!mask[static_cast<std::size_t>(i)]) {
-        ASSERT_EQ(std::memcmp(&w.data()[i], &w0.data()[i], sizeof(float)), 0)
+        EXPECT_EQ(std::memcmp(&w.data()[i], &w0.data()[i], sizeof(float)), 0)
             << "untracked weight " << i << " changed @" << threads;
       }
     }
     util::set_num_threads(1);
+    return w.clone();
+  };
+
+  const T::Tensor ref = run(1);
+  for (int threads : kThreadCounts) {
+    EXPECT_TRUE(bitwise_equal(ref, run(threads))) << "@" << threads;
   }
 }
 

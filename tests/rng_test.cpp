@@ -183,19 +183,6 @@ TEST(IndexedRegen, FastNormalBoundedByCltRange) {
   }
 }
 
-TEST(IndexedRegen, BoxMullerMomentsStandard) {
-  const int n = 50000;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x =
-        indexed_normal_boxmuller(3, static_cast<std::uint64_t>(i));
-    sum += x;
-    sum_sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
-}
-
 TEST(IndexedRegen, UniformInUnitInterval) {
   double sum = 0.0;
   for (int i = 0; i < 20000; ++i) {

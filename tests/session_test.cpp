@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/synthetic_mnist.hpp"
 #include "nn/models/lenet.hpp"
 
@@ -110,6 +112,44 @@ TEST(Session, TrainingStateSaveLoadResumes) {
     acc_resumed = session2.evaluate(*task.val_set);
   }
   EXPECT_DOUBLE_EQ(acc_direct, acc_resumed);
+}
+
+TEST(Session, ResumeIntoModelBuiltWithOtherSeed) {
+  // Untracked weights regenerate from each parameter's InitSpec, so the
+  // state must carry the specs: a restart that rebuilds its model with
+  // another seed still lands on the uninterrupted run's weights, bit for bit.
+  auto task = make_task(128, 32);
+  auto options = default_options();
+  options.train.epochs = 2;
+  const std::string path = ::testing::TempDir() + "/session_reseed.dbss";
+  auto direct = nn::models::make_mnist_100_100(3);
+  {
+    DropBackSession session(*direct, options);
+    session.fit(*task.train_set, *task.val_set);
+    session.fit(*task.train_set, *task.val_set);
+  }
+  auto resumed = nn::models::make_mnist_100_100(4);
+  {
+    auto model = nn::models::make_mnist_100_100(3);
+    DropBackSession session(*model, options);
+    session.fit(*task.train_set, *task.val_set);
+    session.save_training_state(path);
+    DropBackSession session2(*resumed, options);
+    session2.load_training_state(path);
+    session2.fit(*task.train_set, *task.val_set);
+  }
+  const auto want = direct->collect_parameters();
+  const auto got = resumed->collect_parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    EXPECT_EQ(want[p]->init.seed(), got[p]->init.seed()) << "param " << p;
+    EXPECT_EQ(std::memcmp(want[p]->var.value().data(),
+                          got[p]->var.value().data(),
+                          static_cast<std::size_t>(want[p]->numel()) *
+                              sizeof(float)),
+              0)
+        << "param " << p;
+  }
 }
 
 TEST(Session, EnergyTrackingAccumulates) {

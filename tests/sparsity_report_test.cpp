@@ -6,7 +6,6 @@
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "rng/xorshift.hpp"
-#include "util/timer.hpp"
 
 namespace dropback::analysis {
 namespace {
@@ -83,18 +82,6 @@ TEST(SparsityReport, RenderIncludesTotalsRow) {
   const std::string rendered = sparsity_report(opt).render();
   EXPECT_NE(rendered.find("Total"), std::string::npos);
   EXPECT_NE(rendered.find("budget share"), std::string::npos);
-}
-
-TEST(TimerTest, MeasuresElapsedTime) {
-  util::Timer timer;
-  // Busy-wait a tiny amount of real work.
-  volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink = sink + 1e-9;
-  EXPECT_GT(timer.elapsed_seconds(), 0.0);
-  EXPECT_GE(timer.elapsed_us(), 0);
-  const double before = timer.elapsed_ms();
-  timer.reset();
-  EXPECT_LE(timer.elapsed_ms(), before + 1.0);
 }
 
 }  // namespace

@@ -346,10 +346,10 @@ bool r2_applies(const std::string& p) {
 }
 
 bool r3_applies(const std::string& p) {
-  // Logging timestamps and the wall-time Timer are the sanctioned clock
-  // consumers; everything else must be input-deterministic.
-  return !starts_with(p, "src/util/log.") &&
-         !starts_with(p, "src/util/timer.");
+  // Logging timestamps are the sanctioned wall-clock consumer; elapsed time
+  // goes through util::ClockSource, and everything else must be
+  // input-deterministic.
+  return !starts_with(p, "src/util/log.");
 }
 
 bool r5_applies(const std::string& p) {
@@ -631,7 +631,7 @@ FileModel analyze_source(const std::string& relpath,
       emit_line(&findings, relpath, "R3", line_no,
                 "nondeterminism source (" + trim(m[0].str()) +
                     ") — kernels, optimizers, and serialization must be "
-                    "bitwise-reproducible; use rng::Xorshift / util::Timer");
+                    "bitwise-reproducible; use rng::Xorshift / util::ClockSource");
     }
 
     if (func_id >= 0) {

@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
 
   const std::int64_t budgets[] = {20000, 5000, 1500};
   for (std::int64_t budget : budgets) {
-    for (const auto scope : {core::DropBackConfig::BudgetScope::kGlobal,
-                             core::DropBackConfig::BudgetScope::kPerLayer}) {
+    for (const auto scope :
+         {optim::BudgetScope::kGlobal, optim::BudgetScope::kPerLayer}) {
       auto model = nn::models::make_mnist_100_100(7);
       core::DropBackConfig config;
       config.schedule = optim::constant_budget(budget);
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                               tracked.tracked_count_in(5)) /
           static_cast<double>(opt.live_weights());
       table.add_row(
-          {scope == core::DropBackConfig::BudgetScope::kGlobal
+          {scope == optim::BudgetScope::kGlobal
                ? "DropBack (global)"
                : "DropBack (per-layer)",
            util::Table::count(budget),

@@ -139,7 +139,7 @@ struct CliConfig {
 
   /// Fills the schedule-bearing fields of a DropBackConfig from the flags:
   /// either the parsed --budget-schedule spec (whose scope= key also sets
-  /// the budget split) or a never-freezing ConstantSchedule built from
+  /// the budget scope) or a never-freezing ConstantSchedule built from
   /// --budget / --budget-ratio.
   void configure_dropback(std::int64_t total_params,
                           core::DropBackConfig& config) const {
@@ -147,9 +147,7 @@ struct CliConfig {
       const optim::ParsedSchedule parsed =
           optim::parse_budget_schedule(budget_schedule_spec);
       config.schedule = parsed.schedule;
-      config.scope = parsed.split == optim::BudgetSplit::kPerLayer
-                         ? core::DropBackConfig::BudgetScope::kPerLayer
-                         : core::DropBackConfig::BudgetScope::kGlobal;
+      config.scope = parsed.scope;
     } else {
       config.schedule = optim::constant_budget(effective_budget(total_params));
     }

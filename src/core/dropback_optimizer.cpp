@@ -58,7 +58,7 @@ void DropBackOptimizer::step() {
     if (tracked_.all_tracked()) full_sweep_ = true;
     // Score all weights by post-update accumulated gradient and reselect.
     compute_scores(index_, lr_, scores_);
-    if (config_.scope == DropBackConfig::BudgetScope::kGlobal) {
+    if (config_.scope == optim::BudgetScope::kGlobal) {
       tracked_.select(scores_, k);
     } else {
       // Per-layer quota proportional to the layer's size.

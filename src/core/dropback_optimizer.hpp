@@ -56,8 +56,7 @@ struct DropBackConfig {
   /// competition — Table 2 shows the budget migrating toward later layers,
   /// which per-layer proportional quotas cannot do. kPerLayer exists as the
   /// ablation (bench_ablation_scope).
-  enum class BudgetScope { kGlobal, kPerLayer };
-  BudgetScope scope = BudgetScope::kGlobal;
+  optim::BudgetScope scope = optim::BudgetScope::kGlobal;
 };
 
 class DropBackOptimizer : public optim::Optimizer {

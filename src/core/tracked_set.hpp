@@ -73,7 +73,7 @@ class TrackedSet {
 
   /// Per-parameter variant: selects the top budgets[p] scores *within* each
   /// parameter independently (the ablation against the paper's global
-  /// competition; see DropBackConfig::BudgetScope).
+  /// competition; see optim::BudgetScope).
   void select_per_param(const std::vector<float>& scores,
                         const std::vector<std::int64_t>& budgets);
 

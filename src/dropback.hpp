@@ -4,15 +4,18 @@
 //
 //   #include "dropback.hpp"
 //
-//   dropback::train::DropBackSession::Options options;
-//   options.budget_schedule = dropback::optim::constant_budget(20000);
-//   options.train = dropback::train::TrainConfig{}
-//                       .with_epochs(20)
-//                       .with_prefetch(1)
-//                       .with_checkpoint("run.dbts");
-//   dropback::train::DropBackSession session(model, options);
-//   session.fit(train_set, val_set);
-//   session.export_compressed("model.dbsw");
+//   using namespace dropback;
+//   core::DropBackConfig config;
+//   config.schedule = optim::constant_budget(20000);
+//   core::DropBackOptimizer optimizer(model.collect_parameters(),
+//                                     /*lr=*/0.1F, config);
+//   auto options = train::TrainConfig{}
+//                      .with_epochs(20)
+//                      .with_prefetch(1)
+//                      .with_checkpoint("run.dbts");
+//   train::Trainer trainer(model, optimizer, train_set, val_set, options);
+//   trainer.run();
+//   core::SparseWeightStore::from_optimizer(optimizer).save_file("model.dbsw");
 //
 // The stable surface (docs/API.md):
 //
@@ -20,7 +23,6 @@
 //   optim::BudgetSchedule    — schedule-driven weight budgets (k_t, freeze,
 //                              stochastic re-admission; docs/SCHEDULES.md)
 //   train::Trainer           — generic hook-extensible training loop
-//   train::DropBackSession   — model + DropBack optimizer + trainer facade
 //   core::DropBackOptimizer  — the paper's Algorithm 1, production form
 //   core::TrackedSet         — top-k tracked-weight selection
 //   core::SparseWeightStore  — compressed (tracked + regenerated) export
@@ -40,7 +42,6 @@
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
 #include "energy/energy_model.hpp"
-#include "train/dropback_session.hpp"
 #include "train/train_config.hpp"
 #include "train/trainer.hpp"
 #include "util/flags.hpp"

@@ -1,9 +1,12 @@
 #include "optim/budget_schedule.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -21,8 +24,7 @@ bool frozen_by_step(std::int64_t step, std::int64_t freeze_after_steps) {
 }
 
 /// Same one-window guarantee for the epoch phrasing: freeze_epoch=0 freezes
-/// at the first epoch boundary (after epoch 0 selected), like the old
-/// DropBackSession on_epoch_end hook did.
+/// at the first epoch boundary (after epoch 0 selected).
 bool frozen_by_epoch(std::int64_t epoch, std::int64_t freeze_epoch) {
   return freeze_epoch >= 0 && epoch >= std::max<std::int64_t>(freeze_epoch, 1);
 }
@@ -160,13 +162,29 @@ std::string StochasticDropBack::spec() const {
 
 namespace {
 
-std::int64_t parse_int_value(const std::string& key, const std::string& value) {
+/// A whole-string base-10 std::int64_t or std::uint64_t. Values strto*ll
+/// would clamp are rejected, and an unsigned value must start with a digit
+/// (strtoull negates a leading '-' instead of rejecting it).
+template <typename Int>
+Int parse_int_value(const std::string& key, const std::string& value) {
   char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  DROPBACK_CHECK(end != value.c_str() && *end == '\0',
+  errno = 0;
+  Int v = 0;
+  if constexpr (std::is_signed_v<Int>) {
+    v = std::strtoll(value.c_str(), &end, 10);
+  } else {
+    v = std::strtoull(value.c_str(), &end, 10);
+  }
+  const bool clamped = errno == ERANGE;
+  const bool sign_ok =
+      std::is_signed_v<Int> || std::isdigit(static_cast<unsigned char>(
+                                   value.front())) != 0;
+  DROPBACK_CHECK(sign_ok && end != value.c_str() && *end == '\0',
                  << "budget schedule spec: bad integer '" << value
                  << "' for key '" << key << "'");
-  return static_cast<std::int64_t>(v);
+  DROPBACK_CHECK(!clamped, << "budget schedule spec: integer '" << value
+                           << "' out of range for key '" << key << "'");
+  return v;
 }
 
 double parse_float_value(const std::string& key, const std::string& value) {
@@ -203,7 +221,10 @@ ParsedSchedule parse_budget_schedule(const std::string& spec) {
                          eq + 1 < token.size(),
                      << "budget schedule spec: token '" << token
                      << "' is not key=value");
-      kv[token.substr(0, eq)] = token.substr(eq + 1);
+      const auto [it, inserted] =
+          kv.emplace(token.substr(0, eq), token.substr(eq + 1));
+      DROPBACK_CHECK(inserted, << "budget schedule spec: repeated key '"
+                               << it->first << "'");
     }
   }
 
@@ -213,15 +234,15 @@ ParsedSchedule parse_budget_schedule(const std::string& spec) {
     DROPBACK_CHECK(scope == "global" || scope == "layer",
                    << "budget schedule spec: bad scope '" << scope
                    << "' (expected global|layer)");
-    out.split =
-        scope == "layer" ? BudgetSplit::kPerLayer : BudgetSplit::kGlobal;
+    out.scope =
+        scope == "layer" ? BudgetScope::kPerLayer : BudgetScope::kGlobal;
     kv.erase("scope");
   }
 
   const auto take_int = [&kv](const std::string& key, std::int64_t fallback) {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
-    const std::int64_t v = parse_int_value(key, it->second);
+    const auto v = parse_int_value<std::int64_t>(key, it->second);
     kv.erase(it);
     return v;
   };
@@ -252,14 +273,18 @@ ParsedSchedule parse_budget_schedule(const std::string& spec) {
                    << "stochastic");
     const double p = parse_float_value("p", kv.at("p"));
     kv.erase("p");
-    const std::int64_t seed = take_int("seed", 0x5DB5DB);
+    const auto seed_it = kv.find("seed");
+    const std::uint64_t seed =
+        seed_it == kv.end()
+            ? 0x5DB5DB
+            : parse_int_value<std::uint64_t>("seed", seed_it->second);
+    kv.erase("seed");
     const std::int64_t freeze_step = take_int("freeze_step", -1);
     const std::int64_t freeze_epoch = take_int("freeze_epoch", -1);
     DROPBACK_CHECK(kv.empty(), << "budget schedule spec: unknown key '"
                                << kv.begin()->first << "' for stochastic");
     out.schedule = std::make_shared<StochasticDropBack>(
-        budget, static_cast<float>(p), static_cast<std::uint64_t>(seed),
-        freeze_step, freeze_epoch);
+        budget, static_cast<float>(p), seed, freeze_step, freeze_epoch);
   }
   return out;
 }

@@ -42,9 +42,8 @@ inline constexpr std::int64_t kDenseBudget =
 
 /// Where the budget competes — one global top-k (the paper; Table 2 shows
 /// the budget migrating toward later layers) or per-layer proportional
-/// quotas (the bench_ablation_scope ablation). Mirrors
-/// core::DropBackConfig::BudgetScope without depending on core/.
-enum class BudgetSplit { kGlobal, kPerLayer };
+/// quotas (the bench_ablation_scope ablation).
+enum class BudgetScope { kGlobal, kPerLayer };
 
 /// The time coordinate a schedule is evaluated at.
 struct SchedulePoint {
@@ -169,11 +168,11 @@ class StochasticDropBack : public BudgetSchedule {
   std::int64_t freeze_epoch_;
 };
 
-/// A parsed --budget-schedule spec: the schedule plus the budget split
-/// policy (the optional `scope=global|layer` key, kGlobal by default).
+/// A parsed --budget-schedule spec: the schedule plus the budget scope
+/// (the optional `scope=global|layer` key, kGlobal by default).
 struct ParsedSchedule {
   std::shared_ptr<const BudgetSchedule> schedule;
-  BudgetSplit split = BudgetSplit::kGlobal;
+  BudgetScope scope = BudgetScope::kGlobal;
 };
 
 /// Parses the --budget-schedule mini-language (grammar in docs/SCHEDULES.md):

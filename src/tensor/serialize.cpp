@@ -1,10 +1,5 @@
 #include "tensor/serialize.hpp"
 
-#include <fstream>
-
-#include "util/atomic_file.hpp"
-#include "util/io_error.hpp"
-
 namespace dropback::tensor {
 
 namespace {
@@ -30,17 +25,6 @@ Tensor load_tensor(std::istream& in) {
   r.raw(t.data(), static_cast<std::size_t>(numel) * sizeof(float));
   r.expect_end();
   return t;
-}
-
-void save_tensor_file(const std::string& path, const Tensor& t) {
-  util::atomic_write_file(path,
-                          [&](std::ostream& out) { save_tensor(out, t); });
-}
-
-Tensor load_tensor_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::IoError("load_tensor_file: cannot open " + path);
-  return load_tensor(in);
 }
 
 }  // namespace dropback::tensor

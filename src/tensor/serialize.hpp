@@ -18,9 +18,6 @@ void save_tensor(std::ostream& out, const Tensor& t);
 /// Reads one tensor, which must end the input.
 Tensor load_tensor(std::istream& in);
 
-void save_tensor_file(const std::string& path, const Tensor& t);
-Tensor load_tensor_file(const std::string& path);
-
 /// The shape codec every format shares: the rank as a `Rank` (u32 in DBT1,
 /// u8 in the sparse stores), then one i64 per dimension.
 template <typename Rank>

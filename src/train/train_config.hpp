@@ -5,8 +5,8 @@
 // data pipeline (shuffling, deterministic per-sample augmentation, prefetch
 // depth), parallelism (kernel thread-pool size), crash safety (checkpoint
 // path/cadence/resume), numeric-anomaly policy, and telemetry. `Trainer`
-// and `DropBackSession` both consume it, replacing the former sprawl of
-// per-object option structs with duplicated fields.
+// consumes it, replacing the former sprawl of per-object option structs
+// with duplicated fields.
 //
 // The chainable `with_*` setters make one-expression configuration read
 // naturally:

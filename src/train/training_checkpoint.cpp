@@ -75,8 +75,9 @@ TrainerSnapshot read_trainer_section(std::istream& in) {
   return snap;
 }
 
-}  // namespace
-
+// DropBack regenerates untracked weights from each parameter's InitSpec, so
+// the specs are part of the training state: a resumed process that rebuilt
+// its model with a different seed must still regenerate the original values.
 void write_inits_section(std::ostream& out,
                          const std::vector<nn::Parameter*>& params) {
   util::ByteWriter w(out, "training snapshot: inits section");
@@ -95,6 +96,8 @@ void read_inits_section(std::istream& in,
   for (nn::Parameter* p : params) p->init = rng::InitSpec::decode(r);
   r.expect_end();
 }
+
+}  // namespace
 
 void save_training_snapshot(std::ostream& out, const TrainerSnapshot& snap,
                             const std::vector<nn::Parameter*>& params,

@@ -48,18 +48,6 @@ struct TrainerSnapshot {
   std::int64_t stale_epochs = 0;
 };
 
-/// The "inits" section of DBTS snapshots and DBSS session state: the
-/// parameter count, then each parameter's InitSpec. DropBack regenerates
-/// untracked weights from these specs, so they are part of the training
-/// state: a resumed process that rebuilt its model with a different seed
-/// must still regenerate the original values. read_inits_section replaces
-/// every `params[i]->init` and raises util::IoError on a count mismatch or
-/// a malformed spec.
-void write_inits_section(std::ostream& out,
-                         const std::vector<nn::Parameter*>& params);
-void read_inits_section(std::istream& in,
-                        const std::vector<nn::Parameter*>& params);
-
 /// Writes a full snapshot of the training run to `out`.
 void save_training_snapshot(std::ostream& out, const TrainerSnapshot& snap,
                             const std::vector<nn::Parameter*>& params,

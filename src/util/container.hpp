@@ -1,7 +1,6 @@
 // Versioned, CRC32-checksummed binary container — the shared envelope for
 // every persisted artifact: dense checkpoints ("DBCP"), compressed sparse
-// stores ("DBSW"), full training snapshots ("DBTS"), and session state
-// ("DBSS").
+// stores ("DBSW"), and full training snapshots ("DBTS").
 //
 // Layout (native little-endian, fixed-width fields):
 //

@@ -32,7 +32,7 @@ namespace {
 namespace T = dropback::tensor;
 namespace ag = dropback::autograd;
 using optim::BudgetDecision;
-using optim::BudgetSplit;
+using optim::BudgetScope;
 using optim::kDenseBudget;
 using optim::SchedulePoint;
 
@@ -74,9 +74,8 @@ TEST(ConstantScheduleTest, FreezeStepEdges) {
   EXPECT_TRUE(s8.at(at_step(8, 0)).frozen);
 }
 
-TEST(ConstantScheduleTest, FreezeEpochMatchesOldSessionHook) {
-  // The old DropBackSession froze at the end of epoch freeze_epoch-1, i.e.
-  // selection runs through epoch max(freeze_epoch,1)-1 and is frozen from
+TEST(ConstantScheduleTest, FreezeEpochFreezesFromEpochBoundary) {
+  // Selection runs through epoch max(freeze_epoch,1)-1 and is frozen from
   // epoch max(freeze_epoch,1) on.
   optim::ConstantSchedule s(100, /*freeze_after_steps=*/-1,
                             /*freeze_epoch=*/2);
@@ -149,19 +148,23 @@ TEST(ScheduleSpecTest, ParsesConstAndRoundTrips) {
       optim::parse_budget_schedule("const:budget=20000,freeze_epoch=7");
   EXPECT_EQ(parsed.schedule->base_budget(), 20000);
   EXPECT_TRUE(parsed.schedule->is_constant());
-  EXPECT_EQ(parsed.split, BudgetSplit::kGlobal);
+  EXPECT_EQ(parsed.scope, BudgetScope::kGlobal);
   EXPECT_EQ(parsed.schedule->spec(), "const:budget=20000,freeze_epoch=7");
   // spec() strings re-parse to an equal schedule.
   const auto again =
       optim::parse_budget_schedule(parsed.schedule->spec());
   EXPECT_EQ(again.schedule->spec(), parsed.schedule->spec());
+  // A u64 seed above INT64_MAX re-parses to itself.
+  const optim::StochasticDropBack top_seed(10, 0.1F, ~std::uint64_t{0});
+  EXPECT_EQ(optim::parse_budget_schedule(top_seed.spec()).schedule->spec(),
+            top_seed.spec());
 }
 
 TEST(ScheduleSpecTest, ParsesDsdStochasticAndScope) {
   const auto dsd = optim::parse_budget_schedule(
       "dsd:budget=1000,dense=2,sparse=3,freeze=1,final=4000,scope=layer");
   EXPECT_EQ(dsd.schedule->base_budget(), 1000);
-  EXPECT_EQ(dsd.split, BudgetSplit::kPerLayer);
+  EXPECT_EQ(dsd.scope, BudgetScope::kPerLayer);
   EXPECT_EQ(dsd.schedule->spec(),
             "dsd:budget=1000,dense=2,sparse=3,freeze=1,final=4000");
 
@@ -196,6 +199,14 @@ TEST(ScheduleSpecTest, RejectionsNameTheOffendingToken) {
   expect_reject("const:budget=100,scope=weird", "bad scope 'weird'");
   expect_reject("const:budget=100,,freeze_step=2", "empty token");
   expect_reject("const:budget=0", "budget must be positive");
+  expect_reject("const:budget=100,budget=200", "repeated key 'budget'");
+  expect_reject("const:budget=100,scope=layer,scope=global",
+                "repeated key 'scope'");
+  expect_reject("const:budget=99999999999999999999",
+                "integer '99999999999999999999' out of range");
+  expect_reject("stochastic:budget=100,p=0.1,seed=-1", "bad integer '-1'");
+  expect_reject("stochastic:budget=100,p=0.1,seed=18446744073709551616",
+                "out of range for key 'seed'");
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@
 #include "quant/quantized_store.hpp"
 #include "rng/xorshift.hpp"
 #include "tensor/serialize.hpp"
-#include "train/dropback_session.hpp"
 #include "train/training_checkpoint.hpp"
 #include "util/container.hpp"
 #include "util/io_error.hpp"
@@ -393,20 +392,6 @@ TEST(CodecFuzz, DbtsTrainingSnapshot) {
   TrainingRun run;
   Fuzzer("DBTS", "DBTS", [&](std::istream& in) { run.load(in); },
          [&](std::ostream& out) { run.save(out); })
-      .run();
-}
-
-TEST(CodecFuzz, DbssSessionState) {
-  Fixture fix(optim::constant_budget(20, 3));
-  train::DropBackSession::Options options;
-  options.budget_schedule = optim::constant_budget(20);
-  options.train = train::TrainConfig{}.with_epochs(1).with_batch_size(4);
-  train::DropBackSession session(fix.net, options);
-  const auto dataset = fixture_dataset();
-  session.fit(*dataset, *dataset);
-  Fuzzer("DBSS", "DBSS",
-         [&](std::istream& in) { session.load_training_state(in); },
-         [&](std::ostream& out) { session.save_training_state(out); })
       .run();
 }
 

@@ -20,7 +20,6 @@
 #include "data/synthetic_mnist.hpp"
 #include "nn/models/lenet.hpp"
 #include "optim/momentum.hpp"
-#include "train/dropback_session.hpp"
 #include "train/trainer.hpp"
 #include "train/training_checkpoint.hpp"
 #include "util/atomic_file.hpp"
@@ -432,26 +431,6 @@ TEST(CrashRecovery, SnapshotWithUnversionedLoaderSectionIsRejected) {
                           [&](std::ostream& out) { writer.write_to(out); });
 
   EXPECT_THROW(fix.load(path), util::IoError);
-}
-
-TEST(CrashRecovery, SessionTrainingStateSurvivesEnospc) {
-  const auto task = make_task(32, 16);
-  auto model = nn::models::make_mnist_100_100(5);
-  DropBackSession::Options options;
-  options.budget_schedule = optim::constant_budget(2000);
-  options.train.epochs = 1;
-  options.train.batch_size = 16;
-  DropBackSession session(*model, options);
-  session.fit(*task.train_set, *task.val_set);
-  const std::string path = ::testing::TempDir() + "/session_state.dbss";
-  std::remove(path.c_str());
-  session.save_training_state(path);
-
-  util::arm_fault({util::FaultKind::kEnospc, 32});
-  EXPECT_THROW(session.save_training_state(path), util::IoError);
-  util::disarm_fault();
-  // The earlier state file is still there and still loads.
-  session.load_training_state(path);
 }
 
 TEST(CrashRecovery, FaultSpecParsing) {

@@ -178,7 +178,7 @@ TEST(BudgetScope, PerLayerQuotasAreProportional) {
   auto params = model->collect_parameters();
   core::DropBackConfig config;
   config.schedule = optim::constant_budget(9000);
-  config.scope = core::DropBackConfig::BudgetScope::kPerLayer;
+  config.scope = optim::BudgetScope::kPerLayer;
   core::DropBackOptimizer opt(params, 0.1F, config);
   // One step with synthetic gradients.
   rng::Xorshift128 rng(3);
@@ -196,7 +196,7 @@ TEST(BudgetScope, PerLayerQuotasAreProportional) {
 }
 
 TEST(BudgetScope, GlobalAndPerLayerDifferInAllocation) {
-  auto run = [](core::DropBackConfig::BudgetScope scope) {
+  auto run = [](optim::BudgetScope scope) {
     auto model = nn::models::make_mnist_100_100(7);
     auto params = model->collect_parameters();
     core::DropBackConfig config;
@@ -215,10 +215,8 @@ TEST(BudgetScope, GlobalAndPerLayerDifferInAllocation) {
     }
     return opt.tracked().tracked_count_in(4);  // fc3 weights
   };
-  const auto global_fc3 =
-      run(core::DropBackConfig::BudgetScope::kGlobal);
-  const auto per_layer_fc3 =
-      run(core::DropBackConfig::BudgetScope::kPerLayer);
+  const auto global_fc3 = run(optim::BudgetScope::kGlobal);
+  const auto per_layer_fc3 = run(optim::BudgetScope::kPerLayer);
   // The global competition allocates far more of a tight budget to the
   // decision-critical last layer than the proportional quota (22 of 2000).
   EXPECT_GT(global_fc3, per_layer_fc3 * 3);

@@ -218,15 +218,6 @@ TEST(Serialize, LyingShapeFailsAsTruncationNotAllocation) {
   EXPECT_THROW(load_tensor(ss), util::IoError);
 }
 
-TEST(Serialize, FileRoundTrip) {
-  Tensor t = Tensor::from_vector({3}, {1.5F, -2.5F, 0.0F});
-  const std::string path = ::testing::TempDir() + "/tensor_roundtrip.bin";
-  save_tensor_file(path, t);
-  Tensor back = load_tensor_file(path);
-  EXPECT_EQ(back.shape(), t.shape());
-  EXPECT_FLOAT_EQ(back[1], -2.5F);
-}
-
 /// Shape sweep: reshape round-trips through arbitrary factorizations.
 class ReshapeSweep
     : public ::testing::TestWithParam<std::pair<Shape, Shape>> {};

@@ -25,7 +25,7 @@
 //   --checkpoint=run.dbts --checkpoint-every=N --resume
 //   --anomaly=off|throw|skip|rollback
 // Telemetry (never changes training results — obs_equivalence_test):
-//   --metrics-out=run.jsonl   JSONL event stream + metrics snapshot at exit
+//   --metrics-out=run.jsonl   JSONL event stream, one record per step/epoch
 //   --profile[=prof.jsonl]    scoped profiler; table to stdout or JSONL dump
 //   --trace-out=run.trace.json  per-step span traces as Chrome trace JSON
 //     (open in Perfetto, or `metrics_tool trace run.trace.json`)
@@ -37,7 +37,6 @@
 #include <string>
 
 #include "dropback.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
@@ -153,7 +152,8 @@ struct CliConfig {
     }
   }
 
-  /// Call once after training: reports the profile and metrics snapshot.
+  /// Call once after training: reports the profile, the trace export and
+  /// where the event stream went.
   void report_telemetry() const {
     obs::set_tracing_enabled(false);  // quiescence before either collection
     if (profile) {
@@ -179,9 +179,7 @@ struct CliConfig {
                   static_cast<unsigned long long>(snapshot.dropped));
     }
     if (!train.metrics_out.empty()) {
-      std::printf("\nmetrics snapshot: %s\n",
-                  obs::MetricsRegistry::global().snapshot_json().c_str());
-      std::printf("wrote telemetry stream to %s\n",
+      std::printf("\nwrote telemetry stream to %s\n",
                   train.metrics_out.c_str());
     }
   }

@@ -8,45 +8,6 @@
 
 namespace dropback::obs {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
-  DROPBACK_CHECK(!bounds_.empty(), << "Histogram needs at least one bound");
-  DROPBACK_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                     std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                         bounds_.end(),
-                 << "Histogram bounds must be strictly ascending");
-}
-
-void Histogram::observe(double v) {
-  // Index of the first bound > v: v < b0 lands in 0 (underflow),
-  // v >= b{m-1} lands in m (overflow).
-  const std::size_t idx = static_cast<std::size_t>(
-      std::upper_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // fetch_add on atomic<double> (C++20) — relaxed CAS loop under the hood.
-  sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-double histogram_quantile(const Histogram& h, double q) {
-  DROPBACK_CHECK(q >= 0.0 && q <= 1.0, << "quantile q=" << q
-                                       << " outside [0, 1]");
-  const std::uint64_t total = h.count();
-  if (total == 0) return 0.0;
-  // Rank of the q-th observation, 1-based; q=0 maps to the first one.
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-    seen += h.bucket_count(i);
-    if (seen >= rank) {
-      // Upper bound of bucket i; the overflow bin clamps to the last bound.
-      return h.bounds()[std::min(i, h.bounds().size() - 1)];
-    }
-  }
-  return h.bounds().back();
-}
-
 LogHistogram::LogHistogram(double min_value, double max_value,
                            int sub_buckets)
     : min_(min_value), max_(max_value), sub_(sub_buckets) {
@@ -124,14 +85,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
-}
-
 LogHistogram& MetricsRegistry::log_histogram(const std::string& name,
                                              double min_value,
                                              double max_value,
@@ -152,29 +105,6 @@ std::string MetricsRegistry::snapshot_json() const {
   }
   util::JsonObject gauges;
   for (const auto& [name, g] : gauges_) gauges.add(name, g->value());
-  util::JsonObject histograms;
-  for (const auto& [name, h] : histograms_) {
-    std::string bounds = "[";
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      if (i) bounds += ',';
-      bounds += util::json_number(h->bounds()[i]);
-    }
-    // The overflow bin (counts_[m]) has no finite bound; make that explicit
-    // so counts[i] always pairs with bounds[i] and the open end is visible.
-    bounds += ",\"+Inf\"]";
-    std::string counts = "[";
-    for (std::size_t i = 0; i < h->num_buckets(); ++i) {
-      if (i) counts += ',';
-      counts += std::to_string(h->bucket_count(i));
-    }
-    counts += ']';
-    histograms.add_raw(name, util::JsonObject()
-                                 .add_raw("bounds", bounds)
-                                 .add_raw("counts", counts)
-                                 .add("count", h->count())
-                                 .add("sum", h->sum())
-                                 .str());
-  }
   util::JsonObject log_histograms;
   for (const auto& [name, h] : log_histograms_) {
     std::string buckets = "[";  // sparse [index, count] pairs
@@ -203,7 +133,6 @@ std::string MetricsRegistry::snapshot_json() const {
   return util::JsonObject()
       .add_raw("counters", counters.str())
       .add_raw("gauges", gauges.str())
-      .add_raw("histograms", histograms.str())
       .add_raw("log_histograms", log_histograms.str())
       .str();
 }
@@ -212,7 +141,6 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
   log_histograms_.clear();
 }
 

@@ -1,6 +1,8 @@
-// Process-wide training metrics: counters, gauges, fixed-bucket histograms.
+// Process-wide metrics: counters, gauges, log-scale histograms. The
+// serving layer (src/serve/) is their producer; training reports through
+// the JSONL event stream (obs/event_stream.hpp) instead.
 //
-// Design goals (ISSUE 3 tentpole):
+// Design goals:
 //   * Cheap enough for per-step use: every write is a relaxed atomic op on a
 //     pre-registered metric object — no locks, no allocation on the hot
 //     path. Registration (name lookup) takes a mutex and should be done
@@ -48,55 +50,14 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram over half-open intervals.
-///
-/// Given ascending boundaries b0 < b1 < ... < b{m-1}, bucket_count(i) for
-/// i in [0, m] counts:
-///   i == 0    : v <  b0              (underflow bin)
-///   0 < i < m : b{i-1} <= v < b{i}
-///   i == m    : v >= b{m-1}          (overflow bin)
-/// Also tracks the observation count and sum for mean recovery.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  std::size_t num_buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Conservative quantile estimate from a fixed-bucket histogram: the upper
-/// bound of the bucket containing the q-th observation (rank ceil(q*count)).
-/// The underflow bin reports bounds().front(), the overflow bin
-/// bounds().back() — i.e. a value whose true quantile exceeds every bound is
-/// clamped to the largest bound (never extrapolated), so choose an overflow
-/// bound above any latency you intend to assert on; snapshot_json() renders
-/// that open-ended bin with an explicit "+Inf" upper bound. Returns 0 for an
-/// empty histogram. `q` must be in [0, 1]. Used for serving p50/p99
-/// (docs/SERVING.md).
-double histogram_quantile(const Histogram& h, double q);
-
 /// HDR-style log-scale histogram: base-2 octaves between min_value and
 /// max_value, each refined into `sub_buckets` linear sub-buckets, plus an
 /// underflow bin (v < min_value) and an overflow bin (v >= max_value).
 /// Quantiles are accurate to a relative error of 1/sub_buckets across the
 /// whole range — e.g. 32 sub-buckets keep p99/p999 within ~3% over 4+
-/// decades without hand-tuned bounds, where a fixed-bucket Histogram's
-/// error is whatever its nearest bound spacing happens to be. Writes are
-/// the same relaxed atomics as Histogram (pool-thread safe, snapshot-able
-/// while written); serving's `serve.latency_ms` lives here.
+/// decades without hand-tuned bounds. Writes are relaxed atomics
+/// (pool-thread safe, snapshot-able while written); serving's
+/// `serve.latency_ms` lives here.
 class LogHistogram {
  public:
   LogHistogram(double min_value, double max_value, int sub_buckets = 32);
@@ -116,8 +77,7 @@ class LogHistogram {
   /// Bin index a value lands in (0 = underflow, num_buckets()-1 = overflow).
   std::size_t bucket_index(double v) const;
   /// Upper bound of bin `i`; min_value() for underflow. The overflow bin
-  /// clamps to max_value() — same no-extrapolation contract as
-  /// histogram_quantile.
+  /// clamps to max_value(): quantiles never extrapolate past the range.
   double bucket_upper(std::size_t i) const;
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -137,27 +97,23 @@ class LogHistogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Named metric store. counter()/gauge()/histogram() create on first use and
-/// return the existing metric afterwards; references remain valid until the
-/// registry is destroyed. A histogram re-registered with different bounds
-/// keeps its original bounds (first registration wins).
+/// Named metric store. counter()/gauge()/log_histogram() create on first
+/// use and return the existing metric afterwards; references remain valid
+/// until the registry is destroyed. A log histogram re-registered with a
+/// different range keeps its original one (first registration wins).
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
   LogHistogram& log_histogram(const std::string& name, double min_value,
                               double max_value, int sub_buckets = 32);
 
   /// One JSON object with every metric:
   ///   {"counters":{...},"gauges":{...},
-  ///    "histograms":{"name":{"bounds":[...,"+Inf"],"counts":[...],
-  ///                          "count":N,"sum":X}},
   ///    "log_histograms":{"name":{"min":..,"max":..,"sub_buckets":..,
   ///                              "count":N,"sum":X,"p50":..,"p99":..,
   ///                              "p999":..,"buckets":[[idx,count],...]}}}
-  /// Fixed-bucket bounds end with an explicit "+Inf" for the overflow bin;
-  /// log-histogram buckets are sparse [index, count] pairs.
+  /// Log-histogram buckets are sparse [index, count] pairs.
   /// Safe to call while other threads write metrics.
   std::string snapshot_json() const;
 
@@ -171,7 +127,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<LogHistogram>> log_histograms_;
 };
 

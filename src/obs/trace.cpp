@@ -175,8 +175,12 @@ void record_span(const char* name, const TraceContext& ctx,
            static_cast<std::uint64_t>(span.dur_us) * 1000);
 }
 
-TraceSpan::TraceSpan(const char* name) {
-  if (!tracing_enabled()) return;
+TraceSpan::TraceSpan(const char* name, std::int64_t* elapsed_ns)
+    : elapsed_ns_(elapsed_ns) {
+  if (!tracing_enabled()) {
+    if (elapsed_ns != nullptr) start_ns_ = trace_clock().now_ns();
+    return;
+  }
   ThreadRing& ring = local_ring();
   name_ = name;
   parent_ = ring.ctx.span_id;
@@ -188,8 +192,14 @@ TraceSpan::TraceSpan(const char* name) {
 }
 
 TraceSpan::~TraceSpan() {
-  if (ring_ == nullptr) return;
+  if (ring_ == nullptr) {
+    if (elapsed_ns_ != nullptr) {
+      *elapsed_ns_ = trace_clock().now_ns() - start_ns_;
+    }
+    return;
+  }
   const std::int64_t end_ns = trace_clock().now_ns();
+  if (elapsed_ns_ != nullptr) *elapsed_ns_ = end_ns - start_ns_;
   ThreadRing& ring = *static_cast<ThreadRing*>(ring_);
   RawSpan span;
   span.trace_id = ring.ctx.trace_id;

@@ -39,7 +39,8 @@
 //     ManualClock; the totals keep nanoseconds. Raw steady_clock reads are
 //     banned outside util/ by lint rule R9 for exactly this reason.
 //   * Runtime-gated (tracing_enabled(), default off: one relaxed load per
-//     site). tests/obs_equivalence_test.cpp proves spans on/off is bitwise
+//     site, and no clock read unless the site asks for its duration).
+//     tests/obs_equivalence_test.cpp proves spans on/off is bitwise
 //     invisible to trained weights, checkpoint bytes, and served outputs.
 //
 // Context propagation contract: a thread's current TraceContext is thread
@@ -172,10 +173,12 @@ void record_span(const char* name, const TraceContext& ctx,
 /// RAII span under the thread's current context: on close it is written
 /// to the thread's ring and added to its span totals. `name` must be a
 /// string literal (stored by pointer until collection). Inert when tracing
-/// is disabled at entry.
+/// is disabled at entry, unless `elapsed_ns` is given: then the span reads
+/// trace_clock() once at each end, traced or not, and on close stores
+/// end - start in *elapsed_ns.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
+  explicit TraceSpan(const char* name, std::int64_t* elapsed_ns = nullptr);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -183,15 +186,18 @@ class TraceSpan {
  private:
   void* ring_ = nullptr;  // ThreadRing*, nullptr when disabled at entry
   const char* name_ = nullptr;
+  std::int64_t* elapsed_ns_ = nullptr;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_ = 0;
   std::int64_t start_ns_ = 0;
 };
 
+/// DROPBACK_TRACE_SPAN("label") opens a span to the end of the scope;
+/// DROPBACK_TRACE_SPAN("label", &ns) also stores its duration in `ns`.
 #define DROPBACK_TRACE_CONCAT2(a, b) a##b
 #define DROPBACK_TRACE_CONCAT(a, b) DROPBACK_TRACE_CONCAT2(a, b)
-#define DROPBACK_TRACE_SPAN(name)                \
+#define DROPBACK_TRACE_SPAN(...)                     \
   ::dropback::obs::TraceSpan DROPBACK_TRACE_CONCAT( \
-      dropback_trace_span_, __LINE__)(name)
+      dropback_trace_span_, __LINE__)(__VA_ARGS__)
 
 }  // namespace dropback::obs

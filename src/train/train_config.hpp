@@ -109,10 +109,10 @@ struct TrainConfig {
   /// JSONL telemetry stream destination (one flat record per training step /
   /// epoch / checkpoint / anomaly plus a final summary — schemas in
   /// obs/event_stream.hpp and docs/OBSERVABILITY.md), written crash-safely
-  /// at every epoch boundary and at run exit. Also feeds the global
-  /// obs::MetricsRegistry (train/* counters and gauges). Empty disables all
-  /// telemetry work; the training trajectory is bitwise identical either
-  /// way (tests/obs_equivalence_test.cpp).
+  /// at every epoch boundary and at run exit. The `*_ms` fields come from
+  /// the trainer's spans (obs/trace.hpp). This stream is the trainer's only
+  /// telemetry sink; empty disables it. The training trajectory is bitwise
+  /// identical either way (tests/obs_equivalence_test.cpp).
   std::string metrics_out;
 
   // --- chainable builder setters ------------------------------------------

@@ -1,6 +1,5 @@
 #include "train/trainer.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 
@@ -8,26 +7,18 @@
 #include "core/dropback_optimizer.hpp"
 #include "nn/loss.hpp"
 #include "obs/event_stream.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "train/training_checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/steady_clock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dropback::train {
 
 namespace {
 
-// Through util::ClockSource (R9): step timings share the injectable clock
-// with every other instrument instead of reading steady_clock directly.
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(util::steady_clock_source().now_ns());
-}
-
-double to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
+double to_ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 const char* policy_name(AnomalyPolicy policy) {
   switch (policy) {
@@ -113,7 +104,8 @@ std::string Trainer::detect_anomaly(double loss_value) const {
 void Trainer::save_snapshot(const data::DataLoader& loader, std::int64_t epoch,
                             bool in_epoch, double loss_sum, double acc_sum,
                             std::int64_t batches, const TrainResult& result,
-                            const EarlyStopper& stopper) const {
+                            const EarlyStopper& stopper,
+                            obs::EventStream* events) const {
   TrainerSnapshot snap;
   snap.global_step = global_step_;
   snap.epoch = epoch;
@@ -128,8 +120,19 @@ void Trainer::save_snapshot(const data::DataLoader& loader, std::int64_t epoch,
   snap.best_val_acc = stopper.best_val_acc();
   snap.best_epoch = stopper.best_epoch();
   snap.stale_epochs = stopper.stale_epochs();
-  save_training_snapshot(options_.checkpoint_path, snap, params_, optimizer_,
-                         loader);
+  std::int64_t save_ns = 0;
+  {
+    DROPBACK_TRACE_SPAN("checkpoint_save", &save_ns);
+    save_training_snapshot(options_.checkpoint_path, snap, params_,
+                           optimizer_, loader);
+  }
+  if (events != nullptr) {
+    obs::CheckpointEvent ev;
+    ev.step = global_step_;
+    ev.path = options_.checkpoint_path;
+    ev.ms = to_ms(save_ns);
+    events->emit(ev.to_json());
+  }
 }
 
 TrainResult Trainer::run() {
@@ -139,31 +142,12 @@ TrainResult Trainer::run() {
   data::DataLoader loader(train_set_, options_.loader_options());
   TrainResult result;
   EarlyStopper stopper(options_.patience);
-  // Telemetry (ISSUE 3): one EventStream per run plus pre-registered global
-  // metrics. Everything below is read-only with respect to training state —
-  // the trajectory stays bitwise identical with or without metrics_out.
+  // Telemetry: one EventStream per run, timed by the spans. Everything below
+  // is read-only with respect to training state — the trajectory stays
+  // bitwise identical with or without metrics_out.
   std::unique_ptr<obs::EventStream> events;
-  obs::Counter* m_steps = nullptr;
-  obs::Counter* m_anomalies = nullptr;
-  obs::Counter* m_checkpoints = nullptr;
-  obs::Counter* m_epochs = nullptr;
-  obs::Gauge* m_loss = nullptr;
-  obs::Gauge* m_acc = nullptr;
-  obs::Gauge* m_occupancy = nullptr;
-  obs::Histogram* m_step_ms = nullptr;
   if (!options_.metrics_out.empty()) {
     events = std::make_unique<obs::EventStream>(options_.metrics_out);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    m_steps = &reg.counter("train/steps");
-    m_anomalies = &reg.counter("train/anomalies");
-    m_checkpoints = &reg.counter("train/checkpoints");
-    m_epochs = &reg.counter("train/epochs");
-    m_loss = &reg.gauge("train/loss");
-    m_acc = &reg.gauge("train/acc");
-    m_occupancy = &reg.gauge("dropback/occupancy");
-    m_step_ms = &reg.histogram(
-        "train/step_ms", {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
-                          500.0, 1000.0});
   }
   auto* dropback = dynamic_cast<core::DropBackOptimizer*>(&optimizer_);
   // Must precede the resume load below: epoch-phrased budget schedules need
@@ -198,7 +182,7 @@ TrainResult Trainer::run() {
   }
   for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
     if (stopper.should_stop()) break;  // resumed from an already-stale run
-    const std::uint64_t epoch_begin = events ? now_ns() : 0;
+    const std::int64_t epoch_begin = obs::trace_clock().now_ns();
     if (options_.schedule) {
       optimizer_.set_lr(options_.schedule->lr_at(epoch));
     }
@@ -222,115 +206,101 @@ TrainResult Trainer::run() {
       return loader.next(batch);
     };
     while (fetch()) {
-      // One trace per optimization step: phase spans below and any kernel
-      // pool shards dispatched from them nest under this id, so a slow
-      // step decomposes the same way a slow request does (obs/trace.hpp).
-      obs::ScopedTraceContext step_trace(obs::begin_trace());
-      DROPBACK_TRACE_SPAN("step");
-      const bool timing = events != nullptr;
-      const std::uint64_t step_begin = timing ? now_ns() : 0;
-      std::uint64_t forward_ns = 0;
-      std::uint64_t backward_ns = 0;
-      std::uint64_t optimizer_ns = 0;
-      autograd::Variable input(batch.images);
-      autograd::Variable logits;
-      autograd::Variable loss;
-      {
-        DROPBACK_TRACE_SPAN("forward");
-        const std::uint64_t t0 = timing ? now_ns() : 0;
-        logits = model_.forward(input);
-        loss = nn::cross_entropy(logits, batch.labels);
-        if (loss_transform) loss = loss_transform(loss);
-        if (timing) forward_ns = now_ns() - t0;
-      }
-      optimizer_.zero_grad();
-      {
-        DROPBACK_TRACE_SPAN("backward");
-        const std::uint64_t t0 = timing ? now_ns() : 0;
-        autograd::backward(loss);
-        if (after_backward) after_backward();
-        if (timing) backward_ns = now_ns() - t0;
-      }
-      if (options_.anomaly_policy != AnomalyPolicy::kOff) {
-        const std::string anomaly = detect_anomaly(loss.value()[0]);
-        if (!anomaly.empty()) {
-          ++result.anomalies;
-          if (m_anomalies) m_anomalies->add();
-          if (events) {
-            obs::AnomalyEvent ev;
-            ev.step = global_step_;
-            ev.what = anomaly;
-            ev.policy = policy_name(options_.anomaly_policy);
-            events->emit(ev.to_json());
-          }
-          const std::string what = "numeric anomaly at step " +
-                                   std::to_string(global_step_) + ": " +
-                                   anomaly;
-          if (options_.anomaly_policy == AnomalyPolicy::kThrow) {
-            throw AnomalyError(what);  // ~EventStream flushes the record
-          }
-          if (options_.anomaly_policy == AnomalyPolicy::kSkipStep) {
-            ++result.skipped_steps;
-            optimizer_.zero_grad();
-            if (options_.verbose) util::log_info() << what << " (skipped)";
-            continue;
-          }
-          // kRollback: restore the last snapshot and hand control back.
-          if (options_.checkpoint_path.empty() ||
-              !util::file_exists(options_.checkpoint_path)) {
-            throw AnomalyError(what + " (no snapshot to roll back to)");
-          }
-          const TrainerSnapshot snap = load_training_snapshot(
-              options_.checkpoint_path, params_, optimizer_, loader);
-          global_step_ = snap.global_step;
-          optimizer_.set_lr(snap.lr);
-          TrainResult rolled;
-          rolled.history = snap.history;
-          rolled.best_val_acc = snap.best_val_acc;
-          rolled.best_epoch = snap.best_epoch;
-          rolled.anomalies = result.anomalies;
-          rolled.skipped_steps = snap.skipped_steps;
-          rolled.rolled_back = true;
-          if (options_.verbose) util::log_info() << what << " (rolled back)";
-          return rolled;  // ~EventStream flushes the anomaly record
-        }
-      }
-      {
-        DROPBACK_TRACE_SPAN("optimizer_step");
-        const std::uint64_t t0 = timing ? now_ns() : 0;
-        optimizer_.step();
-        if (timing) optimizer_ns = now_ns() - t0;
-      }
-      ++global_step_;
-      if (after_step) after_step(global_step_);
+      std::int64_t step_ns = 0;
+      std::int64_t forward_ns = 0;
+      std::int64_t backward_ns = 0;
+      std::int64_t optimizer_ns = 0;
       double batch_loss = 0.0;
       double batch_acc = 0.0;
       {
-        DROPBACK_TRACE_SPAN("step_stats");
-        batch_loss = loss.value()[0];
-        batch_acc = nn::accuracy(logits.value(), batch.labels);
-      }
-      loss_sum += batch_loss;
-      acc_sum += batch_acc;
-      ++batches;
-      if (options_.checkpoint_every > 0 &&
-          global_step_ % options_.checkpoint_every == 0) {
-        const std::uint64_t t0 = timing ? now_ns() : 0;
-        save_snapshot(loader, epoch, /*in_epoch=*/true, loss_sum, acc_sum,
-                      batches, result, stopper);
-        ++checkpoints_written;
-        if (m_checkpoints) m_checkpoints->add();
-        if (events) {
-          obs::CheckpointEvent ev;
-          ev.step = global_step_;
-          ev.path = options_.checkpoint_path;
-          ev.ms = to_ms(now_ns() - t0);
-          events->emit(ev.to_json());
+        // One trace per optimization step: phase spans below and any kernel
+        // pool shards dispatched from them nest under this id, so a slow
+        // step decomposes the same way a slow request does (obs/trace.hpp).
+        obs::ScopedTraceContext step_trace(obs::begin_trace());
+        DROPBACK_TRACE_SPAN("step", &step_ns);
+        autograd::Variable input(batch.images);
+        autograd::Variable logits;
+        autograd::Variable loss;
+        {
+          DROPBACK_TRACE_SPAN("forward", &forward_ns);
+          logits = model_.forward(input);
+          loss = nn::cross_entropy(logits, batch.labels);
+          if (loss_transform) loss = loss_transform(loss);
+        }
+        optimizer_.zero_grad();
+        {
+          DROPBACK_TRACE_SPAN("backward", &backward_ns);
+          autograd::backward(loss);
+          if (after_backward) after_backward();
+        }
+        if (options_.anomaly_policy != AnomalyPolicy::kOff) {
+          const std::string anomaly = detect_anomaly(loss.value()[0]);
+          if (!anomaly.empty()) {
+            ++result.anomalies;
+            if (events) {
+              obs::AnomalyEvent ev;
+              ev.step = global_step_;
+              ev.what = anomaly;
+              ev.policy = policy_name(options_.anomaly_policy);
+              events->emit(ev.to_json());
+            }
+            const std::string what = "numeric anomaly at step " +
+                                     std::to_string(global_step_) + ": " +
+                                     anomaly;
+            if (options_.anomaly_policy == AnomalyPolicy::kThrow) {
+              throw AnomalyError(what);  // ~EventStream flushes the record
+            }
+            if (options_.anomaly_policy == AnomalyPolicy::kSkipStep) {
+              ++result.skipped_steps;
+              optimizer_.zero_grad();
+              if (options_.verbose) util::log_info() << what << " (skipped)";
+              continue;
+            }
+            // kRollback: restore the last snapshot and hand control back.
+            if (options_.checkpoint_path.empty() ||
+                !util::file_exists(options_.checkpoint_path)) {
+              throw AnomalyError(what + " (no snapshot to roll back to)");
+            }
+            const TrainerSnapshot snap = load_training_snapshot(
+                options_.checkpoint_path, params_, optimizer_, loader);
+            global_step_ = snap.global_step;
+            optimizer_.set_lr(snap.lr);
+            TrainResult rolled;
+            rolled.history = snap.history;
+            rolled.best_val_acc = snap.best_val_acc;
+            rolled.best_epoch = snap.best_epoch;
+            rolled.anomalies = result.anomalies;
+            rolled.skipped_steps = snap.skipped_steps;
+            rolled.rolled_back = true;
+            if (options_.verbose) util::log_info() << what << " (rolled back)";
+            return rolled;  // ~EventStream flushes the anomaly record
+          }
+        }
+        {
+          DROPBACK_TRACE_SPAN("optimizer_step", &optimizer_ns);
+          optimizer_.step();
+        }
+        ++global_step_;
+        if (after_step) after_step(global_step_);
+        {
+          DROPBACK_TRACE_SPAN("step_stats");
+          batch_loss = loss.value()[0];
+          batch_acc = nn::accuracy(logits.value(), batch.labels);
+        }
+        loss_sum += batch_loss;
+        acc_sum += batch_acc;
+        ++batches;
+        if (options_.checkpoint_every > 0 &&
+            global_step_ % options_.checkpoint_every == 0) {
+          save_snapshot(loader, epoch, /*in_epoch=*/true, loss_sum, acc_sum,
+                        batches, result, stopper, events.get());
+          ++checkpoints_written;
         }
       }
       if (events) {
-        // The telemetry cost itself (score quantiles, JSON rendering) stays
-        // attributed inside the "step" scope under its own label.
+        // After the step span has closed, so step_ms leaves out the cost of
+        // this record (score quantiles, JSON rendering); the span below
+        // keeps that cost visible in the profile.
         DROPBACK_TRACE_SPAN("telemetry");
         obs::StepEvent ev;
         ev.step = global_step_;
@@ -354,19 +324,13 @@ TrainResult Trainer::run() {
             ev.grad_q90 = qs[1];
             ev.grad_q99 = qs[2];
           }
-          m_occupancy->set(ev.occupancy);
         }
-        const double step_ms = to_ms(now_ns() - step_begin);
-        ev.step_ms = step_ms;
+        ev.step_ms = to_ms(step_ns);
         ev.forward_ms = to_ms(forward_ns);
         ev.backward_ms = to_ms(backward_ns);
         ev.optimizer_ms = to_ms(optimizer_ns);
-        total_step_ms += step_ms;
+        total_step_ms += ev.step_ms;
         events->emit(ev.to_json());
-        m_steps->add();
-        m_loss->set(batch_loss);
-        m_acc->set(batch_acc);
-        m_step_ms->observe(step_ms);
       }
     }
     EpochStats stats;
@@ -384,18 +348,9 @@ TrainResult Trainer::run() {
     }
     if (on_epoch_end) on_epoch_end(stats);
     if (!options_.checkpoint_path.empty()) {
-      const std::uint64_t t0 = events ? now_ns() : 0;
       save_snapshot(loader, epoch + 1, /*in_epoch=*/false, 0.0, 0.0, 0,
-                    result, stopper);
+                    result, stopper, events.get());
       ++checkpoints_written;
-      if (m_checkpoints) m_checkpoints->add();
-      if (events) {
-        obs::CheckpointEvent ev;
-        ev.step = global_step_;
-        ev.path = options_.checkpoint_path;
-        ev.ms = to_ms(now_ns() - t0);
-        events->emit(ev.to_json());
-      }
     }
     if (events) {
       obs::EpochEvent ev;
@@ -405,9 +360,8 @@ TrainResult Trainer::run() {
       ev.val_acc = stats.val_acc;
       ev.lr = stats.lr;
       ev.frozen = dropback != nullptr && dropback->frozen();
-      ev.epoch_ms = to_ms(now_ns() - epoch_begin);
+      ev.epoch_ms = to_ms(obs::trace_clock().now_ns() - epoch_begin);
       events->emit(ev.to_json());
-      m_epochs->add();
       // Epoch boundary: persist the stream so a crash mid-run loses at most
       // the current epoch's records (same cadence as the checkpoints).
       events->flush();

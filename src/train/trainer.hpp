@@ -25,6 +25,10 @@
 #include "optim/sgd.hpp"
 #include "train/train_config.hpp"
 
+namespace dropback::obs {
+class EventStream;
+}
+
 namespace dropback::train {
 
 struct EpochStats {
@@ -109,10 +113,13 @@ class Trainer {
  private:
   /// Description of the first non-finite loss/grad value, or "" if clean.
   std::string detect_anomaly(double loss_value) const;
+  /// Writes the training snapshot under a timed `checkpoint_save` span and,
+  /// given `events`, its checkpoint record.
   void save_snapshot(const data::DataLoader& loader, std::int64_t epoch,
                      bool in_epoch, double loss_sum, double acc_sum,
                      std::int64_t batches, const TrainResult& result,
-                     const EarlyStopper& stopper) const;
+                     const EarlyStopper& stopper,
+                     obs::EventStream* events) const;
 
   nn::Module& model_;
   optim::Optimizer& optimizer_;

@@ -117,7 +117,6 @@ void save_training_snapshot(const std::string& path,
                             const std::vector<nn::Parameter*>& params,
                             const optim::Optimizer& optimizer,
                             const data::DataLoader& loader) {
-  DROPBACK_TRACE_SPAN("checkpoint_save");
   util::atomic_write_file(path, [&](std::ostream& out) {
     save_training_snapshot(out, snap, params, optimizer, loader);
   });

@@ -379,6 +379,23 @@ TEST(LintR6, FiresOnDuplicateLabelInOneFunction) {
   EXPECT_NE(r6[0].message.find("first at line 2"), std::string::npos);
 }
 
+TEST(LintR6, FiresOnDuplicateLabelInTimedForm) {
+  // The form that reports the span's duration carries the same label.
+  const std::string src =
+      "void step() {\n"
+      "  std::int64_t ns = 0;\n"
+      "  DROPBACK_TRACE_SPAN(\"fwd\");\n"
+      "  {\n"
+      "    DROPBACK_TRACE_SPAN(\"fwd\", &ns);\n"
+      "  }\n"
+      "}\n";
+  const auto all = lint_source("src/train/step.cpp", src, empty_allow());
+  const auto r6 = findings_for(all, "R6");
+  ASSERT_EQ(r6.size(), 1U);
+  EXPECT_EQ(r6[0].line, 5);
+  EXPECT_NE(r6[0].message.find("first at line 3"), std::string::npos);
+}
+
 TEST(LintR6, SameLabelInDifferentFunctionsIsFine) {
   const std::string src =
       "void forward() { DROPBACK_TRACE_SPAN(\"matmul\"); }\n"

@@ -1,6 +1,7 @@
-// Span tracing tests (ISSUE 8): RAII nesting and parent links, cross-thread
-// context propagation (explicit handoff + ScopedTraceContext adoption), ring
-// wraparound with dropped-span accounting, byte-deterministic Chrome-trace
+// Span tracing tests: RAII nesting and parent links, cross-thread context
+// propagation (explicit handoff + ScopedTraceContext adoption), ring
+// wraparound with dropped-span accounting, timed spans and the trainer's
+// JSONL `*_ms` fields that they fill, byte-deterministic Chrome-trace
 // export under an injectable ManualClock, and the export -> parse round trip
 // that `metrics_tool trace` depends on, including a seeded mutation fuzz
 // of that reader.
@@ -8,13 +9,21 @@
 
 #include <cstdint>
 #include <map>
+#include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/dropback_optimizer.hpp"
+#include "data/synthetic_mnist.hpp"
+#include "nn/models/lenet.hpp"
 #include "obs/trace.hpp"
 #include "rng/xorshift.hpp"
+#include "train/trainer.hpp"
+#include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/steady_clock.hpp"
 
 namespace {
@@ -192,6 +201,94 @@ TEST_F(TraceTest, ResetClearsSpansAndDropCounts) {
   const obs::TraceSnapshot snap = obs::TraceCollector::collect();
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_EQ(snap.dropped, 0U);
+}
+
+TEST_F(TraceTest, TimedSpanReportsItsDurationTracedOrNot) {
+  for (const bool traced : {true, false}) {
+    obs::set_tracing_enabled(traced);
+    std::int64_t ns = -1;
+    {
+      DROPBACK_TRACE_SPAN("timed", &ns);
+      clock_.advance_us(7);
+    }
+    EXPECT_EQ(ns, 7000) << "traced=" << traced;
+  }
+  // Untraced, the span only timed itself: the ring holds the traced one.
+  const obs::TraceSnapshot snap = obs::TraceCollector::collect();
+  ASSERT_EQ(snap.spans.size(), 1U);
+  EXPECT_EQ(snap.spans[0].dur_us, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Trainer: the JSONL `*_ms` fields are span durations on the trace clock
+// ---------------------------------------------------------------------------
+
+class TrainerClockTest : public ::testing::Test {
+ protected:
+  void TearDown() override { obs::set_trace_clock(nullptr); }
+
+  /// The JSONL stream of a short seeded DropBack run: 8 steps over 2
+  /// epochs, a checkpoint every 3 steps and at each epoch end. Both runs
+  /// share the checkpoint path, which the checkpoint records carry.
+  static std::string train_stream(const std::string& tag) {
+    data::SyntheticMnistOptions data_opt;
+    data_opt.num_samples = 64;
+    data_opt.seed = 1;
+    auto train_set = data::make_synthetic_mnist(data_opt);
+    data_opt.num_samples = 32;
+    data_opt.seed = 2;
+    auto val_set = data::make_synthetic_mnist(data_opt);
+    auto model = nn::models::make_mnist_100_100(3);
+    core::DropBackConfig config;
+    config.schedule = optim::constant_budget(2000);
+    core::DropBackOptimizer opt(model->collect_parameters(), 0.1F, config);
+    train::TrainConfig options;
+    options.epochs = 2;
+    options.batch_size = 16;
+    options.checkpoint_path = ::testing::TempDir() + "/trainer_clock.dbts";
+    options.checkpoint_every = 3;
+    options.metrics_out =
+        ::testing::TempDir() + "/trainer_clock_" + tag + ".jsonl";
+    train::Trainer(*model, opt, *train_set, *val_set, options).run();
+    return util::read_file(options.metrics_out);
+  }
+
+  /// `jsonl` with the value of every `ms` and `*_ms` field replaced by 0.
+  static std::string zero_ms_fields(const std::string& jsonl) {
+    static const std::regex kMsField(R"rx(("(?:[a-z_]+_)?ms"):[^,}]*)rx");
+    return std::regex_replace(jsonl, kMsField, "$1:0");
+  }
+
+  const std::regex kMsKey{"(?:[a-z_]+_)?ms"};
+
+  util::ManualClock frozen_{1000};  // never advanced
+};
+
+TEST_F(TrainerClockTest, StreamMsFieldsAreSpanDurations) {
+  const std::string real = train_stream("real");
+  obs::set_trace_clock(&frozen_);
+  const std::string frozen = train_stream("frozen");
+
+  // Under a clock that never moves, every `*_ms` field of every record is
+  // exactly 0...
+  std::map<std::string, int> records;
+  std::istringstream lines(frozen);
+  for (std::string line; std::getline(lines, line);) {
+    const auto rec = util::parse_flat_object(line);
+    ++records[rec.at("type").string];
+    for (const auto& [key, value] : rec) {
+      if (!std::regex_match(key, kMsKey)) continue;
+      EXPECT_EQ(value.type, util::JsonValue::Type::kNumber) << line;
+      EXPECT_EQ(value.number, 0.0) << key << " in " << line;
+    }
+  }
+  EXPECT_EQ(records["step"], 8);
+  EXPECT_EQ(records["epoch"], 2);
+  EXPECT_EQ(records["checkpoint"], 4);  // steps 3 and 6, two epoch ends
+  EXPECT_EQ(records["summary"], 1);
+  // ...and every other byte is the real-clock run's, whose clock did move.
+  EXPECT_NE(zero_ms_fields(real), real);
+  EXPECT_EQ(zero_ms_fields(real), frozen);
 }
 
 // ---------------------------------------------------------------------------

@@ -539,17 +539,5 @@ TEST(ServeServer, MissingModelFallsBackDegradedOrFailsTyped) {
   }
 }
 
-// histogram_quantile underpins the p50/p99 the loadgen and summary report.
-TEST(ServeObs, HistogramQuantileIsConservative) {
-  obs::Histogram h({1, 2, 5, 10});
-  EXPECT_EQ(obs::histogram_quantile(h, 0.99), 0.0);  // empty
-  for (int i = 0; i < 90; ++i) h.observe(0.5);       // -> bucket < 1
-  for (int i = 0; i < 9; ++i) h.observe(1.5);        // -> [1, 2)
-  h.observe(100.0);                                  // -> overflow
-  EXPECT_EQ(obs::histogram_quantile(h, 0.5), 1.0);
-  EXPECT_EQ(obs::histogram_quantile(h, 0.95), 2.0);
-  EXPECT_EQ(obs::histogram_quantile(h, 1.0), 10.0);  // overflow clamps
-}
-
 }  // namespace
 }  // namespace dropback::serve

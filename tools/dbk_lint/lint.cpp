@@ -591,7 +591,7 @@ FileModel analyze_source(const std::string& relpath,
   static const std::regex kRangeForUnordered(
       R"(for\s*\([^)]*:[^)]*unordered_(map|set))");
   static const std::regex kTraceSpan(
-      R"rx(DROPBACK_TRACE_SPAN\s*\(\s*"([^"]*)"\s*\))rx");
+      R"rx(DROPBACK_TRACE_SPAN\s*\(\s*"([^"]*)"\s*[,)])rx");
   static const std::regex kQuotedTarget(R"rx(#\s*include\s*"([^"]+)")rx");
   static const std::regex kIdentCall(R"(([A-Za-z_]\w*)\s*\()");
 

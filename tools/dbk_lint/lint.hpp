@@ -72,8 +72,7 @@
 //   R13 no stream read/write through reinterpret_cast<...char*> under src/
 //       outside src/util/ — persisted bytes go through util::ByteWriter /
 //       util::ByteReader (util/bytes.hpp), the one bounds-checked codec, so
-//       a private pod codec cannot come back. Third-party formats with
-//       their own byte order carry an allowlist grant.
+//       a private pod codec cannot come back.
 //
 // Suppression comes in two forms (docs/STATIC_ANALYSIS.md):
 //   * inline: a comment `dbk-lint: allow(R5): reason` on the offending line,
